@@ -260,7 +260,7 @@ def read_sparse(path, dim: int | None = None, class_count: int | None = None) ->
                 label = int(parts[0])
             except ValueError:
                 raise ValueError(f"line {lineno}: bad label {parts[0]!r}")
-            feats = []
+            feats = {}
             for cell in parts[1:]:
                 if ":" not in cell:
                     raise ValueError(f"line {lineno}: malformed cell {cell!r}")
@@ -269,20 +269,24 @@ def read_sparse(path, dim: int | None = None, class_count: int | None = None) ->
                     idx, val = int(idx_s), float(val_s)
                 except ValueError:
                     raise ValueError(f"line {lineno}: malformed cell {cell!r}")
+                if idx < 0:
+                    raise ValueError(f"line {lineno}: negative index {idx}")
+                if idx in feats:
+                    raise ValueError(f"line {lineno}: duplicate index {idx}")
                 if dim is not None and idx >= dim:
                     raise ValueError(f"line {lineno}: index {idx} out of range (dim={dim})")
-                feats.append((idx, val))
-            rows.append(feats)
+                feats[idx] = val
+            rows.append((lineno, feats))
             labels.append(label)
     if dim is None:
-        dim = 1 + max((idx for feats in rows for idx, _ in feats), default=-1)
+        dim = 1 + max((idx for _, feats in rows for idx in feats), default=-1)
     if class_count is None:
         class_count = 1 + max(labels, default=0)
     X = np.zeros((len(rows), dim))
-    for i, feats in enumerate(rows):
-        for idx, val in feats:
+    for i, (lineno, feats) in enumerate(rows):
+        for idx, val in feats.items():
             if idx >= dim:
-                raise ValueError(f"line {i + 1}: index {idx} out of range (dim={dim})")
+                raise ValueError(f"line {lineno}: index {idx} out of range (dim={dim})")
             X[i, idx] = val
     return Dataset(X, np.array(labels, dtype=int), class_count)
 
@@ -310,6 +314,10 @@ def read_policy(path) -> ManipulationPolicy:
                 raise ValueError(f"line {lineno}: non-integer field")
             if a not in (0, 1) or r not in (0, 1):
                 raise ValueError(f"line {lineno}: flags must be 0/1")
+            if idx < 0:
+                raise ValueError(f"line {lineno}: negative index {idx}")
+            if idx in adds:
+                raise ValueError(f"line {lineno}: duplicate index {idx}")
             adds[idx] = bool(a)
             rems[idx] = bool(r)
     dim = 1 + max(adds, default=-1)

@@ -213,9 +213,7 @@ class HardenedClassifier:
         if self.dae is None:
             return head_grad_fn(V)
         H, enc_zs = self.dae.encoder.forward_cached(V)
-        h_cot = head_grad_fn(H)
-        _, _, v_cot = self.dae.encoder.backward(V, enc_zs, h_cot)
-        return v_cot
+        return self.dae.encoder.input_backward(enc_zs, head_grad_fn(H))
 
     def input_gradients(self, X, y):
         y2 = np.atleast_1d(np.asarray(y, dtype=int))
@@ -407,36 +405,38 @@ class EnsembleClassifier:
         p = self.predict_proba(X)
         return np.log(np.maximum(p, 1e-12))
 
-    def _prob_cot_input_gradients(self, X, v):
-        """Input gradient of an objective with dObj/d(mean prob) = v."""
-        X2 = np.atleast_2d(np.asarray(X, dtype=float))
-        v2 = np.atleast_2d(np.asarray(v, dtype=float))
+    def _member_probs(self, X2):
+        return [np.atleast_2d(m.predict_proba(X2)) for m in self.members]
+
+    def _prob_cot_input_gradients(self, X2, qs, v2):
+        """Input gradient of an objective with dObj/d(mean prob) = v2, given
+        each member's probabilities qs at X2."""
         total = np.zeros_like(X2)
-        for m in self.members:
-            q = np.atleast_2d(m.predict_proba(X2))
-            a = v2 / self.l
+        a = v2 / self.l
+        for m, q in zip(self.members, qs):
             w = q * (a - (q * a).sum(axis=1, keepdims=True))
             total += np.atleast_2d(m.logit_cot_input_gradients(X2, w))
-        return total if np.ndim(X) == 2 else total[0]
+        return total
 
     def input_gradients(self, X, y):
         X2 = np.atleast_2d(np.asarray(X, dtype=float))
         y2 = np.atleast_1d(np.asarray(y, dtype=int))
-        p = np.atleast_2d(self.predict_proba(X2))
+        qs = self._member_probs(X2)
+        p = sum(qs) / self.l
         rows = np.arange(len(y2))
         v = np.zeros_like(p)
         py = np.maximum(p[rows, y2], 1e-12)
         v[rows, y2] = -1.0 / py
         v[p[rows, y2] <= 1e-12] = 0.0
-        g = self._prob_cot_input_gradients(X2, v)
+        g = self._prob_cot_input_gradients(X2, qs, v)
         return g if np.ndim(X) == 2 else g[0]
 
     def logit_cot_input_gradients(self, X, cot):
         X2 = np.atleast_2d(np.asarray(X, dtype=float))
         cot2 = np.atleast_2d(np.asarray(cot, dtype=float))
-        p = np.atleast_2d(self.predict_proba(X2))
-        v = cot2 / np.maximum(p, 1e-12)
-        g = self._prob_cot_input_gradients(X2, v)
+        qs = self._member_probs(X2)
+        v = cot2 / np.maximum(sum(qs) / self.l, 1e-12)
+        g = self._prob_cot_input_gradients(X2, qs, v)
         return g if np.ndim(X) == 2 else g[0]
 
 

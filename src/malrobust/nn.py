@@ -1,9 +1,11 @@
 """Dense feed-forward classifier with exact backpropagation, plus Adam.
 
 Everything is plain numpy.  The classifier applies its activation between
-layers and a softmax on the last layer's output; gradients are computed
-analytically for every parameter and for the input, which is what the
-attack and hardening code consumes.
+layers and a softmax on the last layer's output.  One backward recursion
+walks a cotangent from the output down to the input and keeps each
+layer's pre-activation cotangent; input gradients (all the attacks and
+the inner maximizer need) stop there, and only training turns the
+cotangents into weight and bias gradients.
 """
 
 from __future__ import annotations
@@ -68,30 +70,32 @@ def _stack_forward(weights, biases, activation, X, activate_last):
     return a, zs
 
 
-def _stack_backward(weights, biases, activation, X, zs, out_cot, activate_last):
-    """Backpropagate a cotangent on the stack output.
+def _stack_backward(weights, activation, zs, out_cot, activate_last):
+    """Backpropagate a cotangent on the stack output down to the input.
 
-    Returns (weight_grads, bias_grads, input_cot); parameter gradients are
-    summed over the batch, the input cotangent stays per-example.
+    Returns (input_cot, deltas) where deltas[i] is the cotangent on layer
+    i's pre-activation; both stay per-example.
     """
     last = len(weights) - 1
-    # reconstruct layer inputs from the cache
-    inputs = [X]
-    for i in range(last):
-        inputs.append(_act(activation, zs[i]))
     delta = out_cot
     if activate_last:
         delta = delta * _act_grad(activation, zs[last])
-    w_grads = [None] * len(weights)
-    b_grads = [None] * len(weights)
+    deltas = [None] * len(weights)
     for i in range(last, -1, -1):
-        w_grads[i] = inputs[i].T @ delta
-        b_grads[i] = delta.sum(axis=0)
+        deltas[i] = delta
         if i > 0:
             delta = (delta @ weights[i].T) * _act_grad(activation, zs[i - 1])
         else:
             delta = delta @ weights[i].T
-    return w_grads, b_grads, delta
+    return delta, deltas
+
+
+def _param_grads(activation, X, zs, deltas):
+    """Weight and bias gradients, summed over the batch, from the layer
+    cotangents of :func:`_stack_backward`."""
+    inputs = [X] + [_act(activation, z) for z in zs[:-1]]
+    return ([a.T @ d for a, d in zip(inputs, deltas)],
+            [d.sum(axis=0) for d in deltas])
 
 
 def _init_params(layer_sizes, rng):
@@ -134,8 +138,15 @@ class DenseStack:
                               X2, self.activate_last)
 
     def backward(self, X2, zs, out_cot):
-        return _stack_backward(self.weights, self.biases, self.activation,
-                               X2, zs, out_cot, self.activate_last)
+        """Returns (weight_grads, bias_grads, input_cot)."""
+        input_cot, deltas = _stack_backward(self.weights, self.activation, zs,
+                                            out_cot, self.activate_last)
+        return (*_param_grads(self.activation, X2, zs, deltas), input_cot)
+
+    def input_backward(self, zs, out_cot):
+        """Input cotangent alone, without parameter gradients."""
+        return _stack_backward(self.weights, self.activation, zs, out_cot,
+                               self.activate_last)[0]
 
 
 @dataclass
@@ -209,8 +220,7 @@ class MlpClassifier:
         logits, zs = _stack_forward(self.weights, self.biases, self.activation, X2, False)
         p = softmax(logits)
         delta = _ce_logit_cotangent(p, y2)
-        _, _, xg = _stack_backward(self.weights, self.biases, self.activation,
-                                   X2, zs, delta, False)
+        xg, _ = _stack_backward(self.weights, self.activation, zs, delta, False)
         return xg if np.ndim(X) == 2 else xg[0]
 
     def logit_cot_input_gradients(self, X, cot):
@@ -218,8 +228,7 @@ class MlpClassifier:
         X2 = self._check_input(X)
         cot2 = np.atleast_2d(np.asarray(cot, dtype=float))
         _, zs = _stack_forward(self.weights, self.biases, self.activation, X2, False)
-        _, _, xg = _stack_backward(self.weights, self.biases, self.activation,
-                                   X2, zs, cot2, False)
+        xg, _ = _stack_backward(self.weights, self.activation, zs, cot2, False)
         return xg if np.ndim(X) == 2 else xg[0]
 
     def copy(self) -> "MlpClassifier":
@@ -287,8 +296,8 @@ def backward(model: MlpClassifier, x, y: int) -> GradientBundle:
     logits_, zs = _stack_forward(model.weights, model.biases, model.activation, X2, False)
     p = softmax(logits_)
     delta = _ce_logit_cotangent(p, y2)
-    wg, bg, xg = _stack_backward(model.weights, model.biases, model.activation,
-                                 X2, zs, delta, False)
+    xg, deltas = _stack_backward(model.weights, model.activation, zs, delta, False)
+    wg, bg = _param_grads(model.activation, X2, zs, deltas)
     return GradientBundle(wg, bg, xg[0])
 
 
@@ -298,8 +307,8 @@ def _batch_param_gradients(model: MlpClassifier, X2, y2):
     p = softmax(logits_)
     n = len(y2)
     delta = _ce_logit_cotangent(p, y2) / n
-    wg, bg, _ = _stack_backward(model.weights, model.biases, model.activation,
-                                X2, zs, delta, False)
+    _, deltas = _stack_backward(model.weights, model.activation, zs, delta, False)
+    wg, bg = _param_grads(model.activation, X2, zs, deltas)
     loss = float(np.mean(cross_entropy(p, y2)))
     return wg, bg, loss
 

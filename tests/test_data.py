@@ -242,6 +242,26 @@ class TestSparseIO:
         with pytest.raises(ValueError, match="out of range"):
             read_sparse(path, dim=5, class_count=2)
 
+    def test_negative_index_rejected(self, tmp_path):
+        path = tmp_path / "ds.txt"
+        path.write_text("0 0:1\n1 -1:1\n")
+        with pytest.raises(ValueError, match="line 2: negative index -1"):
+            read_sparse(path, dim=3, class_count=2)
+
+    def test_duplicate_index_rejected(self, tmp_path):
+        path = tmp_path / "ds.txt"
+        path.write_text("0 2:1 2:0\n")
+        with pytest.raises(ValueError, match="line 1: duplicate index 2"):
+            read_sparse(path, dim=3, class_count=2)
+
+    def test_late_header_range_error_reports_file_line(self, tmp_path):
+        # the index is only checked once the trailing header sets dim; the
+        # offending row is the first row but sits on the file's third line
+        path = tmp_path / "ds.txt"
+        path.write_text("# a remark\n\n0 9:1\n# dim=5 classes=2\n")
+        with pytest.raises(ValueError, match="line 3: index 9 out of range"):
+            read_sparse(path)
+
 
 class TestPolicyIO:
     def test_round_trip(self, tmp_path, rng):
@@ -256,4 +276,16 @@ class TestPolicyIO:
         path = tmp_path / "policy.txt"
         path.write_text("0 1 2\n")
         with pytest.raises(ValueError, match="line 1"):
+            read_policy(path)
+
+    def test_negative_index_rejected(self, tmp_path):
+        path = tmp_path / "policy.txt"
+        path.write_text("0 1 0\n1 0 1\n-1 1 1\n")
+        with pytest.raises(ValueError, match="line 3: negative index -1"):
+            read_policy(path)
+
+    def test_duplicate_index_rejected(self, tmp_path):
+        path = tmp_path / "policy.txt"
+        path.write_text("0 1 0\n1 0 1\n0 1 1\n")
+        with pytest.raises(ValueError, match="line 3: duplicate index 0"):
             read_policy(path)

@@ -1,0 +1,208 @@
+"""The shared backward recursion against the full backward it replaced.
+
+``old_stack_backward`` is the earlier backward pass verbatim: it built
+every layer's weight and bias gradients on every call, input gradients
+included.  The ``old_*`` helpers rebuild the earlier input-gradient paths
+of the plain, hardened and ensemble classifiers on top of it.  Every
+comparison is bitwise (``np.array_equal``): attack outcome tables, trained
+models and reports depend on the exact floating-point values.
+"""
+
+import numpy as np
+import pytest
+
+from malrobust.defenses import (DenoisingAutoencoder, EnsembleClassifier,
+                                HardenedClassifier)
+from malrobust.nn import (DenseStack, MlpClassifier, _act, _act_grad,
+                          _batch_param_gradients, _ce_logit_cotangent,
+                          _stack_forward, backward, cross_entropy, softmax)
+
+DIM = 40
+HIDDEN = 24
+LATENT = 16
+CLASSES = 2
+
+
+def old_stack_backward(weights, biases, activation, X, zs, out_cot, activate_last):
+    """Backpropagate a cotangent on the stack output.
+
+    Returns (weight_grads, bias_grads, input_cot); parameter gradients are
+    summed over the batch, the input cotangent stays per-example.
+    """
+    last = len(weights) - 1
+    # reconstruct layer inputs from the cache
+    inputs = [X]
+    for i in range(last):
+        inputs.append(_act(activation, zs[i]))
+    delta = out_cot
+    if activate_last:
+        delta = delta * _act_grad(activation, zs[last])
+    w_grads = [None] * len(weights)
+    b_grads = [None] * len(weights)
+    for i in range(last, -1, -1):
+        w_grads[i] = inputs[i].T @ delta
+        b_grads[i] = delta.sum(axis=0)
+        if i > 0:
+            delta = (delta @ weights[i].T) * _act_grad(activation, zs[i - 1])
+        else:
+            delta = delta @ weights[i].T
+    return w_grads, b_grads, delta
+
+
+def old_mlp_backward(model, X2, out_cot):
+    _, zs = _stack_forward(model.weights, model.biases, model.activation, X2, False)
+    return old_stack_backward(model.weights, model.biases, model.activation,
+                              X2, zs, out_cot, False)
+
+
+def old_mlp_ce_cotangent(model, X2, y2):
+    logits, _ = _stack_forward(model.weights, model.biases, model.activation, X2, False)
+    return _ce_logit_cotangent(softmax(logits), y2)
+
+
+def old_hardened(clf, X2, head_grad):
+    V = clf._view(X2)
+    if clf.dae is None:
+        return clf._scatter(X2, head_grad(clf.mlp, V))
+    enc = clf.dae.encoder
+    H, zs = enc.forward_cached(V)
+    _, _, v_cot = old_stack_backward(enc.weights, enc.biases, enc.activation,
+                                     V, zs, head_grad(clf.mlp, H), enc.activate_last)
+    return clf._scatter(X2, v_cot)
+
+
+def old_ensemble(ens, X2, v_of_p):
+    p = np.atleast_2d(ens.predict_proba(X2))
+    v2 = v_of_p(p)
+    total = np.zeros_like(X2)
+    for m in ens.members:
+        q = np.atleast_2d(m.predict_proba(X2))
+        a = v2 / ens.l
+        w = q * (a - (q * a).sum(axis=1, keepdims=True))
+        total += old_hardened(m, X2, lambda mlp, H: old_mlp_backward(mlp, H, w)[2])
+    return total
+
+
+def ce_prob_cotangent(y2):
+    def v_of_p(p):
+        rows = np.arange(len(y2))
+        v = np.zeros_like(p)
+        v[rows, y2] = -1.0 / np.maximum(p[rows, y2], 1e-12)
+        v[p[rows, y2] <= 1e-12] = 0.0
+        return v
+    return v_of_p
+
+
+def old_input_gradients(model, X2, y2):
+    def head(mlp, H):
+        return old_mlp_backward(mlp, H, old_mlp_ce_cotangent(mlp, H, y2))[2]
+    if isinstance(model, MlpClassifier):
+        return head(model, X2)
+    if isinstance(model, HardenedClassifier):
+        return old_hardened(model, X2, head)
+    return old_ensemble(model, X2, ce_prob_cotangent(y2))
+
+
+def old_logit_cot_input_gradients(model, X2, cot2):
+    def head(mlp, H):
+        return old_mlp_backward(mlp, H, cot2)[2]
+    if isinstance(model, MlpClassifier):
+        return head(model, X2)
+    if isinstance(model, HardenedClassifier):
+        return old_hardened(model, X2, head)
+    return old_ensemble(model, X2, lambda p: cot2 / np.maximum(p, 1e-12))
+
+
+def hardened_member(activation, depth, rng):
+    subset = np.sort(rng.choice(DIM, size=DIM // 2, replace=False))
+    dae = DenoisingAutoencoder.init(len(subset), LATENT, activation, seed=rng)
+    head = MlpClassifier.init([LATENT] + [HIDDEN] * depth + [CLASSES], activation, seed=rng)
+    return HardenedClassifier(head, dae, subset, None)
+
+
+def make_model(kind, activation, depth, rng):
+    if kind == "mlp":
+        return MlpClassifier.init([DIM] + [HIDDEN] * depth + [CLASSES], activation, seed=rng)
+    if kind == "hardened":
+        return hardened_member(activation, depth, rng)
+    return EnsembleClassifier([hardened_member(activation, depth, rng) for _ in range(2)])
+
+
+def batch(n, rng):
+    # continuous points in the unit box, as the inner maximizer visits them
+    return rng.random((n, DIM)), rng.integers(0, CLASSES, size=n)
+
+
+GRID = pytest.mark.parametrize("activation,n,depth", [
+    (a, n, d) for a in ("relu", "elu") for n in (1, 128) for d in (1, 2, 3)])
+
+
+@pytest.mark.parametrize("kind", ["mlp", "hardened", "ensemble"])
+@GRID
+class TestInputGradients:
+    def test_input_gradients(self, kind, activation, n, depth):
+        rng = np.random.default_rng([depth, n])
+        model = make_model(kind, activation, depth, rng)
+        X, y = batch(n, rng)
+        assert np.array_equal(model.input_gradients(X, y),
+                              old_input_gradients(model, X, y))
+
+    def test_logit_cot_input_gradients(self, kind, activation, n, depth):
+        rng = np.random.default_rng([depth, n, 1])
+        model = make_model(kind, activation, depth, rng)
+        X, _ = batch(n, rng)
+        cot = rng.normal(size=(n, CLASSES))
+        assert np.array_equal(model.logit_cot_input_gradients(X, cot),
+                              old_logit_cot_input_gradients(model, X, cot))
+
+
+def assert_lists_equal(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+@GRID
+def test_batch_param_gradients(activation, n, depth):
+    rng = np.random.default_rng([depth, n, 2])
+    model = make_model("mlp", activation, depth, rng)
+    X, y = batch(n, rng)
+    wg, bg, loss = _batch_param_gradients(model, X, y)
+    old_wg, old_bg, _ = old_mlp_backward(model, X, old_mlp_ce_cotangent(model, X, y) / n)
+    assert_lists_equal(wg, old_wg)
+    assert_lists_equal(bg, old_bg)
+    assert loss == float(np.mean(cross_entropy(model.predict_proba(X), y)))
+
+
+@pytest.mark.parametrize("activation", ["relu", "elu"])
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_backward(activation, depth):
+    rng = np.random.default_rng([depth, 3])
+    model = make_model("mlp", activation, depth, rng)
+    X, y = batch(4, rng)
+    for x, label in zip(X, y):
+        got = backward(model, x, label)
+        X1, y1 = x[None, :], np.array([label])
+        old_wg, old_bg, old_xg = old_mlp_backward(model, X1,
+                                                  old_mlp_ce_cotangent(model, X1, y1))
+        assert_lists_equal(got.weight_grads, old_wg)
+        assert_lists_equal(got.bias_grads, old_bg)
+        assert np.array_equal(got.input_grad, old_xg[0])
+
+
+@pytest.mark.parametrize("activate_last", [False, True])
+@GRID
+def test_dense_stack_backward(activation, n, depth, activate_last):
+    rng = np.random.default_rng([depth, n, 4])
+    stack = DenseStack.init([DIM] + [HIDDEN] * depth + [LATENT], activation,
+                            seed=rng, activate_last=activate_last)
+    X, _ = batch(n, rng)
+    _, zs = stack.forward_cached(X)
+    cot = rng.normal(size=(n, LATENT))
+    old = old_stack_backward(stack.weights, stack.biases, activation, X, zs, cot,
+                             activate_last)
+    wg, bg, xg = stack.backward(X, zs, cot)
+    assert_lists_equal(wg, old[0])
+    assert_lists_equal(bg, old[1])
+    assert np.array_equal(xg, old[2])
+    assert np.array_equal(stack.input_backward(zs, cot), old[2])
