@@ -7,6 +7,14 @@ net with iterative shrinkage).  Gradient-based attacks maximize the
 victim's cross-entropy loss (ead minimizes a logit-margin objective);
 every attack emits a binary vector admissible under the policy.
 
+The iterative attacks share two loops.  grosse, bca and bga run the
+greedy-flip loop with a selection rule: the single largest positive loss
+gradient for grosse and bca (for two classes the softmax saliency of
+Grosse et al. is a positive multiple of that gradient, so one rule serves
+both names), and the ||g||_2 / sqrt(dim) threshold for bga.  The four
+PGD variants and ead run the projected-step loop with a per-attack
+direction.  run_single dispatches on the attack name through a table.
+
 An attack succeeds when the model it runs against no longer predicts the
 true label.  Under the grey-box threat model the suite runs each attack
 against a surrogate model and then judges success on the real victim.
@@ -15,18 +23,16 @@ against a surrogate model and then judges success on the real victim.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
-from .data import ManipulationPolicy, admissible, project_to_m
+from .data import project_to_m
 from .nn import MAXIMIZE, AdamState, adam_step
 
 WHITE_BOX = "white_box"
 GREY_BOX = "grey_box"
-
-ATTACK_NAMES = ("random", "mimicry", "fgsm", "grosse", "bga", "bca",
-                "pgd_l1", "pgd_l2", "pgd_linf", "pgd_adam", "ead")
 
 # step sizes from the evaluation protocol; max_steps defaults to 100 everywhere
 _DEFAULT_STEP = {
@@ -95,15 +101,16 @@ def _misclassified(model, x, y) -> bool:
     return int(model.predict(x)) != int(y)
 
 
-def random_attack(model, x, y, policy: ManipulationPolicy,
-                  config: AttackConfig, rng=None) -> AttackOutcome:
+# Every attack below takes (model, x, y, policy, config, benign_pool, rng)
+# with x a float vector; run_single dispatches through the _ATTACKS table.
+
+def random_attack(model, x, y, policy, config, benign_pool, rng) -> AttackOutcome:
     """Flip one uniformly chosen admissible feature per step.
 
     Each feature is flipped at most once; stops at the step budget, at
     success, or when no admissible flip remains.
     """
     rng = np.random.default_rng(config.seed if rng is None else rng)
-    x = np.asarray(x, dtype=float)
     cur = x.copy()
     allowed = np.where(x == 0.0, policy.addition_allowed, policy.removal_allowed)
     candidates = list(np.flatnonzero(allowed))
@@ -118,8 +125,7 @@ def random_attack(model, x, y, policy: ManipulationPolicy,
     return _outcome(x, cur, success, steps)
 
 
-def mimicry_attack(model, x, y, benign_pool, policy: ManipulationPolicy,
-                   config: AttackConfig, rng=None) -> AttackOutcome:
+def mimicry_attack(model, x, y, policy, config, benign_pool, rng) -> AttackOutcome:
     """Copy the admissible coordinates of guide examples onto x.
 
     Guides are the `mimicry_candidates` pool vectors nearest to x in l1
@@ -128,11 +134,12 @@ def mimicry_attack(model, x, y, benign_pool, policy: ManipulationPolicy,
     smallest l1 perturbation is returned; otherwise the overall
     minimum-perturbation candidate with success False.
     """
+    if benign_pool is None:
+        raise ValueError("mimicry requires a benign pool")
     pool = np.atleast_2d(np.asarray(benign_pool, dtype=float))
     if len(pool) == 0:
         raise ValueError("empty benign pool")
     rng = np.random.default_rng(config.seed if rng is None else rng)
-    x = np.asarray(x, dtype=float)
     k = min(config.mimicry_candidates, len(pool))
     if config.mimicry_selection == "random":
         guide_idx = rng.choice(len(pool), size=k, replace=False)
@@ -152,76 +159,42 @@ def mimicry_attack(model, x, y, benign_pool, policy: ManipulationPolicy,
     return _outcome(x, cand, succ, len(guide_idx))
 
 
-def fgsm(model, x, y, policy: ManipulationPolicy, config: AttackConfig) -> AttackOutcome:
+def fgsm(model, x, y, policy, config, benign_pool, rng) -> AttackOutcome:
     """Single signed-gradient step of size step_size, then projection."""
-    x = np.asarray(x, dtype=float)
     g = model.input_gradients(x, y)
     x_cont = np.clip(x + config.step_size * np.sign(g), 0.0, 1.0)
     x_adv = project_to_m(x, x_cont, policy)
     return _outcome(x, x_adv, _misclassified(model, x_adv, y), 1)
 
 
-def _addition_candidates(cur, grads, policy):
-    return (cur == 0.0) & policy.addition_allowed & (grads > 0.0)
-
-
-def grosse(model, x, y, policy: ManipulationPolicy, config: AttackConfig) -> AttackOutcome:
-    """Per step, set the zero feature with the largest positive loss
-    gradient to 1 (addition only)."""
-    x = np.asarray(x, dtype=float)
+def _greedy_flips(select, model, x, y, policy, config, benign_pool, rng) -> AttackOutcome:
+    """The loop of grosse, bca and bga: per step, set to 1 the features
+    `select` picks among the addition-allowed zero features with a
+    positive loss gradient.  Stops at success, at the step budget, or when
+    nothing is picked; never removes a feature."""
     cur = x.copy()
     steps = 0
     success = _misclassified(model, cur, y)
     while steps < config.max_steps and not success:
         g = model.input_gradients(cur, y)
-        mask = _addition_candidates(cur, g, policy)
-        if not mask.any():
+        picked = select(g, (cur == 0.0) & policy.addition_allowed & (g > 0.0))
+        if len(picked) == 0:
             break
-        scores = np.where(mask, g, -np.inf)
-        j = int(np.argmax(scores))  # lowest index wins ties
-        cur[j] = 1.0
+        cur[picked] = 1.0
         steps += 1
         success = _misclassified(model, cur, y)
     return _outcome(x, cur, success, steps)
 
 
-def bga(model, x, y, policy: ManipulationPolicy, config: AttackConfig) -> AttackOutcome:
-    """Per step, set to 1 every addition-allowed zero feature whose
-    positive partial derivative reaches ||grad||_2 / sqrt(dim)."""
-    x = np.asarray(x, dtype=float)
-    dim = x.shape[0]
-    cur = x.copy()
-    steps = 0
-    success = _misclassified(model, cur, y)
-    while steps < config.max_steps and not success:
-        g = model.input_gradients(cur, y)
-        threshold = float(np.linalg.norm(g)) / np.sqrt(dim)
-        mask = (cur == 0.0) & policy.addition_allowed & (g > 0.0) & (g >= threshold)
-        if not mask.any():
-            break
-        cur[mask] = 1.0
-        steps += 1
-        success = _misclassified(model, cur, y)
-    return _outcome(x, cur, success, steps)
+def _top_gradient(g, candidates):
+    """grosse and bca: the candidate with the largest gradient (lowest
+    index on ties)."""
+    return [int(np.argmax(np.where(candidates, g, -np.inf)))] if candidates.any() else []
 
 
-def bca(model, x, y, policy: ManipulationPolicy, config: AttackConfig) -> AttackOutcome:
-    """Per step, flip the single addition-allowed zero feature with the
-    maximum positive gradient."""
-    x = np.asarray(x, dtype=float)
-    cur = x.copy()
-    steps = 0
-    success = _misclassified(model, cur, y)
-    while steps < config.max_steps and not success:
-        g = model.input_gradients(cur, y)
-        mask = _addition_candidates(cur, g, policy)
-        if not mask.any():
-            break
-        j = int(np.argmax(np.where(mask, g, -np.inf)))
-        cur[j] = 1.0
-        steps += 1
-        success = _misclassified(model, cur, y)
-    return _outcome(x, cur, success, steps)
+def _gradient_threshold(g, candidates):
+    """bga: every candidate whose gradient reaches ||g||_2 / sqrt(dim)."""
+    return np.flatnonzero(candidates & (g >= float(np.linalg.norm(g)) / np.sqrt(g.shape[0])))
 
 
 def _project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
@@ -236,66 +209,69 @@ def _project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
     return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
 
 
-def _ball_project(delta: np.ndarray, variant: str, radius) -> np.ndarray:
-    if radius is None:
-        return delta
-    if variant == "linf":
-        return np.clip(delta, -radius, radius)
-    if variant == "l2":
-        n = float(np.linalg.norm(delta))
-        return delta if n <= radius else delta * (radius / n)
-    if variant == "l1":
-        return _project_l1_ball(delta, radius)
-    return delta
+def _projected_steps(direction, model, x, y, policy, config, benign_pool,
+                     rng) -> AttackOutcome:
+    """The loop of the pgd variants and ead, on a continuous perturbation
+    delta that starts at 0.
 
-
-def pgd(model, x, y, policy: ManipulationPolicy, config: AttackConfig) -> AttackOutcome:
-    """Projected gradient ascent on a continuous perturbation.
-
-    Variant picks the per-step direction: linf uses the gradient sign, l2
-    the normalized gradient, l1 touches only the coordinate with the
-    largest absolute gradient, and adam runs an Adam update in
-    maximization mode with no normalization.  Each step clips x + delta
-    into the unit box; a finite epsilon_ball additionally projects delta
-    into the corresponding norm ball (l1/l2/linf only).  The running
-    iterate is rounded through the policy each step so the attack can stop
-    at the first admissible success.
+    `direction` returns the next delta; the loop clips x + delta into the
+    unit box and rounds it through the policy after every step, so the
+    attack stops at the first admissible success.  A start point that is
+    already misclassified succeeds after 0 steps.
     """
-    variant = config.name.split("_", 1)[1]  # "l1" | "l2" | "linf" | "adam"
-    x = np.asarray(x, dtype=float)
     delta = np.zeros_like(x)
     adam = AdamState.zeros(x.shape, learning_rate=config.step_size)
-    best = project_to_m(x, x + delta, policy)
-    if _misclassified(model, best, y):
-        return _outcome(x, best, True, 0)
-    steps = 0
-    for _ in range(config.max_steps):
-        g = model.input_gradients(x + delta, y)
-        if variant == "adam":
-            delta = adam_step(adam, delta, g, MAXIMIZE)
-        elif variant == "linf":
-            delta = delta + config.step_size * np.sign(g)
-        elif variant == "l2":
-            n = float(np.linalg.norm(g))
-            if n > 0.0:
-                delta = delta + config.step_size * g / n
-        else:  # l1: steepest coordinate whose move is not clipped away
-            cur = x + delta
-            feasible = ((g > 0.0) & (cur < 1.0)) | ((g < 0.0) & (cur > 0.0))
-            if feasible.any():
-                j = int(np.argmax(np.where(feasible, np.abs(g), -np.inf)))
-                step = np.zeros_like(delta)
-                step[j] = config.step_size * np.sign(g[j])
-                delta = delta + step
-        if variant != "adam":
-            delta = _ball_project(delta, variant, config.epsilon_ball)
-        delta = np.clip(x + delta, 0.0, 1.0) - x
-        steps += 1
+    rounded = project_to_m(x, x, policy)
+    if _misclassified(model, rounded, y):
+        return _outcome(x, rounded, True, 0)
+    for steps in range(1, config.max_steps + 1):
+        delta = np.clip(x + direction(model, x, y, delta, config, adam), 0.0, 1.0) - x
         rounded = project_to_m(x, x + delta, policy)
         if _misclassified(model, rounded, y):
             return _outcome(x, rounded, True, steps)
-    x_adv = project_to_m(x, x + delta, policy)
-    return _outcome(x, x_adv, _misclassified(model, x_adv, y), steps)
+    return _outcome(x, rounded, False, config.max_steps)
+
+
+# Directions of the projected-step loop.  A finite epsilon_ball projects
+# the l1 / l2 / linf steps into their norm ball; `adam` is the example's
+# Adam state, used by pgd_adam only.
+
+def _l1_direction(model, x, y, delta, config, adam):
+    """Move the steepest coordinate whose move is not clipped away."""
+    cur = x + delta
+    g = model.input_gradients(cur, y)
+    feasible = ((g > 0.0) & (cur < 1.0)) | ((g < 0.0) & (cur > 0.0))
+    if feasible.any():
+        j = int(np.argmax(np.where(feasible, np.abs(g), -np.inf)))
+        step = np.zeros_like(delta)
+        step[j] = config.step_size * np.sign(g[j])
+        delta = delta + step
+    return delta if config.epsilon_ball is None else _project_l1_ball(delta, config.epsilon_ball)
+
+
+def _l2_direction(model, x, y, delta, config, adam):
+    """Step along the normalized gradient."""
+    g = model.input_gradients(x + delta, y)
+    n = float(np.linalg.norm(g))
+    if n > 0.0:
+        delta = delta + config.step_size * g / n
+    radius = config.epsilon_ball
+    if radius is None:
+        return delta
+    n = float(np.linalg.norm(delta))
+    return delta if n <= radius else delta * (radius / n)
+
+
+def _linf_direction(model, x, y, delta, config, adam):
+    """Step along the gradient sign."""
+    delta = delta + config.step_size * np.sign(model.input_gradients(x + delta, y))
+    radius = config.epsilon_ball
+    return delta if radius is None else np.clip(delta, -radius, radius)
+
+
+def _adam_direction(model, x, y, delta, config, adam):
+    """Adam update in maximization mode, with no normalization."""
+    return adam_step(adam, delta, model.input_gradients(x + delta, y), MAXIMIZE)
 
 
 def _ead_margin_cotangent(model, x, y, kappa):
@@ -304,65 +280,48 @@ def _ead_margin_cotangent(model, x, y, kappa):
     z_other = z.copy()
     z_other[y] = -np.inf
     j_star = int(np.argmax(z_other))
-    margin = float(z[y] - z[j_star])
     cot = np.zeros_like(z)
-    if margin > -kappa:
+    if float(z[y] - z[j_star]) > -kappa:
         cot[y] = 1.0
         cot[j_star] = -1.0
-    return cot, margin
+    return cot
 
 
-def ead(model, x, y, policy: ManipulationPolicy, config: AttackConfig) -> AttackOutcome:
-    """Elastic-net attack: gradient steps on c*g + ||delta||_2^2 followed
-    by an l1 proximal shrink of beta * step_size per iteration."""
-    x = np.asarray(x, dtype=float)
-    lr = config.step_size
-    delta = np.zeros_like(x)
-    rounded = project_to_m(x, x + delta, policy)
-    if _misclassified(model, rounded, y):
-        return _outcome(x, rounded, True, 0)
-    steps = 0
-    for _ in range(config.max_steps):
-        cot, _ = _ead_margin_cotangent(model, x + delta, y, config.ead_kappa)
-        g = config.ead_c * model.logit_cot_input_gradients(x + delta, cot) + 2.0 * delta
-        z = delta - lr * g
-        delta = np.sign(z) * np.maximum(np.abs(z) - config.ead_beta * lr, 0.0)
-        delta = np.clip(x + delta, 0.0, 1.0) - x
-        steps += 1
-        rounded = project_to_m(x, x + delta, policy)
-        if _misclassified(model, rounded, y):
-            return _outcome(x, rounded, True, steps)
-    x_adv = project_to_m(x, x + delta, policy)
-    return _outcome(x, x_adv, _misclassified(model, x_adv, y), steps)
+def _ead_direction(model, x, y, delta, config, adam):
+    """Elastic net: gradient step on c*g + ||delta||_2^2, then an l1
+    proximal shrink of beta * step_size."""
+    cur = x + delta
+    cot = _ead_margin_cotangent(model, cur, y, config.ead_kappa)
+    g = config.ead_c * model.logit_cot_input_gradients(cur, cot) + 2.0 * delta
+    z = delta - config.step_size * g
+    return np.sign(z) * np.maximum(np.abs(z) - config.ead_beta * config.step_size, 0.0)
+
+
+_ATTACKS = {
+    "random": random_attack,
+    "mimicry": mimicry_attack,
+    "fgsm": fgsm,
+    "grosse": partial(_greedy_flips, _top_gradient),
+    "bga": partial(_greedy_flips, _gradient_threshold),
+    "bca": partial(_greedy_flips, _top_gradient),
+    "pgd_l1": partial(_projected_steps, _l1_direction),
+    "pgd_l2": partial(_projected_steps, _l2_direction),
+    "pgd_linf": partial(_projected_steps, _linf_direction),
+    "pgd_adam": partial(_projected_steps, _adam_direction),
+    "ead": partial(_projected_steps, _ead_direction),
+}
+ATTACK_NAMES = tuple(_ATTACKS)
 
 
 def run_single(model, x, y, policy, config: AttackConfig,
                benign_pool=None, rng=None) -> AttackOutcome:
-    """Dispatch one attack invocation against one example."""
-    name = config.name
-    if name == "random":
-        return random_attack(model, x, y, policy, config, rng=rng)
-    if name == "mimicry":
-        if benign_pool is None:
-            raise ValueError("mimicry requires a benign pool")
-        return mimicry_attack(model, x, y, benign_pool, policy, config, rng=rng)
-    if name == "fgsm":
-        return fgsm(model, x, y, policy, config)
-    if name == "grosse":
-        return grosse(model, x, y, policy, config)
-    if name == "bga":
-        return bga(model, x, y, policy, config)
-    if name == "bca":
-        return bca(model, x, y, policy, config)
-    if name in ("pgd_l1", "pgd_l2", "pgd_linf", "pgd_adam"):
-        return pgd(model, x, y, policy, config)
-    if name == "ead":
-        return ead(model, x, y, policy, config)
-    raise ValueError(f"unknown attack {name!r}")
+    """Run one attack against one example."""
+    return _ATTACKS[config.name](model, np.asarray(x, dtype=float), y, policy, config,
+                                 benign_pool, rng)
 
 
 def run_attack_suite(victim, X, y, policy, configs, threat_model=WHITE_BOX,
-                     surrogate=None, benign_pool=None, workers=1):
+                     surrogate=None, benign_pool=None):
     """Run every configured attack against every example.
 
     White-box attacks search on the victim itself; grey-box attacks search
@@ -386,16 +345,7 @@ def run_attack_suite(victim, X, y, policy, configs, threat_model=WHITE_BOX,
                            _misclassified(victim, out.x_adv, y[i]), out.steps_used)
         return out
 
-    results = {}
-    for config in configs:
-        if workers > 1:
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                outs = list(pool.map(lambda i: one(config, i), range(len(X))))
-        else:
-            outs = [one(config, i) for i in range(len(X))]
-        results[config.name] = outs
-    return results
+    return {config.name: [one(config, i) for i in range(len(X))] for config in configs}
 
 
 def outcomes_to_rows(results) -> list[dict]:

@@ -21,15 +21,12 @@ import numpy as np
 from . import data, defenses, evaluation, nn
 from .attacks import GREY_BOX, WHITE_BOX, AttackConfig, outcomes_to_rows, run_attack_suite
 
-WORKERS_ENV = "MALROBUST_WORKERS"
-
-
 class ConfigError(ValueError):
     pass
 
 
-_TOP_KEYS = {"seed", "output_dir", "workers", "dataset", "model", "defenses",
-             "attacks", "threat_model", "surrogate", "evaluation"}
+_TOP_KEYS = {"seed", "output_dir", "dataset", "model", "defenses", "attacks",
+             "threat_model", "surrogate", "evaluation"}
 _DATASET_KEYS = {"synthetic", "paths", "split"}
 _SYNTH_KEYS = {"dim", "classes", "per_class", "flip_noise", "seed", "class_densities"}
 _PATH_KEYS = {"train", "val", "test", "policy"}
@@ -120,14 +117,6 @@ def make_run_dir(cfg: dict, command: str, out_dir=None) -> str:
         n += 1
     os.makedirs(path)
     return path
-
-
-def _workers(cfg, args) -> int:
-    if getattr(args, "workers", None):
-        return args.workers
-    if cfg.get("workers"):
-        return int(cfg["workers"])
-    return int(os.environ.get(WORKERS_ENV, "1"))
 
 
 def _load_dataset_files(cfg):
@@ -257,7 +246,7 @@ def _load_trained(cfg, models_dir):
     return models, surrogate
 
 
-def cmd_attack(cfg: dict, models_dir, out_dir=None, workers=1) -> str:
+def cmd_attack(cfg: dict, models_dir, out_dir=None) -> str:
     train, _, test, policy = _load_dataset_files(cfg)
     models, surrogate = _load_trained(cfg, models_dir)
     configs = _attack_configs(cfg)
@@ -274,8 +263,7 @@ def cmd_attack(cfg: dict, models_dir, out_dir=None, workers=1) -> str:
     for label, clf in models.items():
         results = run_attack_suite(clf, Xp, yp, policy, configs,
                                    threat_model=cfg["threat_model"],
-                                   surrogate=surrogate, benign_pool=benign_pool,
-                                   workers=workers)
+                                   surrogate=surrogate, benign_pool=benign_pool)
         rows = outcomes_to_rows(results)
         path = os.path.join(run_dir, f"attacks_{label}.csv")
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -289,7 +277,7 @@ def cmd_attack(cfg: dict, models_dir, out_dir=None, workers=1) -> str:
     return run_dir
 
 
-def cmd_evaluate(cfg: dict, models_dir, out_dir=None, workers=1) -> str:
+def cmd_evaluate(cfg: dict, models_dir, out_dir=None) -> str:
     train, _, test, policy = _load_dataset_files(cfg)
     models, surrogate = _load_trained(cfg, models_dir)
     configs = _attack_configs(cfg)
@@ -298,7 +286,7 @@ def cmd_evaluate(cfg: dict, models_dir, out_dir=None, workers=1) -> str:
         models, train, test, policy, configs,
         threat_model=cfg["threat_model"], seed=cfg["seed"],
         surrogate=surrogate, attack_pool=eval_cfg.get("attack_pool", 800),
-        positive_class=eval_cfg.get("positive_class", 1), workers=workers)
+        positive_class=eval_cfg.get("positive_class", 1))
     report["metadata"]["config_hash"] = config_hash(cfg)
     run_dir = make_run_dir(cfg, "evaluate", out_dir)
     report_path = os.path.join(run_dir, "report.json")
@@ -318,24 +306,12 @@ def cmd_report(report_path, csv_path=None) -> None:
     table = evaluation.report_table(report)
     print(table)
     if csv_path:
-        labels = list(report["defenses"].keys())
+        labels, rows = evaluation.report_rows(report)
         with open(csv_path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["attack"] + labels)
-            names = ["clean_test", "no_attack"]
-            for label in labels:
-                for name in report["defenses"][label]["attacks"]:
-                    if name not in names:
-                        names.append(name)
-            for name in names:
-                row = [name]
-                for label in labels:
-                    block = report["defenses"][label]
-                    if name in ("clean_test", "no_attack"):
-                        row.append(block[name]["accuracy"])
-                    else:
-                        row.append(block["attacks"].get(name, {}).get("accuracy", ""))
-                writer.writerow(row)
+            for name, accs in rows:
+                writer.writerow([name] + ["" if acc is None else acc for acc in accs])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -361,8 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=helptext)
         add_common(p)
         p.add_argument("--models", required=True, help="directory holding checkpoints")
-        p.add_argument("--workers", type=int, default=None,
-                       help=f"parallel attack workers (or ${WORKERS_ENV})")
     p_rep = sub.add_parser("report", help="render a saved report")
     p_rep.add_argument("report", help="report.json path")
     p_rep.add_argument("--csv", default=None, help="also write a CSV table")
@@ -383,9 +357,9 @@ def main(argv=None) -> int:
         elif args.command == "train":
             cmd_train(cfg, out_dir=args.out)
         elif args.command == "attack":
-            cmd_attack(cfg, args.models, out_dir=args.out, workers=_workers(cfg, args))
+            cmd_attack(cfg, args.models, out_dir=args.out)
         elif args.command == "evaluate":
-            cmd_evaluate(cfg, args.models, out_dir=args.out, workers=_workers(cfg, args))
+            cmd_evaluate(cfg, args.models, out_dir=args.out)
         return 0
     except (ConfigError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

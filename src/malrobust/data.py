@@ -240,9 +240,11 @@ def read_sparse(path, dim: int | None = None, class_count: int | None = None) ->
     """Read the sparse text format written by :func:`write_sparse`.
 
     `#` lines are comments; a `# dim=.. classes=..` header, when present,
-    supplies the dimensions so the round trip is exact.
+    supplies the dimensions so the round trip is exact.  Errors name the
+    file line: bad cells, non-finite values, negative or repeated indices,
+    and indices or labels out of range.
     """
-    rows, labels = [], []
+    rows = []  # (file line, label, {index: value})
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -260,6 +262,8 @@ def read_sparse(path, dim: int | None = None, class_count: int | None = None) ->
                 label = int(parts[0])
             except ValueError:
                 raise ValueError(f"line {lineno}: bad label {parts[0]!r}")
+            if label < 0:
+                raise ValueError(f"line {lineno}: label {label} out of range")
             feats = {}
             for cell in parts[1:]:
                 if ":" not in cell:
@@ -269,6 +273,8 @@ def read_sparse(path, dim: int | None = None, class_count: int | None = None) ->
                     idx, val = int(idx_s), float(val_s)
                 except ValueError:
                     raise ValueError(f"line {lineno}: malformed cell {cell!r}")
+                if not math.isfinite(val):
+                    raise ValueError(f"line {lineno}: non-finite value {val_s!r}")
                 if idx < 0:
                     raise ValueError(f"line {lineno}: negative index {idx}")
                 if idx in feats:
@@ -276,19 +282,21 @@ def read_sparse(path, dim: int | None = None, class_count: int | None = None) ->
                 if dim is not None and idx >= dim:
                     raise ValueError(f"line {lineno}: index {idx} out of range (dim={dim})")
                 feats[idx] = val
-            rows.append((lineno, feats))
-            labels.append(label)
+            rows.append((lineno, label, feats))
     if dim is None:
-        dim = 1 + max((idx for _, feats in rows for idx in feats), default=-1)
+        dim = 1 + max((idx for _, _, feats in rows for idx in feats), default=-1)
     if class_count is None:
-        class_count = 1 + max(labels, default=0)
+        class_count = 1 + max((label for _, label, _ in rows), default=0)
     X = np.zeros((len(rows), dim))
-    for i, (lineno, feats) in enumerate(rows):
+    for i, (lineno, label, feats) in enumerate(rows):
+        if label >= class_count:
+            raise ValueError(f"line {lineno}: label {label} out of range "
+                             f"(classes={class_count})")
         for idx, val in feats.items():
             if idx >= dim:
                 raise ValueError(f"line {lineno}: index {idx} out of range (dim={dim})")
             X[i, idx] = val
-    return Dataset(X, np.array(labels, dtype=int), class_count)
+    return Dataset(X, np.array([label for _, label, _ in rows], dtype=int), class_count)
 
 
 def write_policy(path, policy: ManipulationPolicy) -> None:

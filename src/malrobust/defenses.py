@@ -14,7 +14,6 @@ feature / example subsets and vote by mean probability.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass, replace
@@ -22,9 +21,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import Dataset, binarize, oversample, project_to_m
-from .nn import (CHECKPOINT_VERSION, MAXIMIZE, AdamState, DenseStack,
-                 MlpClassifier, _batch_param_gradients, adam_step,
-                 child_seed, cross_entropy)
+from .nn import (MAXIMIZE, AdamState, DenseStack, MlpClassifier,
+                 _batch_param_gradients, _model_from_record, _model_record,
+                 _read_checkpoint, _write_checkpoint, adam_step, child_seed,
+                 cross_entropy)
 
 
 @dataclass
@@ -488,34 +488,18 @@ def _stack_from_record(rec) -> DenseStack:
 
 
 def save_hardened(path, clf: HardenedClassifier) -> None:
-    record = {
-        "format_version": CHECKPOINT_VERSION,
-        "kind": "hardened",
+    _write_checkpoint(path, "hardened", {
         "subset": None if clf.subset is None else [int(i) for i in clf.subset],
         "thresholds": None if clf.thresholds is None else clf.thresholds.tolist(),
-        "head": {
-            "layer_sizes": clf.mlp.layer_sizes,
-            "activation": clf.mlp.activation,
-            "weights": [W.tolist() for W in clf.mlp.weights],
-            "biases": [b.tolist() for b in clf.mlp.biases],
-        },
+        "head": _model_record(clf.mlp),
         "encoder": None if clf.dae is None else _stack_record(clf.dae.encoder),
         "decoder": None if clf.dae is None else _stack_record(clf.dae.decoder),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(record, fh, sort_keys=True)
+    })
 
 
 def load_hardened(path) -> HardenedClassifier:
-    with open(path, "r", encoding="utf-8") as fh:
-        record = json.load(fh)
-    if record.get("format_version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {record.get('format_version')!r}")
-    if record.get("kind") != "hardened":
-        raise ValueError(f"not a hardened checkpoint: kind={record.get('kind')!r}")
-    head = MlpClassifier([np.asarray(W, dtype=float) for W in record["head"]["weights"]],
-                         [np.asarray(b, dtype=float) for b in record["head"]["biases"]],
-                         record["head"]["activation"])
+    record = _read_checkpoint(path, "hardened")
+    head = _model_from_record(record["head"])
     dae = None
     if record["encoder"] is not None:
         enc = _stack_from_record(record["encoder"])
@@ -536,28 +520,19 @@ def save_ensemble(dir_path, ensemble: EnsembleClassifier) -> str:
         name = f"member_{i}.json"
         save_hardened(os.path.join(dir_path, name), member)
         member_files.append(name)
-    manifest = {
-        "format_version": CHECKPOINT_VERSION,
-        "kind": "ensemble",
+    manifest_path = os.path.join(dir_path, "manifest.json")
+    _write_checkpoint(manifest_path, "ensemble", {
         "l": ensemble.l,
         "subspace_ratio": ensemble.subspace_ratio,
         "subsets": [None if m.subset is None else [int(j) for j in m.subset]
                     for m in ensemble.members],
         "members": member_files,
-    }
-    manifest_path = os.path.join(dir_path, "manifest.json")
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True)
+    })
     return manifest_path
 
 
 def load_ensemble(manifest_path) -> EnsembleClassifier:
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    if manifest.get("format_version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {manifest.get('format_version')!r}")
-    if manifest.get("kind") != "ensemble":
-        raise ValueError(f"not an ensemble manifest: kind={manifest.get('kind')!r}")
+    manifest = _read_checkpoint(manifest_path, "ensemble")
     base = os.path.dirname(manifest_path)
     members = [load_hardened(os.path.join(base, name)) for name in manifest["members"]]
     if len(members) != manifest["l"]:

@@ -159,8 +159,7 @@ def _metric_block(y_true, y_pred, class_count, positive_class):
 
 def evaluate_models(models: dict, train_set: Dataset, test_set: Dataset, policy,
                     attack_configs, threat_model=WHITE_BOX, seed=0,
-                    surrogate=None, attack_pool=800, positive_class=1,
-                    workers=1) -> dict:
+                    surrogate=None, attack_pool=800, positive_class=1) -> dict:
     """Attack every model and compute clean and per-attack metrics.
 
     Attack metrics are measured on the attacked pool only; the clean-test
@@ -185,7 +184,7 @@ def evaluate_models(models: dict, train_set: Dataset, test_set: Dataset, policy,
         no_attack = _metric_block(yp, clf.predict(Xp), o, positive_class)
         results = run_attack_suite(clf, Xp, yp, policy, attack_configs,
                                    threat_model=threat_model, surrogate=surrogate,
-                                   benign_pool=benign_pool, workers=workers)
+                                   benign_pool=benign_pool)
         attack_blocks = {}
         for name in names:
             outs = results[name]
@@ -223,7 +222,7 @@ def evaluate_models(models: dict, train_set: Dataset, test_set: Dataset, policy,
 def run_experiment(train_set: Dataset, test_set: Dataset, policy,
                    defense_specs, attack_configs, threat_model=WHITE_BOX,
                    seed=0, surrogate_profile=None, attack_pool=800,
-                   positive_class=1, workers=1) -> dict:
+                   positive_class=1) -> dict:
     """Train the requested defenses (and the surrogate under grey-box),
     then evaluate them; fully determined by the seed."""
     models = {}
@@ -238,7 +237,7 @@ def run_experiment(train_set: Dataset, test_set: Dataset, policy,
                              attack_configs, threat_model=threat_model,
                              seed=seed, surrogate=surrogate,
                              attack_pool=attack_pool,
-                             positive_class=positive_class, workers=workers)
+                             positive_class=positive_class)
     report["metadata"]["defenses"] = [
         {"label": s.label, "kind": s.kind, "use_dae": s.use_dae,
          "use_binarization": s.use_binarization,
@@ -266,28 +265,29 @@ def _jsonable(obj):
     return obj
 
 
+def report_rows(report: dict) -> tuple[list, list]:
+    """(defense labels, rows) of the accuracy table: one row per clean
+    block and per attack, each (name, [accuracy or None per defense])."""
+    defenses = report["defenses"]
+    names = ["clean_test", "no_attack"]
+    for block in defenses.values():
+        names += [name for name in block["attacks"] if name not in names]
+    rows = []
+    for name in names:
+        accs = [block[name]["accuracy"] if name in ("clean_test", "no_attack")
+                else block["attacks"].get(name, {}).get("accuracy")
+                for block in defenses.values()]
+        rows.append((name, accs))
+    return list(defenses), rows
+
+
 def report_table(report: dict) -> str:
     """Flat accuracy table: rows are attacks, columns are defenses."""
-    labels = list(report["defenses"].keys())
-    attack_names = []
-    for label in labels:
-        for name in report["defenses"][label]["attacks"]:
-            if name not in attack_names:
-                attack_names.append(name)
-    rows = [("clean_test", "clean_test"), ("no_attack", "no_attack")] + \
-        [(name, name) for name in attack_names]
-    width = max([len(r[0]) for r in rows] + [10])
-    header = "attack".ljust(width) + "".join(f"{lab:>14}" for lab in labels)
-    lines = [header]
-    for key, name in rows:
-        cells = []
-        for label in labels:
-            block = report["defenses"][label]
-            if key in ("clean_test", "no_attack"):
-                acc = block[key]["accuracy"]
-            else:
-                acc = block["attacks"].get(name, {}).get("accuracy")
-            cells.append(f"{100.0 * acc:>13.2f}" if acc is not None else
-                         f"{'-':>13}")
+    labels, rows = report_rows(report)
+    width = max([len(name) for name, _ in rows] + [10])
+    lines = ["attack".ljust(width) + "".join(f"{lab:>14}" for lab in labels)]
+    for name, accs in rows:
+        cells = [f"{100.0 * acc:>13.2f}" if acc is not None else f"{'-':>13}"
+                 for acc in accs]
         lines.append(name.ljust(width) + " ".join(cells))
     return "\n".join(lines)

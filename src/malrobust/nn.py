@@ -383,18 +383,14 @@ def train_supervised(model: MlpClassifier, dataset, epochs: int,
     return model, trace
 
 
-def save_model(path, model: MlpClassifier) -> None:
-    """Write a self-describing JSON checkpoint."""
-    record = {
-        "format_version": CHECKPOINT_VERSION,
-        "kind": "mlp",
+def _model_record(model: MlpClassifier) -> dict:
+    """Layer sizes, activation and parameters of an MLP as JSON lists."""
+    return {
         "layer_sizes": model.layer_sizes,
         "activation": model.activation,
         "weights": [W.tolist() for W in model.weights],
         "biases": [b.tolist() for b in model.biases],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(record, fh, sort_keys=True)
 
 
 def _model_from_record(record) -> MlpClassifier:
@@ -406,11 +402,27 @@ def _model_from_record(record) -> MlpClassifier:
     return model
 
 
-def load_model(path) -> MlpClassifier:
+def _write_checkpoint(path, kind: str, fields: dict) -> None:
+    record = {"format_version": CHECKPOINT_VERSION, "kind": kind, **fields}
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, sort_keys=True)
+
+
+def _read_checkpoint(path, kind: str) -> dict:
+    """Load a JSON checkpoint, checking its format version and kind."""
     with open(path, "r", encoding="utf-8") as fh:
         record = json.load(fh)
     if record.get("format_version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {record.get('format_version')!r}")
-    if record.get("kind") != "mlp":
-        raise ValueError(f"not an mlp checkpoint: kind={record.get('kind')!r}")
-    return _model_from_record(record)
+    if record.get("kind") != kind:
+        raise ValueError(f"expected a {kind!r} checkpoint, got kind={record.get('kind')!r}")
+    return record
+
+
+def save_model(path, model: MlpClassifier) -> None:
+    """Write a self-describing JSON checkpoint."""
+    _write_checkpoint(path, "mlp", _model_record(model))
+
+
+def load_model(path) -> MlpClassifier:
+    return _model_from_record(_read_checkpoint(path, "mlp"))

@@ -1,0 +1,240 @@
+"""The greedy-flip kernel and the projected-step loop against the attack
+bodies they replaced.
+
+The oracle below keeps the former per-attack functions verbatim; every
+case compares ``run_single`` to it with exact equality on the adversarial
+point, the success flag, the flip count and the steps used.
+"""
+
+import numpy as np
+import pytest
+
+from malrobust.attacks import (AttackConfig, _misclassified, _outcome,
+                               _project_l1_ball, run_single)
+from malrobust.data import ManipulationPolicy, project_to_m
+from malrobust.nn import MAXIMIZE, AdamState, MlpClassifier, adam_step
+
+
+# ---------------------------------------------------------------- oracle
+
+def _addition_candidates(cur, grads, policy):
+    return (cur == 0.0) & policy.addition_allowed & (grads > 0.0)
+
+
+def grosse(model, x, y, policy: ManipulationPolicy, config: AttackConfig):
+    """Per step, set the zero feature with the largest positive loss
+    gradient to 1 (addition only)."""
+    x = np.asarray(x, dtype=float)
+    cur = x.copy()
+    steps = 0
+    success = _misclassified(model, cur, y)
+    while steps < config.max_steps and not success:
+        g = model.input_gradients(cur, y)
+        mask = _addition_candidates(cur, g, policy)
+        if not mask.any():
+            break
+        scores = np.where(mask, g, -np.inf)
+        j = int(np.argmax(scores))  # lowest index wins ties
+        cur[j] = 1.0
+        steps += 1
+        success = _misclassified(model, cur, y)
+    return _outcome(x, cur, success, steps)
+
+
+def bga(model, x, y, policy: ManipulationPolicy, config: AttackConfig):
+    """Per step, set to 1 every addition-allowed zero feature whose
+    positive partial derivative reaches ||grad||_2 / sqrt(dim)."""
+    x = np.asarray(x, dtype=float)
+    dim = x.shape[0]
+    cur = x.copy()
+    steps = 0
+    success = _misclassified(model, cur, y)
+    while steps < config.max_steps and not success:
+        g = model.input_gradients(cur, y)
+        threshold = float(np.linalg.norm(g)) / np.sqrt(dim)
+        mask = (cur == 0.0) & policy.addition_allowed & (g > 0.0) & (g >= threshold)
+        if not mask.any():
+            break
+        cur[mask] = 1.0
+        steps += 1
+        success = _misclassified(model, cur, y)
+    return _outcome(x, cur, success, steps)
+
+
+def bca(model, x, y, policy: ManipulationPolicy, config: AttackConfig):
+    """Per step, flip the single addition-allowed zero feature with the
+    maximum positive gradient."""
+    x = np.asarray(x, dtype=float)
+    cur = x.copy()
+    steps = 0
+    success = _misclassified(model, cur, y)
+    while steps < config.max_steps and not success:
+        g = model.input_gradients(cur, y)
+        mask = _addition_candidates(cur, g, policy)
+        if not mask.any():
+            break
+        j = int(np.argmax(np.where(mask, g, -np.inf)))
+        cur[j] = 1.0
+        steps += 1
+        success = _misclassified(model, cur, y)
+    return _outcome(x, cur, success, steps)
+
+
+def _ball_project(delta: np.ndarray, variant: str, radius) -> np.ndarray:
+    if radius is None:
+        return delta
+    if variant == "linf":
+        return np.clip(delta, -radius, radius)
+    if variant == "l2":
+        n = float(np.linalg.norm(delta))
+        return delta if n <= radius else delta * (radius / n)
+    if variant == "l1":
+        return _project_l1_ball(delta, radius)
+    return delta
+
+
+def pgd(model, x, y, policy: ManipulationPolicy, config: AttackConfig):
+    """Projected gradient ascent on a continuous perturbation.
+
+    Variant picks the per-step direction: linf uses the gradient sign, l2
+    the normalized gradient, l1 touches only the coordinate with the
+    largest absolute gradient, and adam runs an Adam update in
+    maximization mode with no normalization.  Each step clips x + delta
+    into the unit box; a finite epsilon_ball additionally projects delta
+    into the corresponding norm ball (l1/l2/linf only).  The running
+    iterate is rounded through the policy each step so the attack can stop
+    at the first admissible success.
+    """
+    variant = config.name.split("_", 1)[1]  # "l1" | "l2" | "linf" | "adam"
+    x = np.asarray(x, dtype=float)
+    delta = np.zeros_like(x)
+    adam = AdamState.zeros(x.shape, learning_rate=config.step_size)
+    best = project_to_m(x, x + delta, policy)
+    if _misclassified(model, best, y):
+        return _outcome(x, best, True, 0)
+    steps = 0
+    for _ in range(config.max_steps):
+        g = model.input_gradients(x + delta, y)
+        if variant == "adam":
+            delta = adam_step(adam, delta, g, MAXIMIZE)
+        elif variant == "linf":
+            delta = delta + config.step_size * np.sign(g)
+        elif variant == "l2":
+            n = float(np.linalg.norm(g))
+            if n > 0.0:
+                delta = delta + config.step_size * g / n
+        else:  # l1: steepest coordinate whose move is not clipped away
+            cur = x + delta
+            feasible = ((g > 0.0) & (cur < 1.0)) | ((g < 0.0) & (cur > 0.0))
+            if feasible.any():
+                j = int(np.argmax(np.where(feasible, np.abs(g), -np.inf)))
+                step = np.zeros_like(delta)
+                step[j] = config.step_size * np.sign(g[j])
+                delta = delta + step
+        if variant != "adam":
+            delta = _ball_project(delta, variant, config.epsilon_ball)
+        delta = np.clip(x + delta, 0.0, 1.0) - x
+        steps += 1
+        rounded = project_to_m(x, x + delta, policy)
+        if _misclassified(model, rounded, y):
+            return _outcome(x, rounded, True, steps)
+    x_adv = project_to_m(x, x + delta, policy)
+    return _outcome(x, x_adv, _misclassified(model, x_adv, y), steps)
+
+
+def _ead_margin_cotangent(model, x, y, kappa):
+    """Gradient seed for g = max(Z_y - max_{j != y} Z_j, -kappa)."""
+    z = model.logits(x)
+    z_other = z.copy()
+    z_other[y] = -np.inf
+    j_star = int(np.argmax(z_other))
+    margin = float(z[y] - z[j_star])
+    cot = np.zeros_like(z)
+    if margin > -kappa:
+        cot[y] = 1.0
+        cot[j_star] = -1.0
+    return cot, margin
+
+
+def ead(model, x, y, policy: ManipulationPolicy, config: AttackConfig):
+    """Elastic-net attack: gradient steps on c*g + ||delta||_2^2 followed
+    by an l1 proximal shrink of beta * step_size per iteration."""
+    x = np.asarray(x, dtype=float)
+    lr = config.step_size
+    delta = np.zeros_like(x)
+    rounded = project_to_m(x, x + delta, policy)
+    if _misclassified(model, rounded, y):
+        return _outcome(x, rounded, True, 0)
+    steps = 0
+    for _ in range(config.max_steps):
+        cot, _ = _ead_margin_cotangent(model, x + delta, y, config.ead_kappa)
+        g = config.ead_c * model.logit_cot_input_gradients(x + delta, cot) + 2.0 * delta
+        z = delta - lr * g
+        delta = np.sign(z) * np.maximum(np.abs(z) - config.ead_beta * lr, 0.0)
+        delta = np.clip(x + delta, 0.0, 1.0) - x
+        steps += 1
+        rounded = project_to_m(x, x + delta, policy)
+        if _misclassified(model, rounded, y):
+            return _outcome(x, rounded, True, steps)
+    x_adv = project_to_m(x, x + delta, policy)
+    return _outcome(x, x_adv, _misclassified(model, x_adv, y), steps)
+
+
+# larger steps than the defaults so that 20 steps cross the rounding threshold
+OVERRIDES = {"pgd_linf": {"step_size": 0.1}, "pgd_adam": {"step_size": 0.1},
+             "ead": {"step_size": 0.1, "ead_c": 20.0}}
+
+ORACLE = {"grosse": grosse, "bga": bga, "bca": bca, "pgd_l1": pgd, "pgd_l2": pgd,
+          "pgd_linf": pgd, "pgd_adam": pgd, "ead": ead}
+
+
+# ---------------------------------------------------------------- cases
+
+def random_case(seed, classes):
+    """Seeded MLP, policy and binary example; about a third of the examples
+    start out misclassified."""
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(6, 20))
+    hidden = [int(h) for h in rng.integers(4, 12, size=int(rng.integers(1, 3)))]
+    activation = ("relu", "elu")[seed % 2]
+    model = MlpClassifier.init([dim] + hidden + [classes], activation, seed=seed)
+    model.weights = [3.0 * W for W in model.weights]  # margins the budgets can cross
+    policy = ManipulationPolicy(rng.random(dim) < 0.7, rng.random(dim) < 0.5)
+    x = (rng.random(dim) < 0.4).astype(float)
+    predicted = int(model.predict(x))
+    y = predicted if rng.random() < 0.65 else (predicted + 1) % classes
+    return model, x, y, policy
+
+
+def assert_same(out, ref):
+    assert np.array_equal(out.x_adv, ref.x_adv)
+    assert out.success == ref.success
+    assert out.flips == ref.flips
+    assert out.steps_used == ref.steps_used
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE))
+@pytest.mark.parametrize("classes", [2, 3])
+@pytest.mark.parametrize("max_steps", [0, 1, 20])
+def test_matches_oracle(name, classes, max_steps):
+    for seed in range(12):
+        model, x, y, policy = random_case(seed, classes)
+        radii = [None]
+        if name in ("pgd_l1", "pgd_l2", "pgd_linf"):
+            radii += [0.3, 2.0]
+        for radius in radii:
+            cfg = AttackConfig.for_attack(name, max_steps=max_steps, epsilon_ball=radius,
+                                          **OVERRIDES.get(name, {}))
+            assert_same(run_single(model, x, y, policy, cfg), ORACLE[name](model, x, y, policy, cfg))
+
+
+def test_cases_cover_both_outcomes():
+    """The random cases reach successes from both start points and failures."""
+    starts, hits, misses = set(), 0, 0
+    for seed in range(12):
+        model, x, y, policy = random_case(seed, 2)
+        starts.add(int(model.predict(x)) != y)
+        out = run_single(model, x, y, policy, AttackConfig.for_attack("bca", max_steps=20))
+        hits += out.success and out.steps_used > 0
+        misses += not out.success
+    assert starts == {False, True} and hits and misses

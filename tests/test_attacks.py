@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import linear_binary_model
-from malrobust.attacks import (AttackConfig, bca, bga, ead, fgsm, grosse,
-                               mimicry_attack, pgd, random_attack,
-                               run_attack_suite, run_single, _project_l1_ball)
+from malrobust.attacks import (AttackConfig, run_attack_suite, run_single,
+                               _project_l1_ball)
 from malrobust.data import ManipulationPolicy, admissible
 from malrobust.nn import MlpClassifier, cross_entropy
 
@@ -28,16 +27,16 @@ class TestRandomAttack:
     def test_zero_budget(self):
         x = np.array([0.0, 1.0, 0.0])
         cfg = AttackConfig("random", max_steps=0, seed=1)
-        out = random_attack(always_predicts(1, 3), x, 1, allow_all(3), cfg)
+        out = run_single(always_predicts(1, 3), x, 1, allow_all(3), cfg)
         assert np.array_equal(out.x_adv, x)
         assert not out.success  # victim still predicts the true label
-        out2 = random_attack(always_predicts(0, 3), x, 1, allow_all(3), cfg)
+        out2 = run_single(always_predicts(0, 3), x, 1, allow_all(3), cfg)
         assert out2.success  # already misclassified
 
     def test_all_flips_forbidden(self):
         x = np.array([1.0, 0.0])
         cfg = AttackConfig("random", max_steps=10, seed=2)
-        out = random_attack(always_predicts(1, 2), x, 1, forbid_all(2), cfg)
+        out = run_single(always_predicts(1, 2), x, 1, forbid_all(2), cfg)
         assert np.array_equal(out.x_adv, x)
 
     def test_seeded_replay(self, rng):
@@ -45,15 +44,15 @@ class TestRandomAttack:
         pol = allow_all(12)
         cfg = AttackConfig("random", max_steps=12, seed=33)
         model = always_predicts(1, 12)
-        first = random_attack(model, x, 1, pol, cfg)
-        second = random_attack(model, x, 1, pol, cfg)
+        first = run_single(model, x, 1, pol, cfg)
+        second = run_single(model, x, 1, pol, cfg)
         assert np.array_equal(first.x_adv, second.x_adv)
         assert first.flips == second.flips == 12  # never succeeds, flips all
 
     def test_flip_budget(self, rng):
         x = np.zeros(20)
         cfg = AttackConfig("random", max_steps=5, seed=4)
-        out = random_attack(always_predicts(1, 20), x, 1, allow_all(20), cfg)
+        out = run_single(always_predicts(1, 20), x, 1, allow_all(20), cfg)
         assert out.flips == 5 and out.steps_used == 5
 
 
@@ -62,14 +61,14 @@ class TestMimicry:
         x = np.array([1.0, 0.0, 1.0])
         pool = np.array([x, [0.0, 1.0, 0.0]])
         cfg = AttackConfig("mimicry", mimicry_candidates=2, seed=5)
-        out = mimicry_attack(always_predicts(0, 3), x, 1, pool, allow_all(3), cfg)
+        out = run_single(always_predicts(0, 3), x, 1, allow_all(3), cfg, benign_pool=pool)
         assert out.success and out.flips == 0
 
     def test_pool_of_one(self):
         x = np.zeros(3)
         pool = np.array([[1.0, 1.0, 0.0]])
         cfg = AttackConfig("mimicry", seed=6)
-        out = mimicry_attack(always_predicts(1, 3), x, 1, pool, allow_all(3), cfg)
+        out = run_single(always_predicts(1, 3), x, 1, allow_all(3), cfg, benign_pool=pool)
         assert np.array_equal(out.x_adv, pool[0])
         assert not out.success
 
@@ -82,7 +81,7 @@ class TestMimicry:
         pool = (rng.random((25, dim)) < 0.5).astype(float)
         pol = ManipulationPolicy(rng.random(dim) < 0.7, rng.random(dim) < 0.7)
         cfg = AttackConfig("mimicry", mimicry_candidates=10, seed=7)
-        out = mimicry_attack(model, x, y, pool, pol, cfg)
+        out = run_single(model, x, y, pol, cfg, benign_pool=pool)
 
         flip_ok = np.where(x == 0.0, pol.addition_allowed, pol.removal_allowed)
         dists = np.abs(pool - x).sum(axis=1)
@@ -99,15 +98,15 @@ class TestMimicry:
     def test_empty_pool(self):
         cfg = AttackConfig("mimicry")
         with pytest.raises(ValueError):
-            mimicry_attack(always_predicts(0, 2), np.zeros(2), 1,
-                           np.zeros((0, 2)), allow_all(2), cfg)
+            run_single(always_predicts(0, 2), np.zeros(2), 1, allow_all(2), cfg,
+                       benign_pool=np.zeros((0, 2)))
 
 
 class TestFgsm:
     def test_zero_gradient_is_noop(self):
         x = np.array([0.0, 1.0])
         cfg = AttackConfig("fgsm", step_size=1.0)
-        out = fgsm(always_predicts(1, 2), x, 1, allow_all(2), cfg)
+        out = run_single(always_predicts(1, 2), x, 1, allow_all(2), cfg)
         assert np.array_equal(out.x_adv, x)
 
     def test_policy_revert(self):
@@ -115,13 +114,13 @@ class TestFgsm:
         model = linear_binary_model([2.0, -2.0], bias=(0.0, 50.0))
         pol = ManipulationPolicy(np.array([True, True]), np.array([True, False]))
         cfg = AttackConfig("fgsm", step_size=1.0)
-        out = fgsm(model, np.array([0.0, 1.0]), 1, pol, cfg)
+        out = run_single(model, np.array([0.0, 1.0]), 1, pol, cfg)
         assert np.array_equal(out.x_adv, [1.0, 1.0])
 
     def test_all_additions(self):
         model = linear_binary_model([1.0, 1.0], bias=(0.0, 50.0))
         cfg = AttackConfig("fgsm", step_size=1.0)
-        out = fgsm(model, np.zeros(2), 1, allow_all(2), cfg)
+        out = run_single(model, np.zeros(2), 1, allow_all(2), cfg)
         assert np.array_equal(out.x_adv, [1.0, 1.0])
 
 
@@ -129,13 +128,13 @@ class TestGrosse:
     def test_all_ones_unchanged(self):
         model = linear_binary_model([1.0, 1.0], bias=(0.0, 50.0))
         cfg = AttackConfig("grosse", max_steps=10)
-        out = grosse(model, np.ones(2), 1, allow_all(2), cfg)
+        out = run_single(model, np.ones(2), 1, allow_all(2), cfg)
         assert np.array_equal(out.x_adv, np.ones(2))
 
     def test_argmax_selection(self):
         model = linear_binary_model([0.1, 0.9, -0.5], bias=(0.0, 50.0))
         cfg = AttackConfig("grosse", max_steps=1)
-        out = grosse(model, np.zeros(3), 1, allow_all(3), cfg)
+        out = run_single(model, np.zeros(3), 1, allow_all(3), cfg)
         assert np.array_equal(out.x_adv, [0.0, 1.0, 0.0])
 
     def test_addition_only_trace(self, rng):
@@ -145,7 +144,7 @@ class TestGrosse:
             x = (rng.random(8) < 0.5).astype(float)
             pol = ManipulationPolicy(rng.random(8) < 0.7, rng.random(8) < 0.7)
             cfg = AttackConfig("grosse", max_steps=5)
-            out = grosse(model, x, 1, pol, cfg)
+            out = run_single(model, x, 1, pol, cfg)
             delta = out.x_adv - x
             assert np.all(delta >= 0)  # never removes
             assert out.flips <= 5
@@ -161,19 +160,19 @@ class TestBga:
         assert abs(threshold - 0.3122) < 1e-3
         model = linear_binary_model(2 * g, bias=(0.0, 0.01))
         cfg = AttackConfig("bga", max_steps=1)
-        out = bga(model, np.zeros(4), 1, allow_all(4), cfg)
+        out = run_single(model, np.zeros(4), 1, allow_all(4), cfg)
         assert np.array_equal(out.x_adv, [1.0, 0.0, 0.0, 0.0])
 
     def test_all_negative_no_flip(self):
         model = linear_binary_model([-1.0, -2.0], bias=(0.0, 50.0))
         cfg = AttackConfig("bga", max_steps=5)
-        out = bga(model, np.zeros(2), 1, allow_all(2), cfg)
+        out = run_single(model, np.zeros(2), 1, allow_all(2), cfg)
         assert np.array_equal(out.x_adv, np.zeros(2))
 
     def test_uniform_positive_flips_all(self):
         model = linear_binary_model([0.5, 0.5, 0.5], bias=(0.0, 50.0))
         cfg = AttackConfig("bga", max_steps=1)
-        out = bga(model, np.zeros(3), 1, allow_all(3), cfg)
+        out = run_single(model, np.zeros(3), 1, allow_all(3), cfg)
         assert np.array_equal(out.x_adv, np.ones(3))
 
 
@@ -181,13 +180,13 @@ class TestBca:
     def test_argmax_flip(self):
         model = linear_binary_model([0.1, 0.9, -0.5], bias=(0.0, 50.0))
         cfg = AttackConfig("bca", max_steps=1)
-        out = bca(model, np.array([0.0, 0.0, 1.0]), 1, allow_all(3), cfg)
+        out = run_single(model, np.array([0.0, 0.0, 1.0]), 1, allow_all(3), cfg)
         assert np.array_equal(out.x_adv, [0.0, 1.0, 1.0])
 
     def test_single_step_budget(self):
         model = linear_binary_model([1.0, 1.0, 1.0], bias=(0.0, 50.0))
         cfg = AttackConfig("bca", max_steps=1)
-        out = bca(model, np.zeros(3), 1, allow_all(3), cfg)
+        out = run_single(model, np.zeros(3), 1, allow_all(3), cfg)
         assert out.flips == 1
 
     def test_never_reflips(self, rng):
@@ -196,7 +195,7 @@ class TestBca:
             model = linear_binary_model(d, bias=(0.0, 50.0))
             x = np.zeros(6)
             cfg = AttackConfig("bca", max_steps=6)
-            out = bca(model, x, 1, allow_all(6), cfg)
+            out = run_single(model, x, 1, allow_all(6), cfg)
             # six steps, six distinct 0 -> 1 flips
             assert out.flips == 6
             assert np.all(out.x_adv == 1.0)
@@ -207,14 +206,14 @@ class TestPgd:
         model = linear_binary_model([1.0, 1.0])
         cfg = AttackConfig("pgd_linf", max_steps=0)
         x = np.array([0.0, 1.0])
-        out = pgd(model, x, 1, allow_all(2), cfg)
+        out = run_single(model, x, 1, allow_all(2), cfg)
         assert np.array_equal(out.x_adv, x)
 
     def test_l1_touches_single_coordinate(self):
         # gradient proportional to (0.2, -0.8, 0.1) at x = (1,1,1)
         model = linear_binary_model([0.4, -1.6, 0.2])
         cfg = AttackConfig("pgd_l1", max_steps=1, step_size=1.0)
-        out = pgd(model, np.ones(3), 1, allow_all(3), cfg)
+        out = run_single(model, np.ones(3), 1, allow_all(3), cfg)
         assert np.array_equal(out.x_adv, [1.0, 0.0, 1.0])
 
     def test_linf_saturates_box_corners(self):
@@ -222,7 +221,7 @@ class TestPgd:
         model = linear_binary_model(d, bias=(0.0, 50.0))  # never succeeds
         cfg = AttackConfig("pgd_linf", max_steps=100, step_size=0.01)
         x = np.array([0.0, 1.0, 0.0, 1.0])
-        out = pgd(model, x, 1, allow_all(4), cfg)
+        out = run_single(model, x, 1, allow_all(4), cfg)
         expected = (d > 0).astype(float)  # ascent direction sign corner
         assert np.array_equal(out.x_adv, expected)
         assert out.steps_used == 100
@@ -231,7 +230,7 @@ class TestPgd:
         model = always_predicts(1, 3)
         for name in ("pgd_l1", "pgd_l2", "pgd_linf", "pgd_adam"):
             cfg = AttackConfig.for_attack(name, max_steps=5)
-            out = pgd(model, np.zeros(3), 1, allow_all(3), cfg)
+            out = run_single(model, np.zeros(3), 1, allow_all(3), cfg)
             assert np.array_equal(out.x_adv, np.zeros(3))
 
     def test_epsilon_ball_suppresses_small_steps(self):
@@ -239,7 +238,7 @@ class TestPgd:
         model = linear_binary_model(d, bias=(0.0, 50.0))
         cfg = AttackConfig("pgd_linf", max_steps=100, step_size=0.01,
                            epsilon_ball=0.3)
-        out = pgd(model, np.zeros(3), 1, allow_all(3), cfg)
+        out = run_single(model, np.zeros(3), 1, allow_all(3), cfg)
         # movement capped below the rounding threshold, so nothing flips
         assert np.array_equal(out.x_adv, np.zeros(3))
 
@@ -259,7 +258,7 @@ class TestEad:
         model = always_predicts(0, 3)
         cfg = AttackConfig("ead", max_steps=10, ead_kappa=64.0)
         x = np.array([0.0, 1.0, 0.0])
-        out = ead(model, x, 1, allow_all(3), cfg)
+        out = run_single(model, x, 1, allow_all(3), cfg)
         assert out.success and out.steps_used == 0
         assert np.array_equal(out.x_adv, x)
 
@@ -267,7 +266,7 @@ class TestEad:
         model = linear_binary_model([1.0, -1.0], bias=(0.0, 50.0))
         cfg = AttackConfig("ead", max_steps=20, step_size=0.01, ead_beta=1e6)
         x = np.array([0.0, 1.0])
-        out = ead(model, x, 1, allow_all(2), cfg)
+        out = run_single(model, x, 1, allow_all(2), cfg)
         assert np.array_equal(out.x_adv, x)
 
     def test_default_grey_box_constants(self):
@@ -283,7 +282,7 @@ class TestEad:
         # a large penalty factor lets the margin term outweigh the
         # elastic-net pull across a many-flip distance
         cfg = AttackConfig.for_attack("ead", max_steps=100, ead_c=20.0)
-        out = ead(model, x, y, allow_all(8), cfg)
+        out = run_single(model, x, y, allow_all(8), cfg)
         assert out.success
 
 
@@ -380,12 +379,3 @@ class TestSuite:
         for name in a:
             for o1, o2 in zip(a[name], b[name]):
                 assert np.array_equal(o1.x_adv, o2.x_adv)
-
-    def test_workers_match_serial(self, rng):
-        victim, _, X, y, pol, pool = self.small_setup(rng)
-        configs = [AttackConfig.for_attack("random", max_steps=8, seed=9)]
-        serial = run_attack_suite(victim, X, y, pol, configs, benign_pool=pool)
-        parallel = run_attack_suite(victim, X, y, pol, configs,
-                                    benign_pool=pool, workers=4)
-        for o1, o2 in zip(serial["random"], parallel["random"]):
-            assert np.array_equal(o1.x_adv, o2.x_adv)

@@ -169,6 +169,13 @@ class TestConfigValidation:
         assert "bogus_key" in capsys.readouterr().err
         assert not (tmp_path / "data").exists()
 
+    def test_workers_key_is_unknown(self, tmp_path, capsys):
+        # the attack suite has no thread pool, so no worker count either
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, workers=2)
+        assert run("gen", "-c", str(cfg_path), "--out", str(tmp_path / "d")) != 0
+        assert "workers" in capsys.readouterr().err
+
     def test_unknown_nested_key(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg = write_config(cfg_path)

@@ -262,6 +262,27 @@ class TestSparseIO:
         with pytest.raises(ValueError, match="line 3: index 9 out of range"):
             read_sparse(path)
 
+    def test_non_finite_value_rejected(self, tmp_path):
+        path = tmp_path / "ds.txt"
+        path.write_text("# dim=3 classes=2\n0 0:nan\n1 1:inf\n")
+        with pytest.raises(ValueError, match="line 2: non-finite value 'nan'"):
+            read_sparse(path)
+        path.write_text("# dim=3 classes=2\n0 0:1\n1 1:-inf\n")
+        with pytest.raises(ValueError, match="line 3: non-finite value '-inf'"):
+            read_sparse(path)
+
+    def test_negative_label_rejected(self, tmp_path):
+        path = tmp_path / "ds.txt"
+        path.write_text("0 0:1\n-1 1:1\n")
+        with pytest.raises(ValueError, match="line 2: label -1 out of range"):
+            read_sparse(path)
+
+    def test_label_beyond_header_classes_rejected(self, tmp_path):
+        path = tmp_path / "ds.txt"
+        path.write_text("# dim=3 classes=2\n0 0:1\n\n5 1:1\n")
+        with pytest.raises(ValueError, match=r"line 4: label 5 out of range \(classes=2\)"):
+            read_sparse(path)
+
 
 class TestPolicyIO:
     def test_round_trip(self, tmp_path, rng):

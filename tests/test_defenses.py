@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -339,6 +341,17 @@ class TestCheckpoints:
         assert np.array_equal(back.thresholds, clf.thresholds)
         assert np.allclose(back.predict_proba(ds.X), clf.predict_proba(ds.X),
                            atol=1e-15)
+
+    def test_hardened_head_with_wrong_layer_sizes_rejected(self, tmp_path):
+        head = MlpClassifier.init([4, 3, 2], seed=28)
+        path = tmp_path / "hardened.json"
+        save_hardened(path, HardenedClassifier(head))
+        record = json.loads(path.read_text())
+        assert record["head"]["layer_sizes"] == [4, 3, 2]
+        record["head"]["layer_sizes"] = [9, 9, 9]
+        path.write_text(json.dumps(record))
+        with pytest.raises(ValueError, match="layer_sizes disagree"):
+            load_hardened(path)
 
     def test_ensemble_round_trip(self, tmp_path):
         ds, policy = small_task(dim=12)
