@@ -9,11 +9,11 @@ from .nn import (AdamState, GradientBundle, MlpClassifier, adam_step, backward,
 from .attacks import (ATTACK_NAMES, GREY_BOX, WHITE_BOX, AttackConfig,
                       AttackOutcome, run_attack_suite, run_single)
 from .defenses import (DefenseConfig, DenoisingAutoencoder, EnsembleClassifier,
-                       HardenedClassifier, adversarial_training_loss, dae_loss,
-                       ensemble_predict, inner_maximize, load_ensemble,
-                       load_hardened, salt_pepper, save_ensemble,
+                       HardenedClassifier, dae_loss, inner_maximize,
+                       load_ensemble, load_hardened, salt_pepper, save_ensemble,
                        save_hardened, train_ensemble, train_hardened)
 from .evaluation import (DefenseSpec, binary_metrics, evaluate_models,
-                         harmonic_mean, macro_f1, report_table, run_experiment)
+                         harmonic_mean, macro_f1, report_table, run_experiment,
+                         train_models)
 
 __version__ = "0.1.0"

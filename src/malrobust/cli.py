@@ -15,11 +15,13 @@ import json
 import os
 import sys
 import time
+from dataclasses import fields
 
 import numpy as np
 
 from . import data, defenses, evaluation, nn
 from .attacks import GREY_BOX, WHITE_BOX, AttackConfig, outcomes_to_rows, run_attack_suite
+
 
 class ConfigError(ValueError):
     pass
@@ -30,16 +32,11 @@ _TOP_KEYS = {"seed", "output_dir", "dataset", "model", "defenses", "attacks",
 _DATASET_KEYS = {"synthetic", "paths", "split"}
 _SYNTH_KEYS = {"dim", "classes", "per_class", "flip_noise", "seed", "class_densities"}
 _PATH_KEYS = {"train", "val", "test", "policy"}
-_MODEL_KEYS = {"hidden", "activation", "epochs", "batch_size", "lr"}
+_MODEL_KEYS = set(evaluation.SURROGATE_PROFILE)
 _DEFENSE_KEYS = {"label", "kind", "flags", "config"}
-_FLAG_KEYS = {"use_dae", "use_binarization", "known_manipulation_set"}
-_DEFENSE_CFG_KEYS = {"inner_lr", "inner_steps", "restarts", "noise_ratio_max",
-                     "subspace_ratio", "ensemble_size", "data_fraction",
-                     "oversample_ratio", "epochs", "batch_size", "lr",
-                     "hidden", "activation", "latent_dim"}
-_ATTACK_KEYS = {"name", "max_steps", "step_size", "epsilon_ball", "ead_beta",
-                "ead_kappa", "ead_c", "mimicry_candidates",
-                "mimicry_selection", "seed"}
+_FLAG_KEYS = {f.name for f in fields(evaluation.DefenseSpec)} - _DEFENSE_KEYS
+_DEFENSE_CFG_KEYS = {f.name for f in fields(defenses.DefenseConfig)} - {"seed"}
+_ATTACK_KEYS = {f.name for f in fields(AttackConfig)}
 _EVAL_KEYS = {"attack_pool", "positive_class"}
 
 
@@ -139,22 +136,15 @@ def _load_dataset_files(cfg):
 
 def _defense_specs(cfg):
     entries = cfg.get("defenses") or [{"label": "basic", "kind": "plain"}]
-    model_defaults = cfg.get("model", {})
     specs = []
     for entry in entries:
-        raw = dict(entry.get("config", {}))
-        for key in ("hidden", "epochs", "batch_size", "lr", "activation"):
-            if key not in raw and key in model_defaults:
-                raw[key] = model_defaults[key]
+        # the "model" section holds defaults for each defense's config
+        raw = {**cfg.get("model", {}), **entry.get("config", {})}
         if "hidden" in raw:
             raw["hidden"] = tuple(raw["hidden"])
         dc = defenses.DefenseConfig(seed=cfg["seed"], **raw)
-        flags = entry.get("flags", {})
-        specs.append(evaluation.DefenseSpec(
-            label=entry["label"], kind=entry.get("kind", "plain"), config=dc,
-            use_dae=flags.get("use_dae", False),
-            use_binarization=flags.get("use_binarization", False),
-            known_manipulation_set=flags.get("known_manipulation_set", True)))
+        specs.append(evaluation.DefenseSpec(entry["label"], entry.get("kind", "plain"),
+                                            dc, **entry.get("flags", {})))
     return specs
 
 
@@ -192,26 +182,41 @@ def cmd_gen(cfg: dict, out_dir=None) -> str:
     return run_dir
 
 
+# defense kind -> module, saver, loader, and the saved and the loaded path
+# under the models directory (an ensemble is a directory with a manifest)
+_CHECKPOINTS = {
+    "plain": (nn, "save_model", "load_model", "{}.json", "{}.json"),
+    "hardened": (defenses, "save_hardened", "load_hardened", "{}.json", "{}.json"),
+    "ensemble": (defenses, "save_ensemble", "load_ensemble", "{}",
+                 os.path.join("{}", "manifest.json")),
+}
+_SURROGATE = evaluation.DefenseSpec("surrogate")  # a plain checkpoint
+
+
+def _save_checkpoint(models_dir, spec, model) -> None:
+    module, save, _, path, _ = _CHECKPOINTS[spec.kind]
+    getattr(module, save)(os.path.join(models_dir, path.format(spec.label)), model)
+
+
+def _load_checkpoint(models_dir, spec):
+    module, _, load, _, path = _CHECKPOINTS[spec.kind]
+    path = os.path.join(models_dir, path.format(spec.label))
+    if not os.path.exists(path):
+        raise ConfigError(f"missing checkpoint of {spec.label!r}: {path}")
+    return getattr(module, load)(path)
+
+
 def cmd_train(cfg: dict, out_dir=None) -> str:
     train, _, _, policy = _load_dataset_files(cfg)
     specs = _defense_specs(cfg)
     run_dir = make_run_dir(cfg, "train", out_dir)
-    traces = {}
-    for k, spec in enumerate(specs):
-        clf, trace = evaluation.train_defense(spec, train, policy,
-                                              seed=nn.child_seed(cfg["seed"], k))
-        traces[spec.label] = trace
-        if spec.kind == "plain":
-            nn.save_model(os.path.join(run_dir, f"{spec.label}.json"), clf)
-        elif spec.kind == "hardened":
-            defenses.save_hardened(os.path.join(run_dir, f"{spec.label}.json"), clf)
-        else:
-            defenses.save_ensemble(os.path.join(run_dir, spec.label), clf)
+    models, traces, surrogate = evaluation.train_models(
+        specs, train, policy, cfg["seed"], cfg["threat_model"], cfg.get("surrogate"))
+    for spec in specs:
+        _save_checkpoint(run_dir, spec, models[spec.label])
         print(f"trained {spec.label} ({spec.kind})")
-    if cfg["threat_model"] == GREY_BOX and "surrogate" in cfg:
-        surrogate = evaluation.train_surrogate(train, nn.child_seed(cfg["seed"], 999),
-                                               cfg["surrogate"])
-        nn.save_model(os.path.join(run_dir, "surrogate.json"), surrogate)
+    if surrogate is not None:
+        _save_checkpoint(run_dir, _SURROGATE, surrogate)
         print("trained surrogate")
     with open(os.path.join(run_dir, "trace.json"), "w", encoding="utf-8") as fh:
         json.dump(traces, fh, sort_keys=True, indent=2)
@@ -220,29 +225,10 @@ def cmd_train(cfg: dict, out_dir=None) -> str:
 
 
 def _load_trained(cfg, models_dir):
-    specs = _defense_specs(cfg)
-    models = {}
-    for spec in specs:
-        if spec.kind == "ensemble":
-            path = os.path.join(models_dir, spec.label, "manifest.json")
-            if not os.path.exists(path):
-                raise ConfigError(f"missing ensemble checkpoint {path}")
-            models[spec.label] = defenses.load_ensemble(path)
-        else:
-            path = os.path.join(models_dir, f"{spec.label}.json")
-            if not os.path.exists(path):
-                raise ConfigError(f"missing checkpoint {path}")
-            if spec.kind == "plain":
-                models[spec.label] = nn.load_model(path)
-            else:
-                models[spec.label] = defenses.load_hardened(path)
+    models = {spec.label: _load_checkpoint(models_dir, spec) for spec in _defense_specs(cfg)}
     surrogate = None
     if cfg["threat_model"] == GREY_BOX:
-        spath = os.path.join(models_dir, "surrogate.json")
-        if not os.path.exists(spath):
-            raise ConfigError("grey-box run needs a surrogate checkpoint "
-                              f"(expected {spath})")
-        surrogate = nn.load_model(spath)
+        surrogate = _load_checkpoint(models_dir, _SURROGATE)
     return models, surrogate
 
 
@@ -252,13 +238,8 @@ def cmd_attack(cfg: dict, models_dir, out_dir=None) -> str:
     configs = _attack_configs(cfg)
     if not configs:
         raise ConfigError("no attacks configured")
-    eval_cfg = cfg.get("evaluation", {})
-    positive = eval_cfg.get("positive_class", 1)
-    pool_idx = evaluation.select_attack_pool(
-        test, positive, eval_cfg.get("attack_pool", 800),
-        nn.child_seed(cfg["seed"], 777))
-    Xp, yp = test.X[pool_idx], test.y[pool_idx]
-    benign_pool = train.X[train.y != positive]
+    Xp, yp, benign_pool = evaluation.attack_inputs(train, test, cfg["seed"],
+                                                   **cfg.get("evaluation", {}))
     run_dir = make_run_dir(cfg, "attack", out_dir)
     for label, clf in models.items():
         results = run_attack_suite(clf, Xp, yp, policy, configs,
@@ -280,13 +261,10 @@ def cmd_attack(cfg: dict, models_dir, out_dir=None) -> str:
 def cmd_evaluate(cfg: dict, models_dir, out_dir=None) -> str:
     train, _, test, policy = _load_dataset_files(cfg)
     models, surrogate = _load_trained(cfg, models_dir)
-    configs = _attack_configs(cfg)
-    eval_cfg = cfg.get("evaluation", {})
     report = evaluation.evaluate_models(
-        models, train, test, policy, configs,
-        threat_model=cfg["threat_model"], seed=cfg["seed"],
-        surrogate=surrogate, attack_pool=eval_cfg.get("attack_pool", 800),
-        positive_class=eval_cfg.get("positive_class", 1))
+        models, train, test, policy, _attack_configs(cfg),
+        threat_model=cfg["threat_model"], seed=cfg["seed"], surrogate=surrogate,
+        **cfg.get("evaluation", {}))
     report["metadata"]["config_hash"] = config_hash(cfg)
     run_dir = make_run_dir(cfg, "evaluate", out_dir)
     report_path = os.path.join(run_dir, "report.json")

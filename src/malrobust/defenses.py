@@ -22,9 +22,9 @@ import numpy as np
 
 from .data import Dataset, binarize, oversample, project_to_m
 from .nn import (MAXIMIZE, AdamState, DenseStack, MlpClassifier,
-                 _batch_param_gradients, _model_from_record, _model_record,
-                 _read_checkpoint, _write_checkpoint, adam_step, child_seed,
-                 cross_entropy)
+                 _batch_param_gradients, _check_width, _model_from_record,
+                 _model_record, _read_checkpoint, _write_checkpoint, adam_step,
+                 child_seed, cross_entropy)
 
 
 @dataclass
@@ -162,13 +162,32 @@ class HardenedClassifier:
     then the MLP head.  Input gradients are reported in the full input
     space, zero outside the subset; the binarization step is treated as a
     pass-through for gradients (inputs are binary in this domain, where
-    thresholding is the identity).
+    thresholding is the identity).  ``input_dim`` is the full input width;
+    a model without a subset takes it from the view.
     """
 
     mlp: MlpClassifier
     dae: DenoisingAutoencoder | None = None
     subset: np.ndarray | None = None
     thresholds: np.ndarray | None = None
+    input_dim: int | None = None
+
+    def __post_init__(self):
+        view_dim = self.mlp.input_dim if self.dae is None else self.dae.encoder.layer_sizes[0]
+        if self.dae is not None and self.dae.encoder.layer_sizes[-1] != self.mlp.input_dim:
+            raise ValueError("encoder output width differs from the head input width")
+        if self.thresholds is not None and np.shape(self.thresholds) != (view_dim,):
+            raise ValueError(f"{np.size(self.thresholds)} thresholds for a view of width {view_dim}")
+        if self.input_dim is None:
+            if self.subset is not None:
+                raise ValueError("a feature subset needs the full input_dim")
+            self.input_dim = view_dim
+        cols = np.arange(self.input_dim) if self.subset is None else np.asarray(self.subset)
+        if cols.shape != (view_dim,):
+            raise ValueError(f"{cols.size} input features for a view of width {view_dim}")
+        if cols[0] < 0 or cols[-1] >= self.input_dim or np.any(np.diff(cols) <= 0):
+            raise ValueError("feature subset must be sorted, unique and within "
+                             f"[0, {self.input_dim})")
 
     @property
     def class_count(self) -> int:
@@ -176,6 +195,7 @@ class HardenedClassifier:
 
     def _view(self, X):
         X2 = np.atleast_2d(np.asarray(X, dtype=float))
+        _check_width(X2, self.input_dim)
         if self.subset is not None:
             X2 = X2[:, self.subset]
         if self.thresholds is not None:
@@ -276,13 +296,6 @@ def inner_maximize(model, X, y, policy, config: DefenseConfig, rng=None):
     return best_x, best_delta
 
 
-def adversarial_training_loss(model, x, y, x_adv):
-    """Clean cross-entropy plus adversarial cross-entropy (the min-max
-    training objective's per-example value)."""
-    return cross_entropy(model.predict_proba(x), y) + \
-        cross_entropy(model.predict_proba(x_adv), y)
-
-
 def train_hardened(dataset: Dataset, policy, config: DefenseConfig, *,
                    use_dae: bool = False, use_binarization: bool = False,
                    known_manipulation_set: bool = True):
@@ -371,7 +384,7 @@ def train_hardened(dataset: Dataset, policy, config: DefenseConfig, *,
         trace.append(float(np.mean(batch_losses)))
 
     clf = HardenedClassifier(head, dae, subset,
-                             thresholds if use_binarization else None)
+                             thresholds if use_binarization else None, dim)
     return clf, trace
 
 
@@ -380,7 +393,6 @@ class EnsembleClassifier:
     """Mean-probability vote over hardened members."""
 
     members: list
-    subspace_ratio: float = 1.0
 
     @property
     def l(self) -> int:
@@ -463,37 +475,17 @@ def train_ensemble(dataset: Dataset, policy, config: DefenseConfig, *,
             known_manipulation_set=known_manipulation_set)
         members.append(member)
         traces.append(trace)
-    return EnsembleClassifier(members, config.subspace_ratio), traces
-
-
-def ensemble_predict(ensemble: EnsembleClassifier, x):
-    """Arithmetic mean of the member probability outputs."""
-    return ensemble.predict_proba(x)
-
-
-def _stack_record(stack: DenseStack):
-    return {
-        "layer_sizes": stack.layer_sizes,
-        "activation": stack.activation,
-        "activate_last": stack.activate_last,
-        "weights": [W.tolist() for W in stack.weights],
-        "biases": [b.tolist() for b in stack.biases],
-    }
-
-
-def _stack_from_record(rec) -> DenseStack:
-    return DenseStack([np.asarray(W, dtype=float) for W in rec["weights"]],
-                      [np.asarray(b, dtype=float) for b in rec["biases"]],
-                      rec["activation"], rec["activate_last"])
+    return EnsembleClassifier(members), traces
 
 
 def save_hardened(path, clf: HardenedClassifier) -> None:
     _write_checkpoint(path, "hardened", {
         "subset": None if clf.subset is None else [int(i) for i in clf.subset],
         "thresholds": None if clf.thresholds is None else clf.thresholds.tolist(),
+        "input_dim": clf.input_dim,
         "head": _model_record(clf.mlp),
-        "encoder": None if clf.dae is None else _stack_record(clf.dae.encoder),
-        "decoder": None if clf.dae is None else _stack_record(clf.dae.decoder),
+        "encoder": None if clf.dae is None else _model_record(clf.dae.encoder),
+        "decoder": None if clf.dae is None else _model_record(clf.dae.decoder),
     })
 
 
@@ -502,13 +494,13 @@ def load_hardened(path) -> HardenedClassifier:
     head = _model_from_record(record["head"])
     dae = None
     if record["encoder"] is not None:
-        enc = _stack_from_record(record["encoder"])
-        dec = _stack_from_record(record["decoder"])
+        enc = _model_from_record(record["encoder"], DenseStack)
+        dec = _model_from_record(record["decoder"], DenseStack)
         dae = DenoisingAutoencoder(enc, dec, enc.layer_sizes[-1])
     subset = None if record["subset"] is None else np.asarray(record["subset"], dtype=int)
     thresholds = None if record["thresholds"] is None \
         else np.asarray(record["thresholds"], dtype=float)
-    return HardenedClassifier(head, dae, subset, thresholds)
+    return HardenedClassifier(head, dae, subset, thresholds, record.get("input_dim"))
 
 
 def save_ensemble(dir_path, ensemble: EnsembleClassifier) -> str:
@@ -523,7 +515,6 @@ def save_ensemble(dir_path, ensemble: EnsembleClassifier) -> str:
     manifest_path = os.path.join(dir_path, "manifest.json")
     _write_checkpoint(manifest_path, "ensemble", {
         "l": ensemble.l,
-        "subspace_ratio": ensemble.subspace_ratio,
         "subsets": [None if m.subset is None else [int(j) for j in m.subset]
                     for m in ensemble.members],
         "members": member_files,
@@ -537,4 +528,4 @@ def load_ensemble(manifest_path) -> EnsembleClassifier:
     members = [load_hardened(os.path.join(base, name)) for name in manifest["members"]]
     if len(members) != manifest["l"]:
         raise ValueError("manifest member count mismatch")
-    return EnsembleClassifier(members, manifest.get("subspace_ratio", 1.0))
+    return EnsembleClassifier(members)

@@ -102,16 +102,21 @@ class DefenseSpec:
             raise ValueError(f"unknown defense kind {self.kind!r}")
 
 
+def _train_mlp(train_set: Dataset, seed, hidden, activation, epochs, batch_size, lr):
+    """Plain softmax MLP trained on the cross-entropy loss; returns
+    (classifier, training trace)."""
+    sizes = [train_set.dim] + list(hidden) + [train_set.class_count]
+    model = MlpClassifier.init(sizes, activation, seed=child_seed(seed, 0))
+    return train_supervised(model, train_set, epochs, batch_size, lr,
+                            seed=child_seed(seed, 1))
+
+
 def train_defense(spec: DefenseSpec, train_set: Dataset, policy, seed=None):
     """Train one defense; returns (classifier, training trace)."""
     cfg = spec.config if seed is None else replace(spec.config, seed=seed)
     if spec.kind == "plain":
-        sizes = [train_set.dim] + list(cfg.hidden) + [train_set.class_count]
-        model = MlpClassifier.init(sizes, cfg.activation, seed=child_seed(cfg.seed, 0))
-        model, trace = train_supervised(model, train_set, cfg.epochs,
-                                        cfg.batch_size, cfg.lr,
-                                        seed=child_seed(cfg.seed, 1))
-        return model, trace
+        return _train_mlp(train_set, cfg.seed,
+                          **{key: getattr(cfg, key) for key in SURROGATE_PROFILE})
     flags = dict(use_dae=spec.use_dae, use_binarization=spec.use_binarization,
                  known_manipulation_set=spec.known_manipulation_set)
     if spec.kind == "hardened":
@@ -120,16 +125,24 @@ def train_defense(spec: DefenseSpec, train_set: Dataset, policy, seed=None):
 
 
 def train_surrogate(train_set: Dataset, seed, profile=None) -> MlpClassifier:
-    """Plain classifier standing in for the grey-box attacker's model."""
-    prof = dict(SURROGATE_PROFILE)
-    if profile:
-        prof.update(profile)
-    sizes = [train_set.dim] + list(prof["hidden"]) + [train_set.class_count]
-    model = MlpClassifier.init(sizes, prof["activation"], seed=child_seed(seed, 0))
-    model, _ = train_supervised(model, train_set, prof["epochs"],
-                                prof["batch_size"], prof["lr"],
-                                seed=child_seed(seed, 1))
-    return model
+    """Plain classifier standing in for the grey-box attacker's model;
+    ``profile`` overrides keys of SURROGATE_PROFILE."""
+    return _train_mlp(train_set, seed, **{**SURROGATE_PROFILE, **(profile or {})})[0]
+
+
+def train_models(specs, train_set: Dataset, policy, seed, threat_model=WHITE_BOX,
+                 surrogate_profile=None):
+    """Train defense k on child_seed(seed, k) and, under grey-box, the
+    surrogate on child_seed(seed, 999).  Returns ({label: classifier},
+    {label: training trace}, surrogate or None)."""
+    models, traces = {}, {}
+    for k, spec in enumerate(specs):
+        models[spec.label], traces[spec.label] = train_defense(
+            spec, train_set, policy, seed=child_seed(seed, k))
+    surrogate = None
+    if threat_model == GREY_BOX:
+        surrogate = train_surrogate(train_set, child_seed(seed, 999), surrogate_profile)
+    return models, traces, surrogate
 
 
 def select_attack_pool(test_set: Dataset, positive_class: int, cap: int, seed):
@@ -141,6 +154,14 @@ def select_attack_pool(test_set: Dataset, positive_class: int, cap: int, seed):
     take = min(cap, len(positives))
     chosen = np.sort(rng.choice(positives, size=take, replace=False))
     return chosen
+
+
+def attack_inputs(train_set: Dataset, test_set: Dataset, seed, attack_pool=800,
+                  positive_class=1):
+    """(X, y) of the attacked pool, drawn on child_seed(seed, 777), and the
+    benign training examples mimicry draws from."""
+    idx = select_attack_pool(test_set, positive_class, attack_pool, child_seed(seed, 777))
+    return test_set.X[idx], test_set.y[idx], train_set.X[train_set.y != positive_class]
 
 
 def _metric_block(y_true, y_pred, class_count, positive_class):
@@ -171,10 +192,8 @@ def evaluate_models(models: dict, train_set: Dataset, test_set: Dataset, policy,
     names = [c.name for c in attack_configs]
     if len(set(names)) != len(names):
         raise ValueError("duplicate attack names in one suite")
-    pool_idx = select_attack_pool(test_set, positive_class, attack_pool,
-                                  child_seed(seed, 777))
-    Xp, yp = test_set.X[pool_idx], test_set.y[pool_idx]
-    benign_pool = train_set.X[train_set.y != positive_class]
+    Xp, yp, benign_pool = attack_inputs(train_set, test_set, seed, attack_pool,
+                                        positive_class)
     o = test_set.class_count
 
     defenses_block = {}
@@ -208,7 +227,7 @@ def evaluate_models(models: dict, train_set: Dataset, test_set: Dataset, policy,
             "seed": seed if isinstance(seed, int) else list(seed),
             "threat_model": threat_model,
             "positive_class": int(positive_class),
-            "pool_size": int(len(pool_idx)),
+            "pool_size": int(len(yp)),
             "train_size": int(len(train_set)),
             "test_size": int(len(test_set)),
             "class_count": int(o),
@@ -225,24 +244,14 @@ def run_experiment(train_set: Dataset, test_set: Dataset, policy,
                    positive_class=1) -> dict:
     """Train the requested defenses (and the surrogate under grey-box),
     then evaluate them; fully determined by the seed."""
-    models = {}
-    for k, spec in enumerate(defense_specs):
-        clf, _ = train_defense(spec, train_set, policy, seed=child_seed(seed, k))
-        models[spec.label] = clf
-    surrogate = None
-    if threat_model == GREY_BOX:
-        surrogate = train_surrogate(train_set, child_seed(seed, 999),
-                                    surrogate_profile)
+    models, _, surrogate = train_models(defense_specs, train_set, policy, seed,
+                                        threat_model, surrogate_profile)
     report = evaluate_models(models, train_set, test_set, policy,
                              attack_configs, threat_model=threat_model,
                              seed=seed, surrogate=surrogate,
                              attack_pool=attack_pool,
                              positive_class=positive_class)
-    report["metadata"]["defenses"] = [
-        {"label": s.label, "kind": s.kind, "use_dae": s.use_dae,
-         "use_binarization": s.use_binarization,
-         "known_manipulation_set": s.known_manipulation_set,
-         "config": _jsonable(asdict(s.config))} for s in defense_specs]
+    report["metadata"]["defenses"] = [_jsonable(asdict(s)) for s in defense_specs]
     if surrogate_profile is not None:
         report["metadata"]["surrogate_profile"] = _jsonable(dict(surrogate_profile))
     return report
@@ -267,27 +276,28 @@ def _jsonable(obj):
 
 def report_rows(report: dict) -> tuple[list, list]:
     """(defense labels, rows) of the accuracy table: one row per clean
-    block and per attack, each (name, [accuracy or None per defense])."""
+    block and per attack, each (name, [accuracy or None per defense]).
+    Labels and attack names are sorted, so a report in memory and the same
+    report read back from sorted JSON give the same table."""
     defenses = report["defenses"]
-    names = ["clean_test", "no_attack"]
-    for block in defenses.values():
-        names += [name for name in block["attacks"] if name not in names]
-    rows = []
-    for name in names:
-        accs = [block[name]["accuracy"] if name in ("clean_test", "no_attack")
-                else block["attacks"].get(name, {}).get("accuracy")
-                for block in defenses.values()]
-        rows.append((name, accs))
-    return list(defenses), rows
+    labels = sorted(defenses)
+    attacks = sorted({name for block in defenses.values() for name in block["attacks"]})
+    rows = [(name, [defenses[lab][name]["accuracy"] for lab in labels])
+            for name in ("clean_test", "no_attack")]
+    rows += [(name, [defenses[lab]["attacks"].get(name, {}).get("accuracy")
+                     for lab in labels]) for name in attacks]
+    return labels, rows
 
 
 def report_table(report: dict) -> str:
-    """Flat accuracy table: rows are attacks, columns are defenses."""
+    """Flat accuracy table: rows are attacks, columns are defenses; each
+    column is as wide as its label, at least 13 characters."""
     labels, rows = report_rows(report)
     width = max([len(name) for name, _ in rows] + [10])
-    lines = ["attack".ljust(width) + "".join(f"{lab:>14}" for lab in labels)]
+    cols = [max(13, len(lab)) for lab in labels]
+    lines = [" ".join(["attack".ljust(width)] + [lab.rjust(w) for lab, w in zip(labels, cols)])]
     for name, accs in rows:
-        cells = [f"{100.0 * acc:>13.2f}" if acc is not None else f"{'-':>13}"
-                 for acc in accs]
-        lines.append(name.ljust(width) + " ".join(cells))
+        cells = ["-".rjust(w) if acc is None else f"{100.0 * acc:>{w}.2f}"
+                 for acc, w in zip(accs, cols)]
+        lines.append(" ".join([name.ljust(width)] + cells))
     return "\n".join(lines)

@@ -11,7 +11,7 @@ cotangents into weight and bias gradients.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -98,6 +98,24 @@ def _param_grads(activation, X, zs, deltas):
             [d.sum(axis=0) for d in deltas])
 
 
+def _check_layers(weights, biases) -> None:
+    """Each layer's weights chain onto the next, each bias matches its
+    layer's width, and every parameter is finite."""
+    if not weights or len(weights) != len(biases):
+        raise ValueError("inconsistent layer shapes")
+    sizes = [weights[0].shape[0]] + [W.shape[1] for W in weights]
+    for i, (W, b) in enumerate(zip(weights, biases)):
+        if W.shape != (sizes[i], sizes[i + 1]) or b.shape != (sizes[i + 1],):
+            raise ValueError("inconsistent layer shapes")
+        if not (np.all(np.isfinite(W)) and np.all(np.isfinite(b))):
+            raise ValueError("non-finite parameters")
+
+
+def _check_width(X2, dim: int) -> None:
+    if X2.shape[1] != dim:
+        raise ValueError(f"input dimension {X2.shape[1]} != model dimension {dim}")
+
+
 def _init_params(layer_sizes, rng):
     # symmetric fan-based init, biases zero
     weights, biases = [], []
@@ -116,6 +134,9 @@ class DenseStack:
     biases: list
     activation: str = "relu"
     activate_last: bool = False
+
+    def __post_init__(self):
+        _check_layers(self.weights, self.biases)
 
     @classmethod
     def init(cls, layer_sizes, activation="relu", seed=0, activate_last=False):
@@ -162,14 +183,9 @@ class MlpClassifier:
     activation: str = "relu"
 
     def __post_init__(self):
-        sizes = self.layer_sizes
-        if sizes[-1] < 2:
+        _check_layers(self.weights, self.biases)
+        if self.class_count < 2:
             raise ValueError("output dimension must be >= 2")
-        for i, (W, b) in enumerate(zip(self.weights, self.biases)):
-            if W.shape != (sizes[i], sizes[i + 1]) or b.shape != (sizes[i + 1],):
-                raise ValueError("inconsistent layer shapes")
-            if not (np.all(np.isfinite(W)) and np.all(np.isfinite(b))):
-                raise ValueError("non-finite parameters")
 
     @classmethod
     def init(cls, layer_sizes, activation="relu", seed=0):
@@ -191,9 +207,7 @@ class MlpClassifier:
 
     def _check_input(self, X) -> np.ndarray:
         X2 = np.atleast_2d(np.asarray(X, dtype=float))
-        if X2.shape[1] != self.input_dim:
-            raise ValueError(
-                f"input dimension {X2.shape[1]} != model dimension {self.input_dim}")
+        _check_width(X2, self.input_dim)
         if not np.all(np.isfinite(X2)):
             raise ValueError("non-finite input")
         return X2
@@ -383,20 +397,23 @@ def train_supervised(model: MlpClassifier, dataset, epochs: int,
     return model, trace
 
 
-def _model_record(model: MlpClassifier) -> dict:
-    """Layer sizes, activation and parameters of an MLP as JSON lists."""
-    return {
-        "layer_sizes": model.layer_sizes,
-        "activation": model.activation,
-        "weights": [W.tolist() for W in model.weights],
-        "biases": [b.tolist() for b in model.biases],
-    }
+def _model_record(model) -> dict:
+    """Layer sizes, settings and parameters of an MLP or a dense stack as
+    JSON lists."""
+    return {"layer_sizes": model.layer_sizes,
+            **{f.name: getattr(model, f.name) for f in fields(model)
+               if f.name not in ("weights", "biases")},
+            "weights": [W.tolist() for W in model.weights],
+            "biases": [b.tolist() for b in model.biases]}
 
 
-def _model_from_record(record) -> MlpClassifier:
-    weights = [np.asarray(W, dtype=float) for W in record["weights"]]
-    biases = [np.asarray(b, dtype=float) for b in record["biases"]]
-    model = MlpClassifier(weights, biases, record["activation"])
+def _model_from_record(record, cls=MlpClassifier):
+    """Rebuild an MLP (or a dense stack) through its parameter checks and
+    check the recorded layer sizes against the parameters."""
+    model = cls([np.asarray(W, dtype=float) for W in record["weights"]],
+                [np.asarray(b, dtype=float) for b in record["biases"]],
+                **{f.name: record[f.name] for f in fields(cls)
+                   if f.name not in ("weights", "biases")})
     if model.layer_sizes != list(record["layer_sizes"]):
         raise ValueError("checkpoint layer_sizes disagree with parameter shapes")
     return model

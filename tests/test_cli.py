@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 from malrobust import data
+from malrobust.attacks import AttackConfig
 from malrobust.cli import main
+from malrobust.defenses import DefenseConfig
+from malrobust.evaluation import DefenseSpec, _jsonable, run_experiment
 
 
 def write_config(path, **overrides):
@@ -158,6 +161,61 @@ class TestEvaluate:
         with open(tmp_path / "table.csv") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["attack", "basic"]
+
+    def test_report_table_file_equals_report_command(self, pipeline, capsys):
+        tmp_path, cfg_path, cfg = pipeline
+        cfg["defenses"] = [{"label": "zeta", "kind": "plain"},
+                           {"label": "alpha_with_a_long_label", "kind": "plain"}]
+        cfg["attacks"] = [{"name": "fgsm"}, {"name": "bca", "max_steps": 5}]
+        cfg_path.write_text(json.dumps(cfg))
+        run("train", "-c", str(cfg_path), "--out", str(tmp_path / "m"))
+        run("evaluate", "-c", str(cfg_path), "--models", str(tmp_path / "m"),
+            "--out", str(tmp_path / "ev"))
+        capsys.readouterr()
+        assert run("report", str(tmp_path / "ev" / "report.json")) == 0
+        printed = capsys.readouterr().out
+        assert printed == (tmp_path / "ev" / "report_table.txt").read_text()
+        assert printed.index("alpha_with_a_long_label") < printed.index("zeta")
+        assert printed.index("bca") < printed.index("fgsm")
+
+
+SURROGATE_SECTION = {"hidden": [12, 12], "epochs": 5, "batch_size": 16, "lr": 0.01}
+
+
+@pytest.mark.parametrize("threat_model, surrogate", [
+    ("white_box", None), ("white_box", SURROGATE_SECTION),
+    ("grey_box", None), ("grey_box", SURROGATE_SECTION)])
+def test_cli_matches_run_experiment(tmp_path, threat_model, surrogate):
+    """gen -> train -> evaluate writes the defenses block run_experiment
+    computes on the same files; a grey-box config without a surrogate
+    section trains the library's default surrogate."""
+    cfg_path = tmp_path / "cfg.json"
+    extra = {} if surrogate is None else {"surrogate": surrogate}
+    cfg = write_config(cfg_path, threat_model=threat_model, **extra)
+    cfg["defenses"] = [{"label": "basic", "kind": "plain"},
+                       {"label": "at", "kind": "hardened",
+                        "config": {"inner_steps": 3, "epochs": 2}}]
+    cfg_path.write_text(json.dumps(cfg))
+    c, models = str(cfg_path), str(tmp_path / "m")
+    assert run("gen", "-c", c, "--out", str(tmp_path / "data")) == 0
+    assert run("train", "-c", c, "--out", models) == 0
+    assert run("evaluate", "-c", c, "--models", models, "--out", str(tmp_path / "ev")) == 0
+    assert (tmp_path / "m" / "surrogate.json").exists() == (threat_model == "grey_box")
+
+    paths = cfg["dataset"]["paths"]
+    train, test = data.read_sparse(paths["train"]), data.read_sparse(paths["test"])
+    policy = data.read_policy(paths["policy"])
+    model = {"hidden": (10, 10), "epochs": 15, "batch_size": 16, "lr": 0.01}
+    specs = [DefenseSpec("basic", "plain", DefenseConfig(seed=17, **model)),
+             DefenseSpec("at", "hardened",
+                         DefenseConfig(seed=17, **{**model, "inner_steps": 3, "epochs": 2}))]
+    attacks = [AttackConfig.for_attack("fgsm", seed=17),
+               AttackConfig.for_attack("bca", max_steps=10, seed=17)]
+    expected = run_experiment(train, test, policy, specs, attacks,
+                              threat_model=threat_model, seed=17,
+                              surrogate_profile=surrogate, attack_pool=8)
+    written = json.loads((tmp_path / "ev" / "report.json").read_text())
+    assert written["defenses"] == json.loads(json.dumps(_jsonable(expected["defenses"])))
 
 
 class TestConfigValidation:

@@ -6,12 +6,10 @@ import pytest
 from malrobust.data import Dataset, ManipulationPolicy, generate_synthetic
 from malrobust.defenses import (DefenseConfig, DenoisingAutoencoder,
                                 EnsembleClassifier, HardenedClassifier,
-                                _dae_param_grads, _salt_pepper_batch,
-                                adversarial_training_loss, dae_loss,
-                                ensemble_predict, inner_maximize,
-                                load_ensemble, load_hardened, salt_pepper,
-                                save_ensemble, save_hardened, train_ensemble,
-                                train_hardened)
+                                _dae_param_grads, _salt_pepper_batch, dae_loss,
+                                inner_maximize, load_ensemble, load_hardened,
+                                salt_pepper, save_ensemble, save_hardened,
+                                train_ensemble, train_hardened)
 from malrobust.nn import (AdamState, DenseStack, MlpClassifier,
                           _batch_param_gradients, adam_step, cross_entropy)
 
@@ -138,31 +136,6 @@ class TestInnerMaximize:
         assert np.all(model.loss(x_adv, y) >= model.loss(X, y) - 1e-12)
 
 
-class TestAdversarialTrainingLoss:
-    def test_doubled_at_fixed_point(self, rng):
-        model = MlpClassifier.init([5, 4, 2], seed=1)
-        x = (rng.random(5) < 0.5).astype(float)
-        loss = adversarial_training_loss(model, x, 1, x.copy())
-        assert abs(loss - 2 * cross_entropy(model.predict_proba(x), 1)) < 1e-12
-
-    def test_dominates_supervised_loss(self, rng):
-        model = MlpClassifier.init([6, 4, 2], seed=2)
-        for _ in range(30):
-            x = (rng.random(6) < 0.5).astype(float)
-            x_adv = (rng.random(6) < 0.5).astype(float)
-            y = int(rng.integers(2))
-            assert adversarial_training_loss(model, x, y, x_adv) >= \
-                cross_entropy(model.predict_proba(x), y)
-
-    def test_componentwise_sum(self, rng):
-        model = MlpClassifier.init([6, 4, 2], seed=3)
-        x = rng.random(6)
-        x_adv = rng.random(6)
-        expected = cross_entropy(model.predict_proba(x), 0) + \
-            cross_entropy(model.predict_proba(x_adv), 0)
-        assert abs(adversarial_training_loss(model, x, 0, x_adv) - expected) < 1e-12
-
-
 class TestTrainHardened:
     def test_degenerate_gradient_is_doubled_supervised(self, rng):
         # with T=0, K=0 the adversarial batch equals the clean batch, so the
@@ -259,7 +232,7 @@ class TestEnsemble:
         m1 = MlpClassifier([np.zeros((3, 2))], [np.log(np.array([0.6, 0.4]))])
         m2 = MlpClassifier([np.zeros((3, 2))], [np.log(np.array([0.2, 0.8]))])
         ens = EnsembleClassifier([m1, m2])
-        p = ensemble_predict(ens, np.zeros(3))
+        p = ens.predict_proba(np.zeros(3))
         assert np.allclose(p, [0.4, 0.6], atol=1e-12)
         assert ens.predict(np.zeros(3)) == 1
 
@@ -267,15 +240,15 @@ class TestEnsemble:
         m = MlpClassifier.init([4, 3, 2], seed=21)
         ens = EnsembleClassifier([m, m, m])
         x = np.array([0.0, 1.0, 1.0, 0.0])
-        assert np.allclose(ensemble_predict(ens, x), m.predict_proba(x), atol=1e-15)
+        assert np.allclose(ens.predict_proba(x), m.predict_proba(x), atol=1e-15)
 
     def test_mean_matches_member_recompute(self, rng):
         members = [MlpClassifier.init([5, 4, 3], seed=s) for s in (1, 2, 3)]
         ens = EnsembleClassifier(members)
         X = rng.random((6, 5))
         expected = sum(m.predict_proba(X) for m in members) / 3
-        assert np.allclose(ensemble_predict(ens, X), expected, atol=1e-15)
-        assert np.allclose(ensemble_predict(ens, X).sum(axis=1), 1.0, atol=1e-9)
+        assert np.allclose(ens.predict_proba(X), expected, atol=1e-15)
+        assert np.allclose(ens.predict_proba(X).sum(axis=1), 1.0, atol=1e-9)
 
     def test_subspace_sizes(self):
         ds, policy = small_task(dim=20)
@@ -364,3 +337,117 @@ class TestCheckpoints:
         assert back.l == 3
         assert np.allclose(back.predict_proba(ds.X), ens.predict_proba(ds.X),
                            atol=1e-15)
+
+    def test_ensemble_manifest_has_no_subspace_ratio(self, tmp_path):
+        members = [HardenedClassifier(MlpClassifier.init([4, 3, 2], seed=s)) for s in (1, 2)]
+        manifest = save_ensemble(tmp_path / "ens", EnsembleClassifier(members))
+        record = json.loads(open(manifest).read())
+        assert "subspace_ratio" not in record
+        # manifests written before the key was dropped still load
+        record["subspace_ratio"] = 0.5
+        with open(manifest, "w") as fh:
+            json.dump(record, fh)
+        assert load_ensemble(manifest).l == 2
+
+
+def dae_hardened(dim=12, view=6, latent=4, seed=30):
+    """A hardened model on a feature subset with binarization and a DAE."""
+    rng = np.random.default_rng(seed)
+    subset = np.sort(rng.choice(dim, size=view, replace=False))
+    dae = DenoisingAutoencoder.init(view, latent, seed=rng)
+    head = MlpClassifier.init([latent, 5, 2], seed=rng)
+    return HardenedClassifier(head, dae, subset, np.full(view, 0.5), dim)
+
+
+def tampered(tmp_path, clf, edit):
+    """Save ``clf``, apply ``edit`` to the JSON record, return the path."""
+    path = tmp_path / "hardened.json"
+    save_hardened(path, clf)
+    record = json.loads(path.read_text())
+    edit(record)
+    path.write_text(json.dumps(record))
+    return path
+
+
+class TestInputWidth:
+    def test_subset_model_rejects_wrong_width(self):
+        ds, policy = small_task(dim=40)
+        cfg = DefenseConfig(inner_steps=1, epochs=1, batch_size=16, lr=0.01,
+                            hidden=(6,), subspace_ratio=0.5, seed=31)
+        clf, _ = train_hardened(ds, policy, cfg)
+        assert clf.input_dim == 40 and len(clf.subset) == 20
+        clf.predict(ds.X[0])
+        for method in (clf.predict, clf.predict_proba, clf.logits):
+            with pytest.raises(ValueError, match="input dimension 300 != model dimension 40"):
+                method(np.zeros(300))
+        with pytest.raises(ValueError, match="input dimension"):
+            clf.input_gradients(np.zeros((2, 39)), [0, 1])
+
+    def test_dae_model_rejects_wrong_width(self):
+        clf = HardenedClassifier(MlpClassifier.init([4, 2], seed=1),
+                                 DenoisingAutoencoder.init(7, 4, seed=2))
+        assert clf.input_dim == 7
+        with pytest.raises(ValueError, match="input dimension 8 != model dimension 7"):
+            clf.predict(np.zeros(8))
+
+    def test_ensemble_rejects_wrong_width(self):
+        ens = EnsembleClassifier([dae_hardened(seed=s) for s in (1, 2)])
+        ens.predict(np.zeros(12))
+        with pytest.raises(ValueError, match="input dimension"):
+            ens.predict(np.zeros(13))
+
+    def test_subset_needs_input_dim(self):
+        with pytest.raises(ValueError, match="input_dim"):
+            HardenedClassifier(MlpClassifier.init([2, 2], seed=1), subset=np.array([0, 3]))
+
+    @pytest.mark.parametrize("subset, message", [
+        ([0, 0, 500], "sorted, unique"),
+        ([0, 1, 12], "within"),
+        ([-1, 0, 1], "within"),
+        ([2, 1, 0], "sorted, unique"),
+        ([0, 1], "2 input features for a view of width 3"),
+    ])
+    def test_bad_subset_rejected(self, subset, message):
+        head = MlpClassifier.init([3, 2], seed=1)
+        with pytest.raises(ValueError, match=message):
+            HardenedClassifier(head, subset=np.array(subset), input_dim=12)
+
+
+class TestCheckpointChecks:
+    def test_input_dim_round_trip(self, tmp_path):
+        clf = dae_hardened()
+        path = tampered(tmp_path, clf, lambda r: None)
+        back = load_hardened(path)
+        assert back.input_dim == 12
+        X = (np.random.default_rng(0).random((5, 12)) < 0.5).astype(float)
+        assert np.array_equal(back.predict_proba(X), clf.predict_proba(X))
+        with pytest.raises(ValueError, match="input dimension"):
+            back.predict(np.zeros(6))
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda r: r.update(subset=[0, 0, 500, 1, 2, 3]), "sorted, unique"),
+        (lambda r: r.update(subset=[0, 1, 2, 3, 4, 12]), "within"),
+        (lambda r: r.update(subset=[0, 1, 2]), "3 input features"),
+        (lambda r: r.update(input_dim=None), "input_dim"),
+        (lambda r: r.update(input_dim=4), "within"),
+        (lambda r: r.update(thresholds=[0.5] * 5), "5 thresholds"),
+        (lambda r: r["encoder"].update(layer_sizes=[999, 999]), "layer_sizes disagree"),
+        (lambda r: r["decoder"].update(layer_sizes=[4, 7]), "layer_sizes disagree"),
+        (lambda r: r["encoder"]["biases"][0].append(0.0), "inconsistent layer shapes"),
+        (lambda r: r["encoder"]["weights"][0][0].__setitem__(0, float("nan")),
+         "non-finite"),
+        (lambda r: r["head"].update(weights=[[[0.0] * 5] * 3] + r["head"]["weights"][1:],
+                                    layer_sizes=[3, 5, 2]),
+         "encoder output width differs from the head input width"),
+    ])
+    def test_tampered_checkpoint_rejected(self, tmp_path, edit, message):
+        with pytest.raises(ValueError, match=message):
+            load_hardened(tampered(tmp_path, dae_hardened(), edit))
+
+    def test_dense_stack_checks_its_parameters(self):
+        with pytest.raises(ValueError, match="inconsistent layer shapes"):
+            DenseStack([np.zeros((3, 4)), np.zeros((5, 2))], [np.zeros(4), np.zeros(2)])
+        with pytest.raises(ValueError, match="inconsistent layer shapes"):
+            DenseStack([np.zeros((3, 4))], [np.zeros(3)])
+        with pytest.raises(ValueError, match="non-finite"):
+            DenseStack([np.full((3, 4), np.inf)], [np.zeros(4)])

@@ -8,7 +8,7 @@ from malrobust.data import ManipulationPolicy, generate_synthetic, split
 from malrobust.defenses import DefenseConfig
 from malrobust.evaluation import (DefenseSpec, _jsonable, binary_metrics,
                                   evaluate_models, harmonic_mean, macro_f1,
-                                  report_table, run_experiment)
+                                  report_rows, report_table, run_experiment)
 
 
 def brute_force_counts(y_true, y_pred, c):
@@ -191,3 +191,40 @@ class TestRunExperiment:
                                 attack_pool=5)
         table = report_table(report)
         assert "basic" in table and "fgsm" in table and "clean_test" in table
+
+
+def table_report(labels):
+    """A report with a missing cell: only the first label has pgd_l1."""
+    blocks = {}
+    for i, lab in enumerate(labels):
+        attacks = {"fgsm": {"accuracy": 0.5}}
+        if i == 0:
+            attacks["pgd_l1"] = {"accuracy": 0.25}
+        blocks[lab] = {"clean_test": {"accuracy": 1.0}, "no_attack": {"accuracy": 0.75},
+                       "attacks": attacks}
+    return {"defenses": blocks}
+
+
+class TestReportTable:
+    def test_long_label_columns_line_up(self):
+        lines = report_table(table_report(["plain", "a_much_longer_label"])).split("\n")
+        header = lines[0]
+        assert header.split() == ["attack", "a_much_longer_label", "plain"]
+        assert len({len(line) for line in lines}) == 1
+        ends = [header.index(lab) + len(lab) for lab in header.split()[1:]]
+        for line in lines[1:]:
+            # each cell ends where its column's label ends
+            for end, cell in zip(ends, line.split()[1:]):
+                assert line[:end].endswith(" " + cell)
+        assert lines[1].split() == ["clean_test", "100.00", "100.00"]
+        assert lines[4].split() == ["pgd_l1", "-", "25.00"]
+
+    def test_one_order_whatever_the_dict_order(self):
+        a = table_report(["plain", "at"])
+        b = {"defenses": {lab: {**block, "attacks": dict(reversed(block["attacks"].items()))}
+                          for lab, block in reversed(a["defenses"].items())}}
+        assert list(b["defenses"]["plain"]["attacks"]) == ["pgd_l1", "fgsm"]
+        assert report_table(a) == report_table(b)
+        labels, rows = report_rows(a)
+        assert labels == ["at", "plain"]
+        assert [name for name, _ in rows] == ["clean_test", "no_attack", "fgsm", "pgd_l1"]

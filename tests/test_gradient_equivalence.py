@@ -117,7 +117,7 @@ def hardened_member(activation, depth, rng):
     subset = np.sort(rng.choice(DIM, size=DIM // 2, replace=False))
     dae = DenoisingAutoencoder.init(len(subset), LATENT, activation, seed=rng)
     head = MlpClassifier.init([LATENT] + [HIDDEN] * depth + [CLASSES], activation, seed=rng)
-    return HardenedClassifier(head, dae, subset, None)
+    return HardenedClassifier(head, dae, subset, None, DIM)
 
 
 def make_model(kind, activation, depth, rng):
