@@ -22,6 +22,10 @@ cat > experiment.json <<'JSON'
     {"label": "basic", "kind": "plain"},
     {"label": "at", "kind": "hardened",
      "config": {"inner_lr": 0.02, "inner_steps": 25, "epochs": 12,
+                "batch_size": 64, "lr": 0.005, "hidden": [80, 80]}},
+    {"label": "ens", "kind": "ensemble", "flags": {"use_dae": true},
+     "config": {"ensemble_size": 2, "subspace_ratio": 0.5, "latent_dim": 32,
+                "inner_lr": 0.02, "inner_steps": 25, "epochs": 8,
                 "batch_size": 64, "lr": 0.005, "hidden": [80, 80]}}
   ],
   "attacks": [
@@ -40,6 +44,7 @@ malrobust gen -c experiment.json --out data
 
 echo "== train =="
 malrobust train -c experiment.json --out models
+ls models  # one checkpoint file per defense, the ensemble included
 
 echo "== attack =="
 malrobust attack -c experiment.json --models models --out attacks

@@ -38,12 +38,23 @@ _FLAG_KEYS = {f.name for f in fields(evaluation.DefenseSpec)} - _DEFENSE_KEYS
 _DEFENSE_CFG_KEYS = {f.name for f in fields(defenses.DefenseConfig)} - {"seed"}
 _ATTACK_KEYS = {f.name for f in fields(AttackConfig)}
 _EVAL_KEYS = {"attack_pool", "positive_class"}
+# a defense label names its checkpoint <label>.json, beside these two files
+_RESERVED_LABELS = {"surrogate", "trace"}
 
 
 def _check_keys(section, allowed, where):
     unknown = set(section) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+
+
+def _check_label(label, where):
+    if not isinstance(label, str) or label in ("", ".", "..") or \
+            any(sep and sep in label for sep in ("/", os.sep, os.altsep)):
+        raise ConfigError(f"{where}: label {label!r} is not a plain file name")
+    if label in _RESERVED_LABELS:
+        raise ConfigError(f"{where}: label {label!r} is reserved for the models "
+                          f"directory's {label}.json")
 
 
 def validate_config(cfg: dict) -> dict:
@@ -67,6 +78,7 @@ def validate_config(cfg: dict) -> dict:
         _check_keys(entry, _DEFENSE_KEYS, f"defenses[{i}]")
         if "label" not in entry:
             raise ConfigError(f"defenses[{i}] needs a label")
+        _check_label(entry["label"], f"defenses[{i}]")
         _check_keys(entry.get("flags", {}), _FLAG_KEYS, f"defenses[{i}].flags")
         _check_keys(entry.get("config", {}), _DEFENSE_CFG_KEYS, f"defenses[{i}].config")
     labels = [e["label"] for e in cfg.get("defenses", [])]
@@ -182,25 +194,23 @@ def cmd_gen(cfg: dict, out_dir=None) -> str:
     return run_dir
 
 
-# defense kind -> module, saver, loader, and the saved and the loaded path
-# under the models directory (an ensemble is a directory with a manifest)
+# defense kind -> module, saver and loader; every model is <label>.json
 _CHECKPOINTS = {
-    "plain": (nn, "save_model", "load_model", "{}.json", "{}.json"),
-    "hardened": (defenses, "save_hardened", "load_hardened", "{}.json", "{}.json"),
-    "ensemble": (defenses, "save_ensemble", "load_ensemble", "{}",
-                 os.path.join("{}", "manifest.json")),
+    "plain": (nn, "save_model", "load_model"),
+    "hardened": (defenses, "save_hardened", "load_hardened"),
+    "ensemble": (defenses, "save_ensemble", "load_ensemble"),
 }
 _SURROGATE = evaluation.DefenseSpec("surrogate")  # a plain checkpoint
 
 
 def _save_checkpoint(models_dir, spec, model) -> None:
-    module, save, _, path, _ = _CHECKPOINTS[spec.kind]
-    getattr(module, save)(os.path.join(models_dir, path.format(spec.label)), model)
+    module, save, _ = _CHECKPOINTS[spec.kind]
+    getattr(module, save)(os.path.join(models_dir, f"{spec.label}.json"), model)
 
 
 def _load_checkpoint(models_dir, spec):
-    module, _, load, _, path = _CHECKPOINTS[spec.kind]
-    path = os.path.join(models_dir, path.format(spec.label))
+    module, _, load = _CHECKPOINTS[spec.kind]
+    path = os.path.join(models_dir, f"{spec.label}.json")
     if not os.path.exists(path):
         raise ConfigError(f"missing checkpoint of {spec.label!r}: {path}")
     return getattr(module, load)(path)
@@ -218,7 +228,7 @@ def cmd_train(cfg: dict, out_dir=None) -> str:
     if surrogate is not None:
         _save_checkpoint(run_dir, _SURROGATE, surrogate)
         print("trained surrogate")
-    with open(os.path.join(run_dir, "trace.json"), "w", encoding="utf-8") as fh:
+    with data.atomic_write(os.path.join(run_dir, "trace.json")) as fh:
         json.dump(traces, fh, sort_keys=True, indent=2)
     print(run_dir)
     return run_dir
@@ -247,7 +257,7 @@ def cmd_attack(cfg: dict, models_dir, out_dir=None) -> str:
                                    surrogate=surrogate, benign_pool=benign_pool)
         rows = outcomes_to_rows(results)
         path = os.path.join(run_dir, f"attacks_{label}.csv")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with data.atomic_write(path, newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=["attack", "example_id",
                                                     "success", "flips", "l1",
                                                     "l2", "linf", "steps_used"])
@@ -268,10 +278,10 @@ def cmd_evaluate(cfg: dict, models_dir, out_dir=None) -> str:
     report["metadata"]["config_hash"] = config_hash(cfg)
     run_dir = make_run_dir(cfg, "evaluate", out_dir)
     report_path = os.path.join(run_dir, "report.json")
-    with open(report_path, "w", encoding="utf-8") as fh:
+    with data.atomic_write(report_path) as fh:
         json.dump(evaluation._jsonable(report), fh, sort_keys=True, indent=2)
     table = evaluation.report_table(report)
-    with open(os.path.join(run_dir, "report_table.txt"), "w", encoding="utf-8") as fh:
+    with data.atomic_write(os.path.join(run_dir, "report_table.txt")) as fh:
         fh.write(table + "\n")
     print(table)
     print(run_dir)
@@ -285,7 +295,7 @@ def cmd_report(report_path, csv_path=None) -> None:
     print(table)
     if csv_path:
         labels, rows = evaluation.report_rows(report)
-        with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+        with data.atomic_write(csv_path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["attack"] + labels)
             for name, accs in rows:

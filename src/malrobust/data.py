@@ -4,12 +4,15 @@ Feature vectors are plain numpy float arrays with entries in [0, 1]
 (binary after thresholding).  A manipulation policy records, per feature,
 whether the attacker may add it (flip 0 to 1) or remove it (flip 1 to 0);
 the set of vectors reachable from x under a policy is the discrete domain
-all attacks must land in.
+all attacks must land in.  Every file the package writes goes through
+:func:`atomic_write`, so a crashed writer never leaves a partial file.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -219,6 +222,28 @@ def generate_synthetic(dim: int, classes: int, per_class, flip_noise: float,
     return Dataset(X, y, classes), policy
 
 
+@contextlib.contextmanager
+def atomic_write(path, newline=None):
+    """Open a text file that replaces ``path`` only once the block ends.
+
+    The text goes to a temporary file beside ``path`` that ``os.replace``
+    moves over it on success; on any exception the temporary file is
+    removed and ``path`` is left as it was.  There is no fsync: this
+    guards against a crashed process, not against power loss.
+    """
+    path = os.fspath(path)
+    head, name = os.path.split(path)
+    tmp = os.path.join(head, f".{name}.{os.urandom(4).hex()}.tmp")
+    fh = open(tmp, "x", encoding="utf-8", newline=newline)
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
 def _format_value(v: float) -> str:
     if v == int(v):
         return str(int(v))
@@ -228,7 +253,7 @@ def _format_value(v: float) -> str:
 def write_sparse(path, dataset: Dataset) -> None:
     """Write `label idx:val ...` lines (ascending indices) with a header
     comment recording dim and class count."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write(f"# dim={dataset.dim} classes={dataset.class_count}\n")
         for x, label in zip(dataset.X, dataset.y):
             nz = np.flatnonzero(x != 0.0)
@@ -301,7 +326,7 @@ def read_sparse(path, dim: int | None = None, class_count: int | None = None) ->
 
 def write_policy(path, policy: ManipulationPolicy) -> None:
     """One line per feature: `idx add_flag remove_flag` with 0/1 flags."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for i in range(policy.dim):
             fh.write(f"{i} {int(policy.addition_allowed[i])} {int(policy.removal_allowed[i])}\n")
 

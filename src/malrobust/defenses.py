@@ -15,14 +15,14 @@ feature / example subsets and vote by mean probability.
 from __future__ import annotations
 
 import math
-import os
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .data import Dataset, binarize, oversample, project_to_m
 from .nn import (MAXIMIZE, AdamState, DenseStack, MlpClassifier,
-                 _batch_param_gradients, _check_width, _model_from_record,
+                 _batch_param_gradients, _check_width, _field, _model_from_record,
                  _model_record, _read_checkpoint, _write_checkpoint, adam_step,
                  child_seed, cross_entropy)
 
@@ -68,7 +68,6 @@ class DefenseConfig:
 class DenoisingAutoencoder:
     encoder: DenseStack
     decoder: DenseStack
-    latent_dim: int
 
     def __post_init__(self):
         if self.encoder.layer_sizes[0] != self.decoder.layer_sizes[-1]:
@@ -76,12 +75,16 @@ class DenoisingAutoencoder:
         if self.encoder.layer_sizes[-1] != self.decoder.layer_sizes[0]:
             raise ValueError("latent dims of encoder and decoder disagree")
 
+    @property
+    def latent_dim(self) -> int:
+        return self.encoder.layer_sizes[-1]
+
     @classmethod
     def init(cls, dim: int, latent_dim: int, activation="relu", seed=0):
         rng = np.random.default_rng(seed)
         enc = DenseStack.init([dim, latent_dim], activation, seed=rng, activate_last=True)
         dec = DenseStack.init([latent_dim, dim], activation, seed=rng)
-        return cls(enc, dec, latent_dim)
+        return cls(enc, dec)
 
     def encode(self, X):
         return self.encoder.forward(X)
@@ -394,6 +397,14 @@ class EnsembleClassifier:
 
     members: list
 
+    def __post_init__(self):
+        if not self.members:
+            raise ValueError("an ensemble needs at least one member")
+        shapes = {(m.input_dim, m.class_count) for m in self.members}
+        if len(shapes) > 1:
+            raise ValueError("ensemble members disagree on (input_dim, class_count): "
+                             f"{sorted(shapes)}")
+
     @property
     def l(self) -> int:
         return len(self.members)
@@ -478,54 +489,48 @@ def train_ensemble(dataset: Dataset, policy, config: DefenseConfig, *,
     return EnsembleClassifier(members), traces
 
 
-def save_hardened(path, clf: HardenedClassifier) -> None:
-    _write_checkpoint(path, "hardened", {
+def _hardened_record(clf: HardenedClassifier) -> dict:
+    return {
         "subset": None if clf.subset is None else [int(i) for i in clf.subset],
         "thresholds": None if clf.thresholds is None else clf.thresholds.tolist(),
         "input_dim": clf.input_dim,
         "head": _model_record(clf.mlp),
         "encoder": None if clf.dae is None else _model_record(clf.dae.encoder),
         "decoder": None if clf.dae is None else _model_record(clf.dae.decoder),
-    })
+    }
+
+
+def _hardened_from_record(record) -> HardenedClassifier:
+    def optional(convert):
+        return lambda value: None if value is None else convert(value)
+
+    stack = optional(lambda r: _model_from_record(r, DenseStack))
+    enc, dec = _field(record, "encoder", stack), _field(record, "decoder", stack)
+    if (enc is None) != (dec is None):
+        raise ValueError("a DAE needs both 'encoder' and 'decoder'")
+    indices = optional(lambda v: np.asarray(v).astype(int, casting="safe"))
+    return HardenedClassifier(
+        _field(record, "head", _model_from_record),
+        None if enc is None else DenoisingAutoencoder(enc, dec),
+        _field(record, "subset", indices),
+        _field(record, "thresholds", optional(lambda v: np.asarray(v, dtype=float))),
+        _field(record, "input_dim", optional(operator.index)))
+
+
+def save_hardened(path, clf: HardenedClassifier) -> None:
+    _write_checkpoint(path, "hardened", _hardened_record(clf))
 
 
 def load_hardened(path) -> HardenedClassifier:
-    record = _read_checkpoint(path, "hardened")
-    head = _model_from_record(record["head"])
-    dae = None
-    if record["encoder"] is not None:
-        enc = _model_from_record(record["encoder"], DenseStack)
-        dec = _model_from_record(record["decoder"], DenseStack)
-        dae = DenoisingAutoencoder(enc, dec, enc.layer_sizes[-1])
-    subset = None if record["subset"] is None else np.asarray(record["subset"], dtype=int)
-    thresholds = None if record["thresholds"] is None \
-        else np.asarray(record["thresholds"], dtype=float)
-    return HardenedClassifier(head, dae, subset, thresholds, record.get("input_dim"))
+    return _read_checkpoint(path, "hardened", _hardened_from_record)
 
 
-def save_ensemble(dir_path, ensemble: EnsembleClassifier) -> str:
-    """Write a manifest plus one checkpoint per member; returns the
-    manifest path."""
-    os.makedirs(dir_path, exist_ok=True)
-    member_files = []
-    for i, member in enumerate(ensemble.members):
-        name = f"member_{i}.json"
-        save_hardened(os.path.join(dir_path, name), member)
-        member_files.append(name)
-    manifest_path = os.path.join(dir_path, "manifest.json")
-    _write_checkpoint(manifest_path, "ensemble", {
-        "l": ensemble.l,
-        "subsets": [None if m.subset is None else [int(j) for j in m.subset]
-                    for m in ensemble.members],
-        "members": member_files,
-    })
-    return manifest_path
+def save_ensemble(path, ensemble: EnsembleClassifier) -> None:
+    """One checkpoint whose ``members`` list holds each member's record."""
+    _write_checkpoint(path, "ensemble",
+                      {"members": [_hardened_record(m) for m in ensemble.members]})
 
 
-def load_ensemble(manifest_path) -> EnsembleClassifier:
-    manifest = _read_checkpoint(manifest_path, "ensemble")
-    base = os.path.dirname(manifest_path)
-    members = [load_hardened(os.path.join(base, name)) for name in manifest["members"]]
-    if len(members) != manifest["l"]:
-        raise ValueError("manifest member count mismatch")
-    return EnsembleClassifier(members)
+def load_ensemble(path) -> EnsembleClassifier:
+    return _read_checkpoint(path, "ensemble", lambda record: EnsembleClassifier(
+        _field(record, "members", lambda ms: [_hardened_from_record(m) for m in ms])))

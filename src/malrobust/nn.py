@@ -11,9 +11,12 @@ cotangents into weight and bias gradients.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, fields
 
 import numpy as np
+
+from .data import atomic_write
 
 PROB_FLOOR = 1e-12  # inside log, so a saturated softmax never yields -inf
 MINIMIZE = "minimize"
@@ -101,7 +104,7 @@ def _param_grads(activation, X, zs, deltas):
 def _check_layers(weights, biases) -> None:
     """Each layer's weights chain onto the next, each bias matches its
     layer's width, and every parameter is finite."""
-    if not weights or len(weights) != len(biases):
+    if not weights or len(weights) != len(biases) or any(np.ndim(W) != 2 for W in weights):
         raise ValueError("inconsistent layer shapes")
     sizes = [weights[0].shape[0]] + [W.shape[1] for W in weights]
     for i, (W, b) in enumerate(zip(weights, biases)):
@@ -407,33 +410,60 @@ def _model_record(model) -> dict:
             "biases": [b.tolist() for b in model.biases]}
 
 
+def _field(record, key, convert=None):
+    """``convert(record[key])`` (or the bare value); a record that is no
+    JSON object, a missing key, or a value ``convert`` rejects raises a
+    ValueError naming the key."""
+    if not isinstance(record, dict):
+        raise ValueError(f"expected a JSON object, got {type(record).__name__}")
+    if key not in record:
+        raise ValueError(f"missing key {key!r}")
+    try:
+        return record[key] if convert is None else convert(record[key])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"malformed key {key!r}: {exc}") from None
+
+
+def _of_type(kind):
+    def check(value):
+        if type(value) is not kind:
+            raise TypeError(f"expected {kind.__name__}, got {type(value).__name__}")
+        return value
+    return check
+
+
 def _model_from_record(record, cls=MlpClassifier):
     """Rebuild an MLP (or a dense stack) through its parameter checks and
-    check the recorded layer sizes against the parameters."""
-    model = cls([np.asarray(W, dtype=float) for W in record["weights"]],
-                [np.asarray(b, dtype=float) for b in record["biases"]],
-                **{f.name: record[f.name] for f in fields(cls)
-                   if f.name not in ("weights", "biases")})
-    if model.layer_sizes != list(record["layer_sizes"]):
+    check the recorded settings' types and layer sizes."""
+    params = {key: _field(record, key, lambda ps: [np.asarray(p, dtype=float) for p in ps])
+              for key in ("weights", "biases")}
+    model = cls(**params, **{f.name: _field(record, f.name, _of_type(type(f.default)))
+                             for f in fields(cls) if f.name not in params})
+    if model.layer_sizes != _field(record, "layer_sizes", list):
         raise ValueError("checkpoint layer_sizes disagree with parameter shapes")
     return model
 
 
 def _write_checkpoint(path, kind: str, fields: dict) -> None:
     record = {"format_version": CHECKPOINT_VERSION, "kind": kind, **fields}
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(record, fh, sort_keys=True)
 
 
-def _read_checkpoint(path, kind: str) -> dict:
-    """Load a JSON checkpoint, checking its format version and kind."""
+def _read_checkpoint(path, kind: str, from_record):
+    """Load a JSON checkpoint of ``kind`` and rebuild its model with
+    ``from_record``; any fault in the file raises a ValueError naming it."""
     with open(path, "r", encoding="utf-8") as fh:
-        record = json.load(fh)
-    if record.get("format_version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {record.get('format_version')!r}")
-    if record.get("kind") != kind:
-        raise ValueError(f"expected a {kind!r} checkpoint, got kind={record.get('kind')!r}")
-    return record
+        try:
+            record = json.load(fh)
+            version = _field(record, "format_version")
+            if version != CHECKPOINT_VERSION:
+                raise ValueError(f"unsupported checkpoint version {version!r}")
+            if _field(record, "kind") != kind:
+                raise ValueError(f"expected a {kind!r} checkpoint, got kind={record['kind']!r}")
+            return from_record(record)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{os.fspath(path)}: {exc}") from None
 
 
 def save_model(path, model: MlpClassifier) -> None:
@@ -442,4 +472,4 @@ def save_model(path, model: MlpClassifier) -> None:
 
 
 def load_model(path) -> MlpClassifier:
-    return _model_from_record(_read_checkpoint(path, "mlp"))
+    return _read_checkpoint(path, "mlp", _model_from_record)

@@ -4,10 +4,10 @@ import json
 import numpy as np
 import pytest
 
-from malrobust import data
+from malrobust import cli, data
 from malrobust.attacks import AttackConfig
 from malrobust.cli import main
-from malrobust.defenses import DefenseConfig
+from malrobust.defenses import DefenseConfig, load_ensemble
 from malrobust.evaluation import DefenseSpec, _jsonable, run_experiment
 
 
@@ -82,7 +82,7 @@ class TestTrain:
         assert (tmp_path / "m" / "basic.json").exists()
         assert (tmp_path / "m" / "trace.json").exists()
 
-    def test_ensemble_manifest_and_members(self, pipeline):
+    def test_ensemble_is_one_checkpoint_with_its_members(self, pipeline):
         tmp_path, cfg_path, cfg = pipeline
         cfg["defenses"] = [{"label": "rs", "kind": "ensemble",
                             "config": {"ensemble_size": 5, "subspace_ratio": 0.5,
@@ -91,10 +91,14 @@ class TestTrain:
                                        "hidden": [6]}}]
         cfg_path.write_text(json.dumps(cfg))
         run("train", "-c", str(cfg_path), "--out", str(tmp_path / "m"))
-        manifest = json.loads((tmp_path / "m" / "rs" / "manifest.json").read_text())
-        assert manifest["l"] == 5
-        for name in manifest["members"]:
-            assert (tmp_path / "m" / "rs" / name).exists()
+        assert sorted(p.name for p in (tmp_path / "m").iterdir()) == ["rs.json", "trace.json"]
+        record = json.loads((tmp_path / "m" / "rs.json").read_text())
+        assert record["kind"] == "ensemble"
+        assert len(record["members"]) == 5
+        for member in record["members"]:
+            assert len(member["subset"]) == 12 and member["input_dim"] == 24
+            assert member["head"]["layer_sizes"] == [12, 6, 2]
+        assert load_ensemble(tmp_path / "m" / "rs.json").l == 5
 
     def test_rerun_identical_checkpoints(self, pipeline):
         tmp_path, cfg_path, _ = pipeline
@@ -260,3 +264,94 @@ class TestConfigValidation:
         run("gen", "-c", str(cfg_path), "--seed", "99", "--out", str(tmp_path / "b"))
         assert (tmp_path / "a" / "train.txt").read_bytes() != \
             (tmp_path / "b" / "train.txt").read_bytes()
+
+    @pytest.mark.parametrize("label", ["../escaped", "a/b", "", ".", "..", 5,
+                                       "surrogate", "trace"])
+    @pytest.mark.parametrize("threat_model", ["white_box", "grey_box"])
+    def test_label_that_is_no_checkpoint_name_rejected(self, tmp_path, capsys,
+                                                        label, threat_model):
+        cfg_path = tmp_path / "sub" / "cfg.json"
+        cfg_path.parent.mkdir()
+        cfg = write_config(cfg_path, threat_model=threat_model)
+        cfg["defenses"] = [{"label": "basic"}, {"label": label}]
+        cfg_path.write_text(json.dumps(cfg))
+        assert run("gen", "-c", str(cfg_path), "--out", str(tmp_path / "sub" / "d")) == 2
+        assert f"label {label!r}" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["cfg.json", "sub"]
+
+
+THREE_KINDS = [
+    {"label": "basic", "kind": "plain"},
+    {"label": "at", "kind": "hardened", "config": {"inner_steps": 2, "epochs": 2}},
+    {"label": "ens", "kind": "ensemble", "flags": {"use_dae": True},
+     "config": {"inner_steps": 2, "epochs": 2, "ensemble_size": 2,
+                "subspace_ratio": 0.5, "latent_dim": 6}},
+]
+
+
+@pytest.fixture
+def trained_three_kinds(pipeline):
+    """A grey-box models directory with a plain, a hardened and an
+    ensemble defense."""
+    tmp_path, cfg_path, cfg = pipeline
+    cfg.update(threat_model="grey_box", surrogate=SURROGATE_SECTION, defenses=THREE_KINDS)
+    cfg_path.write_text(json.dumps(cfg))
+    assert run("train", "-c", str(cfg_path), "--out", str(tmp_path / "m")) == 0
+    return tmp_path, cfg_path
+
+
+def edit_json(path, edit):
+    record = json.loads(path.read_text())
+    edit(record)
+    path.write_text(json.dumps(record))
+
+
+class TestCheckpointFiles:
+    def test_one_file_per_model(self, trained_three_kinds):
+        tmp_path, cfg_path = trained_three_kinds
+        models = tmp_path / "m"
+        assert sorted(p.name for p in models.iterdir()) == [
+            "at.json", "basic.json", "ens.json", "surrogate.json", "trace.json"]
+        assert all(p.is_file() for p in models.iterdir())
+        assert run("evaluate", "-c", str(cfg_path), "--models", str(models),
+                   "--out", str(tmp_path / "ev")) == 0
+        report = json.loads((tmp_path / "ev" / "report.json").read_text())
+        assert sorted(report["defenses"]) == ["at", "basic", "ens"]
+
+    @pytest.mark.parametrize("name, edit, message", [
+        ("at.json", lambda r: r.pop("subset"), "at.json: missing key 'subset'"),
+        ("ens.json", lambda r: r["members"][1]["encoder"].pop("biases"),
+         "ens.json: malformed key 'members': malformed key 'encoder': missing key 'biases'"),
+        ("ens.json", lambda r: r.update(members=[]), "ens.json: an ensemble needs at least"),
+        ("ens.json", lambda r: r.update(members=["member_0.json", "member_1.json"]),
+         "ens.json: malformed key 'members': expected a JSON object, got str"),
+        ("basic.json", lambda r: r.pop("biases"), "basic.json: missing key 'biases'"),
+    ])
+    def test_bad_checkpoint_is_an_error_message(self, trained_three_kinds, capsys,
+                                                name, edit, message):
+        tmp_path, cfg_path = trained_three_kinds
+        edit_json(tmp_path / "m" / name, edit)
+        capsys.readouterr()
+        assert run("evaluate", "-c", str(cfg_path), "--models", str(tmp_path / "m"),
+                   "--out", str(tmp_path / "ev")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+
+def test_failed_report_write_keeps_previous_report(pipeline, monkeypatch):
+    tmp_path, cfg_path, _ = pipeline
+    models, out = str(tmp_path / "m"), tmp_path / "ev"
+    run("train", "-c", str(cfg_path), "--out", models)
+    assert run("evaluate", "-c", str(cfg_path), "--models", models, "--out", str(out)) == 0
+    before = (out / "report.json").read_bytes()
+    jsonable = cli.evaluation._jsonable
+
+    def unwritable(obj):
+        # the unserializable key sorts last, so the writer fails midway
+        top = isinstance(obj, dict) and "metadata" in obj
+        return {**jsonable(obj), "zz": object()} if top else jsonable(obj)
+    monkeypatch.setattr(cli.evaluation, "_jsonable", unwritable)
+    with pytest.raises(TypeError):
+        run("evaluate", "-c", str(cfg_path), "--models", models, "--out", str(out))
+    assert (out / "report.json").read_bytes() == before
+    assert sorted(p.name for p in out.iterdir()) == ["report.json", "report_table.txt"]

@@ -1,7 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from malrobust.data import (Dataset, ManipulationPolicy, admissible, binarize,
+from malrobust import data
+from malrobust.data import (Dataset, ManipulationPolicy, admissible, atomic_write, binarize,
                             generate_synthetic, oversample, project_to_m,
                             read_policy, read_sparse, split, write_policy,
                             write_sparse)
@@ -310,3 +313,40 @@ class TestPolicyIO:
         path.write_text("0 1 0\n1 0 1\n0 1 1\n")
         with pytest.raises(ValueError, match="line 3: duplicate index 0"):
             read_policy(path)
+
+
+class TestAtomicWrite:
+    def test_failed_write_sparse_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "ds.txt"
+        write_sparse(path, toy_dataset([3, 3], dim=5))
+        before = path.read_bytes()
+
+        def broken(v):
+            raise RuntimeError("disk full")
+        monkeypatch.setattr(data, "_format_value", broken)
+        with pytest.raises(RuntimeError):
+            write_sparse(path, toy_dataset([4, 4], dim=5, seed=1))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["ds.txt"]
+
+    def test_failed_write_policy_keeps_previous_file(self, tmp_path, rng):
+        path = tmp_path / "policy.txt"
+        write_policy(path, random_policy(rng, 4))
+        before = path.read_bytes()
+        short = SimpleNamespace(dim=3, addition_allowed=[1, 1], removal_allowed=[0, 0, 0])
+        with pytest.raises(IndexError):
+            write_policy(path, short)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["policy.txt"]
+
+    def test_replaces_target_with_ordinary_permissions(self, tmp_path):
+        plain = tmp_path / "plain.txt"
+        plain.write_text("x")
+        path = tmp_path / "out.txt"
+        path.write_text("old")
+        with atomic_write(path) as fh:
+            fh.write("new")
+            assert path.read_text() == "old"
+        assert path.read_text() == "new"
+        assert path.stat().st_mode == plain.stat().st_mode
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt", "plain.txt"]

@@ -17,7 +17,7 @@ from malrobust.nn import (AdamState, DenseStack, MlpClassifier,
 def identity_autoencoder(dim):
     enc = DenseStack([np.eye(dim)], [np.zeros(dim)], "relu", activate_last=True)
     dec = DenseStack([np.eye(dim)], [np.zeros(dim)], "relu", activate_last=False)
-    return DenoisingAutoencoder(enc, dec, dim)
+    return DenoisingAutoencoder(enc, dec)
 
 
 def small_task(dim=24, seed=3):
@@ -332,22 +332,27 @@ class TestCheckpoints:
                             hidden=(5,), ensemble_size=3, subspace_ratio=0.5,
                             seed=27)
         ens, _ = train_ensemble(ds, policy, cfg)
-        manifest = save_ensemble(tmp_path / "ens", ens)
-        back = load_ensemble(manifest)
+        path = tmp_path / "ens.json"
+        save_ensemble(path, ens)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ens.json"]
+        back = load_ensemble(path)
         assert back.l == 3
         assert np.allclose(back.predict_proba(ds.X), ens.predict_proba(ds.X),
                            atol=1e-15)
 
-    def test_ensemble_manifest_has_no_subspace_ratio(self, tmp_path):
+    def test_old_layout_manifest_rejected(self, tmp_path):
+        # the former layout: a directory with one file per member and a
+        # manifest naming them
         members = [HardenedClassifier(MlpClassifier.init([4, 3, 2], seed=s)) for s in (1, 2)]
-        manifest = save_ensemble(tmp_path / "ens", EnsembleClassifier(members))
-        record = json.loads(open(manifest).read())
-        assert "subspace_ratio" not in record
-        # manifests written before the key was dropped still load
-        record["subspace_ratio"] = 0.5
-        with open(manifest, "w") as fh:
-            json.dump(record, fh)
-        assert load_ensemble(manifest).l == 2
+        for i, member in enumerate(members):
+            save_hardened(tmp_path / f"member_{i}.json", member)
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({
+            "format_version": 1, "kind": "ensemble", "l": 2, "subsets": [None, None],
+            "members": ["member_0.json", "member_1.json"]}))
+        with pytest.raises(ValueError, match=r"manifest\.json: malformed key 'members': "
+                                             "expected a JSON object, got str"):
+            load_ensemble(manifest)
 
 
 def dae_hardened(dim=12, view=6, latent=4, seed=30):
@@ -451,3 +456,85 @@ class TestCheckpointChecks:
             DenseStack([np.zeros((3, 4))], [np.zeros(3)])
         with pytest.raises(ValueError, match="non-finite"):
             DenseStack([np.full((3, 4), np.inf)], [np.zeros(4)])
+
+    @pytest.mark.parametrize("edit, key", [
+        (lambda r: r.pop("subset"), "missing key 'subset'"),
+        (lambda r: r.pop("thresholds"), "missing key 'thresholds'"),
+        (lambda r: r.pop("input_dim"), "missing key 'input_dim'"),
+        (lambda r: r.pop("head"), "missing key 'head'"),
+        (lambda r: r.pop("decoder"), "missing key 'decoder'"),
+        (lambda r: r["encoder"].pop("biases"), "malformed key 'encoder': missing key 'biases'"),
+        (lambda r: r["head"].pop("activation"), "malformed key 'head': missing key 'activation'"),
+        (lambda r: r["head"].pop("layer_sizes"), "malformed key 'head': missing key 'layer_sizes'"),
+        (lambda r: r.update(subset="abc"), "malformed key 'subset'"),
+        (lambda r: r.update(subset=[0.5, 1, 2, 3, 4, 5]), "malformed key 'subset'"),
+        (lambda r: r.update(input_dim="12"), "malformed key 'input_dim'"),
+        (lambda r: r.update(head=[1, 2]), "malformed key 'head': expected a JSON object"),
+        (lambda r: r["head"].update(weights=[[[0.0, 1.0], [2.0]]]), "malformed key 'head'"),
+        (lambda r: r["head"].update(weights=[1.0]), "malformed key 'head': inconsistent"),
+        (lambda r: r.update(decoder=None), "needs both 'encoder' and 'decoder'"),
+        (lambda r: r["encoder"].update(activate_last="no"),
+         "malformed key 'encoder': malformed key 'activate_last': expected bool, got str"),
+        (lambda r: r["head"].update(activation=5), "malformed key 'activation'"),
+    ])
+    def test_missing_or_malformed_key_names_key_and_file(self, tmp_path, edit, key):
+        with pytest.raises(ValueError, match=r"hardened\.json: .*" + key):
+            load_hardened(tampered(tmp_path, dae_hardened(), edit))
+
+    @pytest.mark.parametrize("text, message", [
+        ("[1, 2]", "expected a JSON object, got list"),
+        ('{"kind": "hardened"}', "missing key 'format_version'"),
+        ('{"format_version": 1}', "missing key 'kind'"),
+        ("{", "Expecting"),
+    ])
+    def test_malformed_file_names_file(self, tmp_path, text, message):
+        path = tmp_path / "hardened.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=r"hardened\.json: " + message):
+            load_hardened(path)
+
+
+class TestEnsembleChecks:
+    def test_one_file_holds_each_member_record(self, tmp_path):
+        members = [dae_hardened(seed=s) for s in (1, 2)]
+        save_ensemble(tmp_path / "ens.json", EnsembleClassifier(members))
+        save_hardened(tmp_path / "member.json", members[1])
+        record = json.loads((tmp_path / "ens.json").read_text())
+        single = json.loads((tmp_path / "member.json").read_text())
+        assert sorted(record) == ["format_version", "kind", "members"]
+        assert record["kind"] == "ensemble"
+        del single["format_version"], single["kind"]
+        assert record["members"][1] == single
+
+    def test_empty_ensemble_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="at least one member"):
+            EnsembleClassifier([])
+        path = tmp_path / "ens.json"
+        save_ensemble(path, EnsembleClassifier([dae_hardened()]))
+        record = json.loads(path.read_text())
+        record["members"] = []
+        path.write_text(json.dumps(record))
+        with pytest.raises(ValueError, match=r"ens\.json: .*at least one member"):
+            load_ensemble(path)
+
+    @pytest.mark.parametrize("other", [
+        dae_hardened(dim=13),
+        HardenedClassifier(MlpClassifier.init([12, 3], seed=1)),
+    ])
+    def test_members_must_agree_on_width_and_classes(self, other):
+        with pytest.raises(ValueError, match="members disagree"):
+            EnsembleClassifier([dae_hardened(), other])
+
+    def test_members_key_must_be_a_list_of_records(self, tmp_path):
+        path = tmp_path / "ens.json"
+        path.write_text(json.dumps({"format_version": 1, "kind": "ensemble", "members": 3}))
+        with pytest.raises(ValueError, match=r"ens\.json: malformed key 'members'"):
+            load_ensemble(path)
+
+
+class TestDaeLatentDim:
+    def test_latent_dim_is_the_encoder_width(self):
+        enc = DenseStack.init([9, 4], seed=1, activate_last=True)
+        dec = DenseStack.init([4, 9], seed=2)
+        assert DenoisingAutoencoder(enc, dec).latent_dim == 4
+        assert DenoisingAutoencoder.init(9, 3, seed=1).latent_dim == 3

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -283,3 +284,22 @@ class TestCheckpoint:
         path.write_text(text)
         with pytest.raises(ValueError, match="version"):
             nn.load_model(path)
+
+    def test_missing_key_names_key_and_file(self, tmp_path):
+        path = tmp_path / "model.json"
+        nn.save_model(path, MlpClassifier.init([3, 2], seed=0))
+        record = json.loads(path.read_text())
+        del record["weights"]
+        path.write_text(json.dumps(record))
+        with pytest.raises(ValueError, match=r"model\.json: missing key 'weights'"):
+            nn.load_model(path)
+
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path):
+        path = tmp_path / "model.json"
+        nn.save_model(path, MlpClassifier.init([3, 2], seed=0))
+        before = path.read_bytes()
+        unwritable = MlpClassifier.init([3, 2], activation=object(), seed=1)
+        with pytest.raises(TypeError):
+            nn.save_model(path, unwritable)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]

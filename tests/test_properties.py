@@ -1,5 +1,6 @@
-"""Property tests: projection onto the manipulation domain and the
-sparse-dataset and policy file round trips."""
+"""Property tests: projection onto the manipulation domain, the
+sparse-dataset and policy file round trips, and the checkpoint round
+trips of hardened models and ensembles."""
 
 import os
 import tempfile
@@ -11,6 +12,10 @@ from hypothesis.extra.numpy import arrays
 
 from malrobust.data import (Dataset, ManipulationPolicy, admissible, project_to_m,
                             read_policy, read_sparse, write_policy, write_sparse)
+from malrobust.defenses import (DenoisingAutoencoder, EnsembleClassifier,
+                                HardenedClassifier, load_ensemble, load_hardened,
+                                save_ensemble, save_hardened)
+from malrobust.nn import MlpClassifier
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -70,3 +75,80 @@ def test_policy_round_trip(flags):
         back = read_policy(path)
     assert np.array_equal(back.addition_allowed, policy.addition_allowed)
     assert np.array_equal(back.removal_allowed, policy.removal_allowed)
+
+
+@st.composite
+def hardened_models(draw, dim, classes):
+    """A hardened model over ``dim`` inputs with or without a feature
+    subset, thresholds and a DAE, its weights drawn from a seed."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    subset = None
+    if draw(st.booleans()):
+        subset = np.sort(rng.choice(dim, size=draw(st.integers(1, dim)), replace=False))
+    view = dim if subset is None else len(subset)
+    thresholds = rng.random(view) if draw(st.booleans()) else None
+    activation = draw(st.sampled_from(["relu", "elu"]))
+    dae = None
+    if draw(st.booleans()):
+        dae = DenoisingAutoencoder.init(view, draw(st.integers(1, 6)), activation, seed=rng)
+    hidden = draw(st.lists(st.integers(1, 6), max_size=2))
+    head_in = view if dae is None else dae.latent_dim
+    head = MlpClassifier.init([head_in] + hidden + [classes], activation, seed=rng)
+    return HardenedClassifier(head, dae, subset, thresholds, dim)
+
+
+@st.composite
+def ensembles(draw):
+    dim, classes = draw(st.integers(1, 10)), draw(st.integers(2, 3))
+    members = draw(st.lists(hardened_models(dim, classes), min_size=1, max_size=3))
+    return EnsembleClassifier(members)
+
+
+def same_hardened(a, b):
+    pairs = [(a.mlp, b.mlp)]
+    if a.dae is not None:
+        pairs += [(a.dae.encoder, b.dae.encoder), (a.dae.decoder, b.dae.decoder)]
+    assert (b.dae is None) == (a.dae is None)
+    for x, y in pairs:
+        assert x.activation == y.activation
+        assert all(np.array_equal(p, q) for p, q in zip(x.weights + x.biases,
+                                                           y.weights + y.biases))
+    for field in ("subset", "thresholds"):
+        assert (getattr(b, field) is None) == (getattr(a, field) is None)
+        assert getattr(a, field) is None or np.array_equal(getattr(a, field),
+                                                           getattr(b, field))
+    assert b.input_dim == a.input_dim
+
+
+def binary_inputs(dim):
+    return (np.random.default_rng(0).random((6, dim)) < 0.5).astype(float)
+
+
+CHECKPOINT_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+@CHECKPOINT_SETTINGS
+@given(st.integers(1, 10).flatmap(lambda d: hardened_models(d, 2)))
+def test_hardened_checkpoint_round_trip(clf):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "hardened.json")
+        save_hardened(path, clf)
+        back = load_hardened(path)
+    same_hardened(clf, back)
+    X = binary_inputs(clf.input_dim)
+    assert np.array_equal(back.predict_proba(X), clf.predict_proba(X))
+
+
+@CHECKPOINT_SETTINGS
+@given(ensembles())
+def test_ensemble_checkpoint_round_trip(ens):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ens.json")
+        save_ensemble(path, ens)
+        assert os.listdir(tmp) == ["ens.json"]
+        back = load_ensemble(path)
+    assert back.l == ens.l
+    for a, b in zip(ens.members, back.members):
+        same_hardened(a, b)
+    X = binary_inputs(ens.members[0].input_dim)
+    assert np.array_equal(back.predict_proba(X), ens.predict_proba(X))
