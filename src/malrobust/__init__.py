@@ -9,9 +9,9 @@ from .nn import (AdamState, GradientBundle, MlpClassifier, adam_step, backward,
 from .attacks import (ATTACK_NAMES, GREY_BOX, WHITE_BOX, AttackConfig,
                       AttackOutcome, run_attack_suite, run_single)
 from .defenses import (DefenseConfig, DenoisingAutoencoder, EnsembleClassifier,
-                       HardenedClassifier, dae_loss, inner_maximize,
-                       load_ensemble, load_hardened, salt_pepper, save_ensemble,
-                       save_hardened, train_ensemble, train_hardened)
+                       HardenedClassifier, inner_maximize, load_ensemble,
+                       load_hardened, save_ensemble, save_hardened,
+                       train_ensemble, train_hardened)
 from .evaluation import (DefenseSpec, binary_metrics, evaluate_models,
                          harmonic_mean, macro_f1, report_table, run_experiment,
                          train_models)

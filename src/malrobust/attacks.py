@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import project_to_m
+from .data import _check_binary, project_to_m
 from .nn import MAXIMIZE, AdamState, adam_step
 
 WHITE_BOX = "white_box"
@@ -63,6 +63,14 @@ class AttackConfig:
             raise ValueError(f"unknown attack {self.name!r}")
         if self.max_steps < 0:
             raise ValueError("max_steps must be >= 0")
+        if self.step_size <= 0:
+            raise ValueError("step_size must be positive")
+        if self.epsilon_ball is not None and self.epsilon_ball <= 0:
+            raise ValueError("epsilon_ball must be positive or None")
+        if self.mimicry_candidates < 1:
+            raise ValueError("mimicry_candidates must be >= 1")
+        if self.mimicry_selection not in ("nearest", "random"):
+            raise ValueError(f"unknown mimicry_selection {self.mimicry_selection!r}")
 
     @classmethod
     def for_attack(cls, name: str, **overrides) -> "AttackConfig":
@@ -315,9 +323,12 @@ ATTACK_NAMES = tuple(_ATTACKS)
 
 def run_single(model, x, y, policy, config: AttackConfig,
                benign_pool=None, rng=None) -> AttackOutcome:
-    """Run one attack against one example."""
-    return _ATTACKS[config.name](model, np.asarray(x, dtype=float), y, policy, config,
-                                 benign_pool, rng)
+    """Run one attack against one binary example with a label of the model."""
+    x = np.asarray(x, dtype=float)
+    _check_binary(x)
+    if not 0 <= y < model.class_count:
+        raise ValueError(f"label {y} outside [0, {model.class_count})")
+    return _ATTACKS[config.name](model, x, y, policy, config, benign_pool, rng)
 
 
 def run_attack_suite(victim, X, y, policy, configs, threat_model=WHITE_BOX,

@@ -41,10 +41,6 @@ class ManipulationPolicy:
                                   self.removal_allowed[subset])
 
     @classmethod
-    def allow_all(cls, dim: int) -> "ManipulationPolicy":
-        return cls(np.ones(dim, dtype=bool), np.ones(dim, dtype=bool))
-
-    @classmethod
     def additions_only(cls, dim: int) -> "ManipulationPolicy":
         return cls(np.ones(dim, dtype=bool), np.zeros(dim, dtype=bool))
 

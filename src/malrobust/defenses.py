@@ -21,10 +21,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import Dataset, binarize, oversample, project_to_m
-from .nn import (MAXIMIZE, AdamState, DenseStack, MlpClassifier,
-                 _batch_param_gradients, _check_width, _field, _model_from_record,
-                 _model_record, _read_checkpoint, _write_checkpoint, adam_step,
-                 child_seed, cross_entropy)
+from .nn import (MAXIMIZE, AdamState, DenseStack, MlpClassifier, _adam_states,
+                 _adam_update, _batch_param_gradients, _check_width, _field,
+                 _model_from_record, _model_record, _read_checkpoint,
+                 _write_checkpoint, adam_step, child_seed, cross_entropy)
 
 
 @dataclass
@@ -52,6 +52,10 @@ class DefenseConfig:
             raise ValueError("noise_ratio_max must be in [0, 1]")
         if not 0.0 < self.subspace_ratio <= 1.0:
             raise ValueError("subspace_ratio must be in (0, 1]")
+        if not 0.0 < self.data_fraction <= 1.0:
+            raise ValueError("data_fraction must be in (0, 1]")
+        if min(self.epochs, self.restarts, self.inner_steps) < 0:
+            raise ValueError("epochs, restarts and inner_steps must be >= 0")
 
     @classmethod
     def adversarial_training_profile(cls, **overrides) -> "DefenseConfig":
@@ -86,26 +90,13 @@ class DenoisingAutoencoder:
         dec = DenseStack.init([latent_dim, dim], activation, seed=rng)
         return cls(enc, dec)
 
-    def encode(self, X):
-        return self.encoder.forward(X)
-
     def reconstruct(self, X):
         return self.decoder.forward(self.encoder.forward(X))
 
 
-def salt_pepper(x, ratio: float, seed=0):
-    """Force a uniformly chosen floor(ratio*dim) subset of coordinates to
-    0 or 1 with equal probability."""
-    if not 0.0 <= ratio <= 1.0:
-        raise ValueError("ratio must be in [0, 1]")
-    rng = np.random.default_rng(seed)
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        return _salt_pepper_batch(x[None, :], ratio, rng)[0]
-    return _salt_pepper_batch(x, ratio, rng)
-
-
 def _salt_pepper_batch(X, ratio, rng):
+    """Force a uniformly chosen floor(ratio*dim) subset of each row's
+    coordinates to 0 or 1 with equal probability."""
     n, d = X.shape
     k = int(math.floor(ratio * d))
     out = X.copy()
@@ -118,21 +109,11 @@ def _salt_pepper_batch(X, ratio, rng):
     return out
 
 
-def _mse(a, b):
-    return np.mean((a - b) ** 2, axis=-1)
-
-
-def dae_loss(ae: DenoisingAutoencoder, x_clean, x_noisy, x_adv):
-    """Reconstruction error of the noisy and the adversarial input, both
-    measured against the clean vector (mean squared error over features)."""
-    r_noisy = ae.reconstruct(x_noisy)
-    r_adv = ae.reconstruct(x_adv)
-    loss = _mse(x_clean, r_noisy) + _mse(x_clean, r_adv)
-    return float(loss) if np.ndim(loss) == 0 else loss
-
-
 def _dae_param_grads(ae, X_clean, inputs):
-    """Mean gradients of the summed reconstruction losses for a batch."""
+    """Mean gradients of the summed reconstruction losses for a batch, and
+    that loss: the reconstruction error of each input (the noisy and the
+    adversarial batch) against the clean batch, as a mean squared error
+    over rows and features."""
     n, d = X_clean.shape
     enc_wg = [np.zeros_like(W) for W in ae.encoder.weights]
     enc_bg = [np.zeros_like(b) for b in ae.encoder.biases]
@@ -347,13 +328,10 @@ def train_hardened(dataset: Dataset, policy, config: DefenseConfig, *,
     head = MlpClassifier.init(head_sizes, config.activation, seed=rng)
     view_model = HardenedClassifier(head, dae, None, None)
 
-    head_w = [AdamState.zeros(W.shape, config.lr) for W in head.weights]
-    head_b = [AdamState.zeros(b.shape, config.lr) for b in head.biases]
+    head_states = _adam_states(head, config.lr)
     if use_dae:
-        enc_w = [AdamState.zeros(W.shape, config.lr) for W in dae.encoder.weights]
-        enc_b = [AdamState.zeros(b.shape, config.lr) for b in dae.encoder.biases]
-        dec_w = [AdamState.zeros(W.shape, config.lr) for W in dae.decoder.weights]
-        dec_b = [AdamState.zeros(b.shape, config.lr) for b in dae.decoder.biases]
+        enc_states = _adam_states(dae.encoder, config.lr)
+        dec_states = _adam_states(dae.decoder, config.lr)
 
     trace = []
     for _ in range(config.epochs):
@@ -368,21 +346,17 @@ def train_hardened(dataset: Dataset, policy, config: DefenseConfig, *,
                 ratio = rng.uniform(0.0, config.noise_ratio_max)
                 X_noisy = _salt_pepper_batch(Xb, ratio, rng)
                 ewg, ebg, dwg, dbg, _ = _dae_param_grads(dae, Xb, (X_noisy, X_adv))
-                for i in range(len(dae.encoder.weights)):
-                    dae.encoder.weights[i] = adam_step(enc_w[i], dae.encoder.weights[i], ewg[i])
-                    dae.encoder.biases[i] = adam_step(enc_b[i], dae.encoder.biases[i], ebg[i])
-                for i in range(len(dae.decoder.weights)):
-                    dae.decoder.weights[i] = adam_step(dec_w[i], dae.decoder.weights[i], dwg[i])
-                    dae.decoder.biases[i] = adam_step(dec_b[i], dae.decoder.biases[i], dbg[i])
+                _adam_update(dae.encoder, enc_states, ewg, ebg)
+                _adam_update(dae.decoder, dec_states, dwg, dbg)
 
             # classifier step through the (frozen) encoder
             Hb = dae.encoder.forward(Xb) if use_dae else Xb
             Ha = dae.encoder.forward(X_adv) if use_dae else X_adv
             wg1, bg1, l1 = _batch_param_gradients(head, Hb, yb)
             wg2, bg2, l2 = _batch_param_gradients(head, Ha, yb)
-            for i in range(len(head.weights)):
-                head.weights[i] = adam_step(head_w[i], head.weights[i], wg1[i] + wg2[i])
-                head.biases[i] = adam_step(head_b[i], head.biases[i], bg1[i] + bg2[i])
+            # generators: one layer's summed gradients are alive at a time
+            _adam_update(head, head_states, (a + b for a, b in zip(wg1, wg2)),
+                         (a + b for a, b in zip(bg1, bg2)))
             batch_losses.append(l1 + l2)
         trace.append(float(np.mean(batch_losses)))
 

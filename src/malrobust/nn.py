@@ -21,6 +21,7 @@ from .data import atomic_write
 PROB_FLOOR = 1e-12  # inside log, so a saturated softmax never yields -inf
 MINIMIZE = "minimize"
 MAXIMIZE = "maximize"
+ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
 CHECKPOINT_VERSION = 1
 
 
@@ -248,10 +249,6 @@ class MlpClassifier:
         xg, _ = _stack_backward(self.weights, self.activation, zs, cot2, False)
         return xg if np.ndim(X) == 2 else xg[0]
 
-    def copy(self) -> "MlpClassifier":
-        return MlpClassifier([W.copy() for W in self.weights],
-                             [b.copy() for b in self.biases], self.activation)
-
 
 def _ce_logit_cotangent(p: np.ndarray, y: np.ndarray) -> np.ndarray:
     # dL/dlogits for L = -log(max(p_y, floor)); zero where the floor is active
@@ -337,16 +334,11 @@ class AdamState:
     first_moment: np.ndarray
     second_moment: np.ndarray
     learning_rate: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon_stab: float = 1e-8
     step: int = 0
 
     @classmethod
-    def zeros(cls, shape, learning_rate=0.001, beta1=0.9, beta2=0.999,
-              epsilon_stab=1e-8):
-        return cls(np.zeros(shape), np.zeros(shape), learning_rate,
-                   beta1, beta2, epsilon_stab)
+    def zeros(cls, shape, learning_rate=0.001):
+        return cls(np.zeros(shape), np.zeros(shape), learning_rate)
 
 
 def adam_step(state: AdamState, variables: np.ndarray, grads: np.ndarray,
@@ -363,11 +355,24 @@ def adam_step(state: AdamState, variables: np.ndarray, grads: np.ndarray,
     elif direction != MINIMIZE:
         raise ValueError(f"unknown direction {direction!r}")
     state.step += 1
-    state.first_moment = state.beta1 * state.first_moment + (1 - state.beta1) * g
-    state.second_moment = state.beta2 * state.second_moment + (1 - state.beta2) * g * g
-    m_hat = state.first_moment / (1 - state.beta1 ** state.step)
-    v_hat = state.second_moment / (1 - state.beta2 ** state.step)
-    return variables - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon_stab)
+    state.first_moment = ADAM_BETA1 * state.first_moment + (1 - ADAM_BETA1) * g
+    state.second_moment = ADAM_BETA2 * state.second_moment + (1 - ADAM_BETA2) * g * g
+    m_hat = state.first_moment / (1 - ADAM_BETA1 ** state.step)
+    v_hat = state.second_moment / (1 - ADAM_BETA2 ** state.step)
+    return variables - state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
+
+
+def _adam_states(model, learning_rate):
+    """One (weight, bias) pair of Adam states per layer of a dense model."""
+    return [(AdamState.zeros(W.shape, learning_rate), AdamState.zeros(b.shape, learning_rate))
+            for W, b in zip(model.weights, model.biases)]
+
+
+def _adam_update(model, states, weight_grads, bias_grads) -> None:
+    """One Adam step on each layer's weights, then its bias, in place."""
+    for i, ((w_state, b_state), wg, bg) in enumerate(zip(states, weight_grads, bias_grads)):
+        model.weights[i] = adam_step(w_state, model.weights[i], wg)
+        model.biases[i] = adam_step(b_state, model.biases[i], bg)
 
 
 def train_supervised(model: MlpClassifier, dataset, epochs: int,
@@ -383,8 +388,7 @@ def train_supervised(model: MlpClassifier, dataset, epochs: int,
     if len(X) == 0:
         raise ValueError("empty dataset")
     rng = np.random.default_rng(seed)
-    w_states = [AdamState.zeros(W.shape, lr) for W in model.weights]
-    b_states = [AdamState.zeros(b.shape, lr) for b in model.biases]
+    states = _adam_states(model, lr)
     trace = []
     for _ in range(epochs):
         perm = rng.permutation(len(X))
@@ -392,9 +396,7 @@ def train_supervised(model: MlpClassifier, dataset, epochs: int,
         for start in range(0, len(X), batch_size):
             sel = perm[start:start + batch_size]
             wg, bg, loss = _batch_param_gradients(model, X[sel], y[sel])
-            for i in range(len(model.weights)):
-                model.weights[i] = adam_step(w_states[i], model.weights[i], wg[i])
-                model.biases[i] = adam_step(b_states[i], model.biases[i], bg[i])
+            _adam_update(model, states, wg, bg)
             losses.append(loss)
         trace.append(float(np.mean(losses)))
     return model, trace
@@ -447,7 +449,7 @@ def _model_from_record(record, cls=MlpClassifier):
 def _write_checkpoint(path, kind: str, fields: dict) -> None:
     record = {"format_version": CHECKPOINT_VERSION, "kind": kind, **fields}
     with atomic_write(path) as fh:
-        json.dump(record, fh, sort_keys=True)
+        fh.write(json.dumps(record, sort_keys=True))
 
 
 def _read_checkpoint(path, kind: str, from_record):

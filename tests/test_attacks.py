@@ -379,3 +379,35 @@ class TestSuite:
         for name in a:
             for o1, o2 in zip(a[name], b[name]):
                 assert np.array_equal(o1.x_adv, o2.x_adv)
+
+
+class TestBadValues:
+    @pytest.mark.parametrize("overrides, message", [
+        ({"mimicry_selection": "randm"}, "mimicry_selection"),
+        ({"step_size": 0.0}, "step_size"),
+        ({"step_size": -0.1}, "step_size"),
+        ({"epsilon_ball": 0.0}, "epsilon_ball"),
+        ({"epsilon_ball": -1.0}, "epsilon_ball"),
+        ({"mimicry_candidates": 0}, "mimicry_candidates"),
+    ])
+    def test_config_rejects(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            AttackConfig.for_attack("mimicry", **overrides)
+
+    def test_config_accepts_both_selections(self):
+        for selection in ("nearest", "random"):
+            assert AttackConfig("mimicry", mimicry_selection=selection).mimicry_selection == selection
+
+    @pytest.mark.parametrize("name", ["fgsm", "bca", "pgd_l2", "random"])
+    @pytest.mark.parametrize("label", [2, 5, -1])
+    def test_label_outside_the_model_rejected(self, name, label):
+        cfg = AttackConfig.for_attack(name, max_steps=3)
+        with pytest.raises(ValueError, match="label"):
+            run_single(always_predicts(1, 3), np.zeros(3), label, allow_all(3), cfg)
+
+    @pytest.mark.parametrize("name", ["fgsm", "bca", "pgd_l2", "random"])
+    def test_non_binary_example_rejected(self, name):
+        cfg = AttackConfig.for_attack(name, max_steps=3)
+        with pytest.raises(ValueError, match="not binary"):
+            run_single(always_predicts(1, 3), np.array([0.0, 0.5, 1.0]), 1,
+                       allow_all(3), cfg)

@@ -280,6 +280,38 @@ class TestConfigValidation:
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["cfg.json", "sub"]
 
 
+class TestBadValues:
+    @pytest.mark.parametrize("key, value", [("epochs", -1), ("restarts", -2),
+                                            ("inner_steps", -1), ("data_fraction", 3.0)])
+    def test_bad_defense_value_reported(self, pipeline, capsys, key, value):
+        tmp_path, cfg_path, cfg = pipeline
+        cfg["defenses"] = [{"label": "at", "kind": "hardened", "config": {key: value}}]
+        cfg_path.write_text(json.dumps(cfg))
+        assert run("train", "-c", str(cfg_path), "--out", str(tmp_path / "m")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+        assert not (tmp_path / "m").exists()
+
+    @pytest.mark.parametrize("entry", [
+        {"name": "mimicry", "mimicry_selection": "randm"},
+        {"name": "mimicry", "mimicry_candidates": 0},
+        {"name": "pgd_l2", "step_size": -1.0},
+        {"name": "pgd_linf", "epsilon_ball": 0.0},
+    ])
+    def test_bad_attack_value_reported(self, pipeline, capsys, entry):
+        tmp_path, cfg_path, cfg = pipeline
+        assert run("train", "-c", str(cfg_path), "--out", str(tmp_path / "m")) == 0
+        cfg["attacks"] = [entry]
+        cfg_path.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        assert run("attack", "-c", str(cfg_path), "--models", str(tmp_path / "m"),
+                   "--out", str(tmp_path / "atk")) == 2
+        key = next(k for k in entry if k != "name")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+        assert not (tmp_path / "atk").exists()
+
+
 THREE_KINDS = [
     {"label": "basic", "kind": "plain"},
     {"label": "at", "kind": "hardened", "config": {"inner_steps": 2, "epochs": 2}},

@@ -6,10 +6,10 @@ import pytest
 from malrobust.data import Dataset, ManipulationPolicy, generate_synthetic
 from malrobust.defenses import (DefenseConfig, DenoisingAutoencoder,
                                 EnsembleClassifier, HardenedClassifier,
-                                _dae_param_grads, _salt_pepper_batch, dae_loss,
+                                _dae_param_grads, _salt_pepper_batch,
                                 inner_maximize, load_ensemble, load_hardened,
-                                salt_pepper, save_ensemble, save_hardened,
-                                train_ensemble, train_hardened)
+                                save_ensemble, save_hardened, train_ensemble,
+                                train_hardened)
 from malrobust.nn import (AdamState, DenseStack, MlpClassifier,
                           _batch_param_gradients, adam_step, cross_entropy)
 
@@ -24,6 +24,16 @@ def small_task(dim=24, seed=3):
     ds, _ = generate_synthetic(dim, 2, 40, 0.05, seed=seed)
     policy = ManipulationPolicy(np.ones(dim, bool), np.zeros(dim, bool))
     return ds, policy
+
+
+def salt_pepper(x, ratio, seed):
+    """One-row salt-and-pepper noise through the batch kernel training uses."""
+    return _salt_pepper_batch(x[None, :], ratio, np.random.default_rng(seed))[0]
+
+
+def dae_loss(ae, x_clean, x_noisy, x_adv):
+    """The loss _dae_param_grads returns for one-row batches."""
+    return _dae_param_grads(ae, x_clean[None, :], (x_noisy[None, :], x_adv[None, :]))[-1]
 
 
 class TestSaltPepper:
@@ -46,6 +56,13 @@ class TestSaltPepper:
         changed = np.sum(out != x)
         assert changed <= 10  # floor(0.25 * 40), some may coincide by value
         assert np.all(np.isin(out[out != x], [0.0, 1.0]))
+
+    def test_rows_draw_their_own_coordinates(self):
+        X = np.full((50, 40), 0.5)
+        out = _salt_pepper_batch(X, 0.25, np.random.default_rng(5))
+        touched = out != X
+        assert np.all(touched.sum(axis=1) == 10)
+        assert len({row.tobytes() for row in touched}) > 1
 
 
 class TestDaeLoss:
@@ -74,6 +91,29 @@ class TestDaeLoss:
         r2 = h2 @ ae.decoder.weights[0] + ae.decoder.biases[0]
         expected = np.mean((x - r1) ** 2) + np.mean((x - r2) ** 2)
         assert abs(dae_loss(ae, x, noisy, adv) - expected) < 1e-12
+
+
+class TestDaeParamGrads:
+    def test_matches_finite_differences_of_its_loss(self, rng):
+        ae = DenoisingAutoencoder.init(6, 4, activation="elu", seed=12)
+        X = (rng.random((3, 6)) < 0.5).astype(float)
+        inputs = (rng.random((3, 6)), rng.random((3, 6)))
+        *grads, _ = _dae_param_grads(ae, X, inputs)
+        params = (ae.encoder.weights, ae.encoder.biases,
+                  ae.decoder.weights, ae.decoder.biases)
+        eps = 1e-6
+        for arrays, grad_list in zip(params, grads):
+            for P, G in zip(arrays, grad_list):
+                fd = np.zeros_like(P)
+                for idx in np.ndindex(P.shape):
+                    saved = P[idx]
+                    P[idx] = saved + eps
+                    up = _dae_param_grads(ae, X, inputs)[-1]
+                    P[idx] = saved - eps
+                    down = _dae_param_grads(ae, X, inputs)[-1]
+                    P[idx] = saved
+                    fd[idx] = (up - down) / (2 * eps)
+                assert np.allclose(G, fd, rtol=1e-5, atol=1e-8)
 
 
 class TestInnerMaximize:
@@ -225,6 +265,30 @@ class TestTrainHardened:
                             hidden=(4,), oversample_ratio=0.5, seed=16)
         clf, _ = train_hardened(ds, policy, cfg)  # just exercises the path
         assert clf.predict(X).shape == (34,)
+
+
+class TestBadValues:
+    @pytest.mark.parametrize("overrides", [
+        {"epochs": -1}, {"restarts": -1}, {"inner_steps": -1},
+        {"data_fraction": 0.0}, {"data_fraction": -0.2}, {"data_fraction": 3.0},
+    ])
+    def test_config_rejects(self, overrides):
+        with pytest.raises(ValueError, match=next(iter(overrides))):
+            DefenseConfig(**overrides)
+
+    def test_zero_counts_and_full_data_accepted(self):
+        cfg = DefenseConfig(epochs=0, restarts=0, inner_steps=0, data_fraction=1.0)
+        assert (cfg.epochs, cfg.restarts, cfg.inner_steps) == (0, 0, 0)
+
+    @pytest.mark.parametrize("use_dae", [False, True])
+    def test_no_hidden_layers_trains_a_linear_head(self, use_dae):
+        ds, policy = small_task()
+        cfg = DefenseConfig(inner_steps=2, epochs=20, batch_size=16, lr=0.05,
+                            hidden=(), latent_dim=8, seed=31)
+        clf, trace = train_hardened(ds, policy, cfg, use_dae=use_dae)
+        assert len(clf.mlp.weights) == 1
+        assert trace[-1] < trace[0]
+        assert np.mean(clf.predict(ds.X) == ds.y) > 0.8
 
 
 class TestEnsemble:
