@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .data import _check_binary, project_to_m
-from .nn import MAXIMIZE, AdamState, adam_step
+from .nn import MAXIMIZE, AdamState, _check_config_types, adam_step
 
 WHITE_BOX = "white_box"
 GREY_BOX = "grey_box"
@@ -61,6 +61,11 @@ class AttackConfig:
     def __post_init__(self):
         if self.name not in ATTACK_NAMES:
             raise ValueError(f"unknown attack {self.name!r}")
+        reals = ["step_size", "ead_beta", "ead_kappa", "ead_c"]
+        if self.epsilon_ball is not None:
+            reals.append("epsilon_ball")
+        _check_config_types({k: getattr(self, k) for k in ("max_steps", "mimicry_candidates")},
+                            {k: getattr(self, k) for k in reals})
         if self.max_steps < 0:
             raise ValueError("max_steps must be >= 0")
         if self.step_size <= 0:

@@ -152,7 +152,7 @@ def _defense_specs(cfg):
     for entry in entries:
         # the "model" section holds defaults for each defense's config
         raw = {**cfg.get("model", {}), **entry.get("config", {})}
-        if "hidden" in raw:
+        if isinstance(raw.get("hidden"), list):
             raw["hidden"] = tuple(raw["hidden"])
         dc = defenses.DefenseConfig(seed=cfg["seed"], **raw)
         specs.append(evaluation.DefenseSpec(entry["label"], entry.get("kind", "plain"),

@@ -22,9 +22,10 @@ import numpy as np
 
 from .data import Dataset, binarize, oversample, project_to_m
 from .nn import (MAXIMIZE, AdamState, DenseStack, MlpClassifier, _adam_states,
-                 _adam_update, _batch_param_gradients, _check_width, _field,
-                 _model_from_record, _model_record, _read_checkpoint,
-                 _write_checkpoint, adam_step, child_seed, cross_entropy)
+                 _adam_update, _batch_param_gradients, _check_config_types,
+                 _check_input, _field, _like_input, _model_from_record,
+                 _model_record, _read_checkpoint, _write_checkpoint, adam_step,
+                 child_seed, cross_entropy, softmax)
 
 
 @dataclass
@@ -46,6 +47,14 @@ class DefenseConfig:
     seed: object = 0
 
     def __post_init__(self):
+        if not isinstance(self.hidden, (tuple, list)):
+            raise ValueError(f"hidden must be a list of layer widths, got {self.hidden!r}")
+        _check_config_types(
+            {**{k: getattr(self, k) for k in ("inner_steps", "restarts", "ensemble_size",
+                                              "epochs", "batch_size", "latent_dim")},
+             **{f"hidden[{i}]": h for i, h in enumerate(self.hidden)}},
+            {k: getattr(self, k) for k in ("inner_lr", "noise_ratio_max", "subspace_ratio",
+                                           "data_fraction", "oversample_ratio", "lr")})
         if self.inner_lr <= 0 or self.lr <= 0 or self.batch_size < 1:
             raise ValueError("rates and batch size must be positive")
         if not 0.0 <= self.noise_ratio_max <= 1.0:
@@ -178,56 +187,38 @@ class HardenedClassifier:
         return self.mlp.class_count
 
     def _view(self, X):
-        X2 = np.atleast_2d(np.asarray(X, dtype=float))
-        _check_width(X2, self.input_dim)
+        X2 = _check_input(X, self.input_dim)
         if self.subset is not None:
             X2 = X2[:, self.subset]
         if self.thresholds is not None:
             X2 = binarize(X2, self.thresholds)
         return X2
 
-    def _encode(self, V):
-        return self.dae.encoder.forward(V) if self.dae is not None else V
-
-    def predict_proba(self, X):
-        p = self.mlp.predict_proba(self._encode(self._view(X)))
-        return p if np.ndim(X) == 2 else p[0]
-
-    def predict(self, X):
-        return np.argmax(self.predict_proba(X), axis=-1)
-
-    def logits(self, X):
-        z = self.mlp.logits(self._encode(self._view(X)))
-        return z if np.ndim(X) == 2 else z[0]
-
-    def loss(self, X, y):
-        return cross_entropy(self.predict_proba(X), y)
-
-    def _scatter(self, X, view_grads):
-        if self.subset is None:
-            out = view_grads
-        else:
-            X2 = np.atleast_2d(np.asarray(X, dtype=float))
-            out = np.zeros_like(X2)
-            out[:, self.subset] = view_grads
-        return out if np.ndim(X) == 2 else out[0]
-
-    def _view_grads(self, X, head_grad_fn):
+    def _pullback(self, X):
+        """Head logits of X, and the map from a logit cotangent to the
+        full-width input gradient over this forward."""
         V = self._view(X)
-        if self.dae is None:
-            return head_grad_fn(V)
-        H, enc_zs = self.dae.encoder.forward_cached(V)
-        return self.dae.encoder.input_backward(enc_zs, head_grad_fn(H))
+        H, encoder_pull = (V, lambda g: g) if self.dae is None \
+            else self.dae.encoder._pullback(V)
+        z, head_pull = self.mlp._pullback(H)
 
-    def input_gradients(self, X, y):
-        y2 = np.atleast_1d(np.asarray(y, dtype=int))
-        vg = self._view_grads(X, lambda H: self.mlp.input_gradients(H, y2))
-        return self._scatter(X, vg)
+        def pull(cot):
+            g = encoder_pull(head_pull(cot))
+            if self.subset is None:
+                return g
+            out = np.zeros((len(g), self.input_dim))
+            out[:, self.subset] = g
+            return out
+        return z, pull
 
-    def logit_cot_input_gradients(self, X, cot):
-        cot2 = np.atleast_2d(np.asarray(cot, dtype=float))
-        vg = self._view_grads(X, lambda H: self.mlp.logit_cot_input_gradients(H, cot2))
-        return self._scatter(X, vg)
+    # the plain MLP's methods over this model's _pullback; each class holds
+    # its own entries, so each can be wrapped on its own
+    logits = MlpClassifier.logits
+    predict_proba = MlpClassifier.predict_proba
+    predict = MlpClassifier.predict
+    loss = MlpClassifier.loss
+    input_gradients = MlpClassifier.input_gradients
+    logit_cot_input_gradients = MlpClassifier.logit_cot_input_gradients
 
 
 def inner_maximize(model, X, y, policy, config: DefenseConfig, rng=None):
@@ -387,14 +378,25 @@ class EnsembleClassifier:
     def class_count(self) -> int:
         return self.members[0].class_count
 
+    def _pullback(self, X):
+        """Mean member probabilities of X, and the map from a cotangent on
+        them to the input gradient; each member runs one forward."""
+        members = [m._pullback(X) for m in self.members]
+        qs = [softmax(z) for z, _ in members]
+
+        def pull(v2):
+            a = v2 / self.l
+            total = np.zeros((len(v2), self.members[0].input_dim))
+            for q, (_, member_pull) in zip(qs, members):
+                total += member_pull(q * (a - (q * a).sum(axis=1, keepdims=True)))
+            return total
+        return sum(qs) / self.l, pull
+
     def predict_proba(self, X):
-        return sum(m.predict_proba(X) for m in self.members) / self.l
+        return _like_input(X, self._pullback(X)[0])
 
-    def predict(self, X):
-        return np.argmax(self.predict_proba(X), axis=-1)
-
-    def loss(self, X, y):
-        return cross_entropy(self.predict_proba(X), y)
+    predict = MlpClassifier.predict  # both over this class's predict_proba
+    loss = MlpClassifier.loss
 
     def logits(self, X):
         # mean-probability voting has no single pre-softmax layer; the log
@@ -402,39 +404,20 @@ class EnsembleClassifier:
         p = self.predict_proba(X)
         return np.log(np.maximum(p, 1e-12))
 
-    def _member_probs(self, X2):
-        return [np.atleast_2d(m.predict_proba(X2)) for m in self.members]
-
-    def _prob_cot_input_gradients(self, X2, qs, v2):
-        """Input gradient of an objective with dObj/d(mean prob) = v2, given
-        each member's probabilities qs at X2."""
-        total = np.zeros_like(X2)
-        a = v2 / self.l
-        for m, q in zip(self.members, qs):
-            w = q * (a - (q * a).sum(axis=1, keepdims=True))
-            total += np.atleast_2d(m.logit_cot_input_gradients(X2, w))
-        return total
-
     def input_gradients(self, X, y):
-        X2 = np.atleast_2d(np.asarray(X, dtype=float))
+        p, pull = self._pullback(X)
         y2 = np.atleast_1d(np.asarray(y, dtype=int))
-        qs = self._member_probs(X2)
-        p = sum(qs) / self.l
         rows = np.arange(len(y2))
         v = np.zeros_like(p)
         py = np.maximum(p[rows, y2], 1e-12)
         v[rows, y2] = -1.0 / py
         v[p[rows, y2] <= 1e-12] = 0.0
-        g = self._prob_cot_input_gradients(X2, qs, v)
-        return g if np.ndim(X) == 2 else g[0]
+        return _like_input(X, pull(v))
 
     def logit_cot_input_gradients(self, X, cot):
-        X2 = np.atleast_2d(np.asarray(X, dtype=float))
+        p, pull = self._pullback(X)
         cot2 = np.atleast_2d(np.asarray(cot, dtype=float))
-        qs = self._member_probs(X2)
-        v = cot2 / np.maximum(sum(qs) / self.l, 1e-12)
-        g = self._prob_cot_input_gradients(X2, qs, v)
-        return g if np.ndim(X) == 2 else g[0]
+        return _like_input(X, pull(cot2 / np.maximum(p, 1e-12)))
 
 
 def train_ensemble(dataset: Dataset, policy, config: DefenseConfig, *,

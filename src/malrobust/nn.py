@@ -5,12 +5,16 @@ layers and a softmax on the last layer's output.  One backward recursion
 walks a cotangent from the output down to the input and keeps each
 layer's pre-activation cotangent; input gradients (all the attacks and
 the inner maximizer need) stop there, and only training turns the
-cotangents into weight and bias gradients.
+cotangents into weight and bias gradients.  Each model's private
+``_pullback`` runs its forward once and returns the output with the map
+from an output cotangent to the input gradient over that forward; every
+prediction and input-gradient method is built on it.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 import os
 from dataclasses import dataclass, fields
 
@@ -30,6 +34,17 @@ def child_seed(seed, k: int) -> list:
     if isinstance(seed, (list, tuple)):
         return list(seed) + [int(k)]
     return [int(seed), int(k)]
+
+
+def _check_config_types(counts: dict, reals: dict) -> None:
+    """Reject a count that is no integer (a bool included) and a rate or
+    ratio that is no real number (NaN included), naming the field."""
+    for key, value in counts.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{key} must be an integer, got {value!r}")
+    for key, value in reals.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) or value != value:
+            raise ValueError(f"{key} must be a real number, got {value!r}")
 
 
 def _act(name: str, z: np.ndarray) -> np.ndarray:
@@ -115,9 +130,19 @@ def _check_layers(weights, biases) -> None:
             raise ValueError("non-finite parameters")
 
 
-def _check_width(X2, dim: int) -> None:
+def _check_input(X, dim: int) -> np.ndarray:
+    """X as a float batch, checked to be ``dim`` wide and finite."""
+    X2 = np.atleast_2d(np.asarray(X, dtype=float))
     if X2.shape[1] != dim:
         raise ValueError(f"input dimension {X2.shape[1]} != model dimension {dim}")
+    if not np.isfinite(X2).all():
+        raise ValueError("non-finite input")
+    return X2
+
+
+def _like_input(X, out):
+    """A batch output for a batch X; its single row for a single vector X."""
+    return out if np.ndim(X) == 2 else out[0]
 
 
 def _init_params(layer_sizes, rng):
@@ -156,7 +181,7 @@ class DenseStack:
         X2 = np.atleast_2d(np.asarray(X, dtype=float))
         out, _ = _stack_forward(self.weights, self.biases, self.activation,
                                 X2, self.activate_last)
-        return out if np.ndim(X) == 2 else out[0]
+        return _like_input(X, out)
 
     def forward_cached(self, X2):
         return _stack_forward(self.weights, self.biases, self.activation,
@@ -168,10 +193,12 @@ class DenseStack:
                                             out_cot, self.activate_last)
         return (*_param_grads(self.activation, X2, zs, deltas), input_cot)
 
-    def input_backward(self, zs, out_cot):
-        """Input cotangent alone, without parameter gradients."""
-        return _stack_backward(self.weights, self.activation, zs, out_cot,
-                               self.activate_last)[0]
+    def _pullback(self, X2):
+        """Output of the batch X2, and the map from an output cotangent to
+        the input cotangent (no parameter gradients) over this forward."""
+        out, zs = self.forward_cached(X2)
+        return out, lambda cot: _stack_backward(self.weights, self.activation, zs, cot,
+                                                self.activate_last)[0]
 
 
 @dataclass
@@ -209,17 +236,16 @@ class MlpClassifier:
     def class_count(self) -> int:
         return self.weights[-1].shape[1]
 
-    def _check_input(self, X) -> np.ndarray:
-        X2 = np.atleast_2d(np.asarray(X, dtype=float))
-        _check_width(X2, self.input_dim)
-        if not np.all(np.isfinite(X2)):
-            raise ValueError("non-finite input")
-        return X2
+    def _pullback(self, X):
+        """Logits of the checked batch X, and the map from a logit
+        cotangent to the input gradient over this forward."""
+        X2 = _check_input(X, self.input_dim)
+        out, zs = _stack_forward(self.weights, self.biases, self.activation, X2, False)
+        return out, lambda cot: _stack_backward(self.weights, self.activation, zs, cot,
+                                                False)[0]
 
     def logits(self, X):
-        X2 = self._check_input(X)
-        out, _ = _stack_forward(self.weights, self.biases, self.activation, X2, False)
-        return out if np.ndim(X) == 2 else out[0]
+        return _like_input(X, self._pullback(X)[0])
 
     def predict_proba(self, X):
         return softmax(self.logits(X))
@@ -233,21 +259,14 @@ class MlpClassifier:
 
     def input_gradients(self, X, y):
         """Per-example gradient of the cross-entropy loss w.r.t. the input."""
-        X2 = self._check_input(X)
+        z, pull = self._pullback(X)
         y2 = np.atleast_1d(np.asarray(y, dtype=int))
-        logits, zs = _stack_forward(self.weights, self.biases, self.activation, X2, False)
-        p = softmax(logits)
-        delta = _ce_logit_cotangent(p, y2)
-        xg, _ = _stack_backward(self.weights, self.activation, zs, delta, False)
-        return xg if np.ndim(X) == 2 else xg[0]
+        return _like_input(X, pull(_ce_logit_cotangent(softmax(z), y2)))
 
     def logit_cot_input_gradients(self, X, cot):
         """Per-example input gradient of sum(cot * logits)."""
-        X2 = self._check_input(X)
-        cot2 = np.atleast_2d(np.asarray(cot, dtype=float))
-        _, zs = _stack_forward(self.weights, self.biases, self.activation, X2, False)
-        xg, _ = _stack_backward(self.weights, self.activation, zs, cot2, False)
-        return xg if np.ndim(X) == 2 else xg[0]
+        _, pull = self._pullback(X)
+        return _like_input(X, pull(np.atleast_2d(np.asarray(cot, dtype=float))))
 
 
 def _ce_logit_cotangent(p: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -301,18 +320,14 @@ def cross_entropy(probs, y):
 
 def backward(model: MlpClassifier, x, y: int) -> GradientBundle:
     """Gradients of cross_entropy(forward(x), y) w.r.t. parameters and x."""
-    X2 = model._check_input(x)
+    X2 = _check_input(x, model.input_dim)
     if X2.shape[0] != 1:
         raise ValueError("backward takes a single example")
     y2 = np.array([int(y)])
     if y2[0] < 0 or y2[0] >= model.class_count:
         raise ValueError("label out of range")
-    logits_, zs = _stack_forward(model.weights, model.biases, model.activation, X2, False)
-    p = softmax(logits_)
-    delta = _ce_logit_cotangent(p, y2)
-    xg, deltas = _stack_backward(model.weights, model.activation, zs, delta, False)
-    wg, bg = _param_grads(model.activation, X2, zs, deltas)
-    return GradientBundle(wg, bg, xg[0])
+    wg, bg, _ = _batch_param_gradients(model, X2, y2)  # the mean over one row is exact
+    return GradientBundle(wg, bg, model.input_gradients(X2, y2)[0])
 
 
 def _batch_param_gradients(model: MlpClassifier, X2, y2):

@@ -389,10 +389,20 @@ class TestBadValues:
         ({"epsilon_ball": 0.0}, "epsilon_ball"),
         ({"epsilon_ball": -1.0}, "epsilon_ball"),
         ({"mimicry_candidates": 0}, "mimicry_candidates"),
+        ({"mimicry_candidates": 2.5}, "mimicry_candidates"),
+        ({"mimicry_candidates": True}, "mimicry_candidates"),
+        ({"max_steps": "3"}, "max_steps"), ({"max_steps": 3.0}, "max_steps"),
+        ({"step_size": "0.1"}, "step_size"), ({"epsilon_ball": "1"}, "epsilon_ball"),
+        ({"ead_c": True}, "ead_c"), ({"ead_beta": float("nan")}, "ead_beta"),
+        ({"ead_kappa": None}, "ead_kappa"),
     ])
     def test_config_rejects(self, overrides, message):
         with pytest.raises(ValueError, match=message):
             AttackConfig.for_attack("mimicry", **overrides)
+
+    def test_config_accepts_numpy_numbers(self):
+        cfg = AttackConfig("pgd_l2", max_steps=np.int64(3), step_size=np.float32(0.5))
+        assert cfg.max_steps == 3 and cfg.epsilon_ball is None
 
     def test_config_accepts_both_selections(self):
         for selection in ("nearest", "random"):

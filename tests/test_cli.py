@@ -282,7 +282,9 @@ class TestConfigValidation:
 
 class TestBadValues:
     @pytest.mark.parametrize("key, value", [("epochs", -1), ("restarts", -2),
-                                            ("inner_steps", -1), ("data_fraction", 3.0)])
+                                            ("inner_steps", -1), ("data_fraction", 3.0),
+                                            ("epochs", 1.5), ("batch_size", "8"),
+                                            ("hidden", [4.5]), ("hidden", 5), ("lr", None)])
     def test_bad_defense_value_reported(self, pipeline, capsys, key, value):
         tmp_path, cfg_path, cfg = pipeline
         cfg["defenses"] = [{"label": "at", "kind": "hardened", "config": {key: value}}]
@@ -297,6 +299,8 @@ class TestBadValues:
         {"name": "mimicry", "mimicry_candidates": 0},
         {"name": "pgd_l2", "step_size": -1.0},
         {"name": "pgd_linf", "epsilon_ball": 0.0},
+        {"name": "mimicry", "mimicry_candidates": 2.5},
+        {"name": "bga", "max_steps": "3"},
     ])
     def test_bad_attack_value_reported(self, pipeline, capsys, entry):
         tmp_path, cfg_path, cfg = pipeline

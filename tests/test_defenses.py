@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from malrobust import nn
 from malrobust.data import Dataset, ManipulationPolicy, generate_synthetic
 from malrobust.defenses import (DefenseConfig, DenoisingAutoencoder,
                                 EnsembleClassifier, HardenedClassifier,
@@ -271,10 +272,19 @@ class TestBadValues:
     @pytest.mark.parametrize("overrides", [
         {"epochs": -1}, {"restarts": -1}, {"inner_steps": -1},
         {"data_fraction": 0.0}, {"data_fraction": -0.2}, {"data_fraction": 3.0},
+        {"epochs": 2.5}, {"batch_size": 2.5}, {"ensemble_size": 1.5}, {"hidden": (4.5,)},
+        {"hidden": (8, True)}, {"inner_steps": True}, {"restarts": "1"}, {"latent_dim": 8.0},
+        {"lr": "0.1"}, {"inner_lr": float("nan")}, {"subspace_ratio": None},
+        {"oversample_ratio": False}, {"hidden": 5}, {"hidden": None},
     ])
     def test_config_rejects(self, overrides):
         with pytest.raises(ValueError, match=next(iter(overrides))):
             DefenseConfig(**overrides)
+
+    def test_integer_like_values_accepted(self):
+        cfg = DefenseConfig(epochs=np.int64(3), lr=np.float64(0.01), noise_ratio_max=0,
+                            hidden=[np.int32(4)], seed=[1, 2])
+        assert cfg.epochs == 3 and DefenseConfig(hidden=()).hidden == ()
 
     def test_zero_counts_and_full_data_accepted(self):
         cfg = DefenseConfig(epochs=0, restarts=0, inner_steps=0, data_fraction=1.0)
@@ -482,6 +492,35 @@ class TestInputWidth:
             HardenedClassifier(head, subset=np.array(subset), input_dim=12)
 
 
+class TestNonFiniteInput:
+    """NaN or inf anywhere in the full-width input is rejected, also in a
+    feature the model's subset leaves out."""
+
+    def test_hardened_rejects(self):
+        clf = dae_hardened()
+        X = np.zeros((3, 12))
+        X[1, np.setdiff1d(np.arange(12), clf.subset)[0]] = np.nan
+        for call in (clf.predict, clf.predict_proba, clf.logits,
+                     lambda X: clf.loss(X, [0, 1, 0]),
+                     lambda X: clf.input_gradients(X, [0, 1, 0]),
+                     lambda X: clf.logit_cot_input_gradients(X, np.ones((3, 2)))):
+            with pytest.raises(ValueError, match="non-finite input"):
+                call(X)
+        X[1] = np.inf
+        with pytest.raises(ValueError, match="non-finite input"):
+            clf.predict(X[1])
+
+    def test_ensemble_rejects(self):
+        ens = EnsembleClassifier([dae_hardened(seed=s) for s in (1, 2)])
+        X = np.zeros((3, 12))
+        X[2, 7] = np.nan
+        assert all(7 not in m.subset for m in ens.members)
+        for call in (ens.predict, lambda X: ens.input_gradients(X, [0, 1, 0]),
+                     lambda X: ens.logit_cot_input_gradients(X, np.ones((3, 2)))):
+            with pytest.raises(ValueError, match="non-finite input"):
+                call(X)
+
+
 class TestCheckpointChecks:
     def test_input_dim_round_trip(self, tmp_path):
         clf = dae_hardened()
@@ -594,6 +633,28 @@ class TestEnsembleChecks:
         path.write_text(json.dumps({"format_version": 1, "kind": "ensemble", "members": 3}))
         with pytest.raises(ValueError, match=r"ens\.json: malformed key 'members'"):
             load_ensemble(path)
+
+
+class TestOneForwardPerGradient:
+    """An ensemble gradient runs each member's dense stacks exactly once:
+    the vote and the pullback share the member forwards."""
+
+    @pytest.mark.parametrize("use_dae, stacks", [(False, 1), (True, 2)])
+    @pytest.mark.parametrize("method", ["input_gradients", "logit_cot_input_gradients"])
+    def test_stack_forward_count(self, monkeypatch, use_dae, stacks, method):
+        rng = np.random.default_rng(40)
+        members = [dae_hardened(seed=s) if use_dae else
+                   HardenedClassifier(MlpClassifier.init([6, 5, 2], seed=s), None,
+                                      np.arange(0, 12, 2), None, 12) for s in (1, 2, 3)]
+        ens = EnsembleClassifier(members)
+        X = rng.random((4, 12))
+        arg = [0, 1, 1, 0] if method == "input_gradients" else rng.normal(size=(4, 2))
+        calls = []
+        original = nn._stack_forward
+        monkeypatch.setattr(nn, "_stack_forward",
+                            lambda *a: calls.append(1) or original(*a))
+        getattr(ens, method)(X, arg)
+        assert len(calls) == 3 * stacks
 
 
 class TestDaeLatentDim:

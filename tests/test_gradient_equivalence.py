@@ -3,7 +3,10 @@
 ``old_stack_backward`` is the earlier backward pass verbatim: it built
 every layer's weight and bias gradients on every call, input gradients
 included.  The ``old_*`` helpers rebuild the earlier input-gradient paths
-of the plain, hardened and ensemble classifiers on top of it.  Every
+of the plain, hardened and ensemble classifiers on top of it;
+``old_scatter`` and ``old_input_backward`` are the earlier
+``HardenedClassifier._scatter`` and ``DenseStack.input_backward`` verbatim,
+which each model's ``_pullback`` replaced.  Every
 comparison is bitwise (``np.array_equal``): attack outcome tables, trained
 models and reports depend on the exact floating-point values.
 """
@@ -15,7 +18,8 @@ from malrobust.defenses import (DenoisingAutoencoder, EnsembleClassifier,
                                 HardenedClassifier)
 from malrobust.nn import (DenseStack, MlpClassifier, _act, _act_grad,
                           _batch_param_gradients, _ce_logit_cotangent,
-                          _stack_forward, backward, cross_entropy, softmax)
+                          _stack_backward, _stack_forward, backward, cross_entropy,
+                          softmax)
 
 DIM = 40
 HIDDEN = 24
@@ -49,6 +53,22 @@ def old_stack_backward(weights, biases, activation, X, zs, out_cot, activate_las
     return w_grads, b_grads, delta
 
 
+def old_scatter(self, X, view_grads):
+    if self.subset is None:
+        out = view_grads
+    else:
+        X2 = np.atleast_2d(np.asarray(X, dtype=float))
+        out = np.zeros_like(X2)
+        out[:, self.subset] = view_grads
+    return out if np.ndim(X) == 2 else out[0]
+
+
+def old_input_backward(self, zs, out_cot):
+    """Input cotangent alone, without parameter gradients."""
+    return _stack_backward(self.weights, self.activation, zs, out_cot,
+                           self.activate_last)[0]
+
+
 def old_mlp_backward(model, X2, out_cot):
     _, zs = _stack_forward(model.weights, model.biases, model.activation, X2, False)
     return old_stack_backward(model.weights, model.biases, model.activation,
@@ -63,12 +83,12 @@ def old_mlp_ce_cotangent(model, X2, y2):
 def old_hardened(clf, X2, head_grad):
     V = clf._view(X2)
     if clf.dae is None:
-        return clf._scatter(X2, head_grad(clf.mlp, V))
+        return old_scatter(clf, X2, head_grad(clf.mlp, V))
     enc = clf.dae.encoder
     H, zs = enc.forward_cached(V)
     _, _, v_cot = old_stack_backward(enc.weights, enc.biases, enc.activation,
                                      V, zs, head_grad(clf.mlp, H), enc.activate_last)
-    return clf._scatter(X2, v_cot)
+    return old_scatter(clf, X2, v_cot)
 
 
 def old_ensemble(ens, X2, v_of_p):
@@ -205,4 +225,6 @@ def test_dense_stack_backward(activation, n, depth, activate_last):
     assert_lists_equal(wg, old[0])
     assert_lists_equal(bg, old[1])
     assert np.array_equal(xg, old[2])
-    assert np.array_equal(stack.input_backward(zs, cot), old[2])
+    assert np.array_equal(old_input_backward(stack, zs, cot), old[2])
+    out, pull = stack._pullback(X)
+    assert np.array_equal(out, stack.forward(X)) and np.array_equal(pull(cot), old[2])
