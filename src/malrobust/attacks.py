@@ -28,8 +28,8 @@ from typing import Optional
 
 import numpy as np
 
-from .data import _check_binary, project_to_m
-from .nn import MAXIMIZE, AdamState, _check_config_types, adam_step
+from .data import _check_binary, _check_config_types, project_to_m
+from .nn import MAXIMIZE, AdamState, adam_step
 
 WHITE_BOX = "white_box"
 GREY_BOX = "grey_box"

@@ -173,7 +173,6 @@ def cmd_gen(cfg: dict, out_dir=None) -> str:
     synth = cfg.get("dataset", {}).get("synthetic")
     if not synth:
         raise ConfigError("dataset.synthetic required for gen")
-    run_dir = make_run_dir(cfg, "gen", out_dir)
     dataset, policy = data.generate_synthetic(
         dim=synth.get("dim", 200), classes=synth.get("classes", 2),
         per_class=synth.get("per_class", 500),
@@ -182,6 +181,7 @@ def cmd_gen(cfg: dict, out_dir=None) -> str:
         class_densities=synth.get("class_densities"))
     fractions = cfg.get("dataset", {}).get("split", [0.6, 0.2, 0.2])
     train, val, test = data.split(dataset, fractions, seed=nn.child_seed(cfg["seed"], 3))
+    run_dir = make_run_dir(cfg, "gen", out_dir)
     data.write_sparse(os.path.join(run_dir, "train.txt"), train)
     data.write_sparse(os.path.join(run_dir, "val.txt"), val)
     data.write_sparse(os.path.join(run_dir, "test.txt"), test)

@@ -12,10 +12,22 @@ from __future__ import annotations
 
 import contextlib
 import math
+import numbers
 import os
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def _check_config_types(counts: dict, reals: dict) -> None:
+    """Reject a count that is no integer (a bool included) and a rate or
+    ratio that is no real number (NaN included), naming the field."""
+    for key, value in counts.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{key} must be an integer, got {value!r}")
+    for key, value in reals.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) or value != value:
+            raise ValueError(f"{key} must be a real number, got {value!r}")
 
 
 @dataclass
@@ -195,14 +207,20 @@ def generate_synthetic(dim: int, classes: int, per_class, flip_noise: float,
     seeded random ~75% of features addition-allowed and ~50%
     removal-allowed.
     """
+    _check_config_types({"dim": dim, "classes": classes}, {"flip_noise": flip_noise})
     if dim < 2 or classes < 2:
         raise ValueError("need dim >= 2 and classes >= 2")
-    if isinstance(per_class, int):
+    if isinstance(per_class, numbers.Integral):
         per_class = [per_class] * classes
-    if len(per_class) != classes:
-        raise ValueError("per_class length must equal classes")
     if class_densities is None:
         class_densities = [0.5] * classes
+    for key, values in (("per_class", per_class), ("class_densities", class_densities)):
+        if np.ndim(values) != 1 or len(values) != classes:
+            raise ValueError(f"{key} must be one value per class, got {values!r}")
+    _check_config_types({f"per_class[{c}]": n for c, n in enumerate(per_class)},
+                        {f"class_densities[{c}]": d for c, d in enumerate(class_densities)})
+    if min(per_class) < 0:
+        raise ValueError(f"per_class counts must be >= 0, got {per_class!r}")
     rng = np.random.default_rng(seed)
     X_parts, y_parts = [], []
     for c in range(classes):

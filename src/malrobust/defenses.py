@@ -20,12 +20,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset, binarize, oversample, project_to_m
-from .nn import (MAXIMIZE, AdamState, DenseStack, MlpClassifier, _adam_states,
-                 _adam_update, _batch_param_gradients, _check_config_types,
-                 _check_input, _field, _like_input, _model_from_record,
-                 _model_record, _read_checkpoint, _write_checkpoint, adam_step,
-                 child_seed, cross_entropy, softmax)
+from .data import (Dataset, ManipulationPolicy, _check_config_types, binarize, oversample,
+                   project_to_m)
+from .nn import (MAXIMIZE, PROB_FLOOR, AdamState, DenseStack, MlpClassifier, _adam_states,
+                 _adam_update, _batch_param_gradients, _check_input, _check_labels, _field,
+                 _like_input, _model_from_record, _model_record, _read_checkpoint,
+                 _write_checkpoint, adam_step, child_seed, softmax)
 
 
 @dataclass
@@ -186,18 +186,18 @@ class HardenedClassifier:
     def class_count(self) -> int:
         return self.mlp.class_count
 
-    def _view(self, X):
-        X2 = _check_input(X, self.input_dim)
+    def _view(self, X2):
+        """The checked full-width batch X2 as the DAE or the head sees it."""
         if self.subset is not None:
             X2 = X2[:, self.subset]
         if self.thresholds is not None:
             X2 = binarize(X2, self.thresholds)
         return X2
 
-    def _pullback(self, X):
-        """Head logits of X, and the map from a logit cotangent to the
-        full-width input gradient over this forward."""
-        V = self._view(X)
+    def _pullback(self, X2):
+        """Head logits of the checked batch X2, and the map from a logit
+        cotangent to the full-width input gradient over this forward."""
+        V = self._view(X2)
         H, encoder_pull = (V, lambda g: g) if self.dae is None \
             else self.dae.encoder._pullback(V)
         z, head_pull = self.mlp._pullback(H)
@@ -228,8 +228,8 @@ def inner_maximize(model, X, y, policy, config: DefenseConfig, rng=None):
     salt-and-pepper starting points whose noise ratio is drawn uniformly
     in [0, noise_ratio_max].  Every trial takes inner_steps Adam steps in
     maximization mode, clipping x+delta into the unit box after each step.
-    Trial endpoints are rounded through the policy (or plain 0.5 rounding
-    when policy is None, the box-only mode used by adversarial
+    Trial endpoints are rounded through the policy (one that allows every
+    flip when policy is None, the box-only mode used by adversarial
     regularization); the trial with the largest rounded-point
     cross-entropy wins, per example.
 
@@ -240,12 +240,9 @@ def inner_maximize(model, X, y, policy, config: DefenseConfig, rng=None):
     single = np.ndim(X) == 1
     X2 = np.atleast_2d(np.asarray(X, dtype=float))
     y2 = np.atleast_1d(np.asarray(y, dtype=int))
-
-    def rounded_of(delta):
-        if policy is None:
-            return ((X2 + delta) >= 0.5).astype(float)
-        return project_to_m(X2, X2 + delta, policy)
-
+    if policy is None:  # box-only: every flip is allowed
+        allowed = np.ones(X2.shape[1], dtype=bool)
+        policy = ManipulationPolicy(allowed, allowed)
     best_loss = np.full(len(X2), -np.inf)
     best_x = X2.copy()
     best_delta = np.zeros_like(X2)
@@ -260,7 +257,7 @@ def inner_maximize(model, X, y, policy, config: DefenseConfig, rng=None):
             g = model.input_gradients(X2 + delta, y2)
             delta = adam_step(adam, delta, g, MAXIMIZE)
             delta = np.clip(X2 + delta, 0.0, 1.0) - X2
-        rounded = rounded_of(delta)
+        rounded = project_to_m(X2, X2 + delta, policy)
         losses = np.atleast_1d(model.loss(rounded, y2))
         better = losses > best_loss
         best_loss = np.where(better, losses, best_loss)
@@ -378,10 +375,10 @@ class EnsembleClassifier:
     def class_count(self) -> int:
         return self.members[0].class_count
 
-    def _pullback(self, X):
-        """Mean member probabilities of X, and the map from a cotangent on
-        them to the input gradient; each member runs one forward."""
-        members = [m._pullback(X) for m in self.members]
+    def _pullback(self, X2):
+        """Mean member probabilities of the checked batch X2, and the map from
+        a cotangent on them to the input gradient; each member runs one forward."""
+        members = [m._pullback(X2) for m in self.members]
         qs = [softmax(z) for z, _ in members]
 
         def pull(v2):
@@ -393,7 +390,7 @@ class EnsembleClassifier:
         return sum(qs) / self.l, pull
 
     def predict_proba(self, X):
-        return _like_input(X, self._pullback(X)[0])
+        return _like_input(X, self._pullback(_check_input(X, self.members[0].input_dim))[0])
 
     predict = MlpClassifier.predict  # both over this class's predict_proba
     loss = MlpClassifier.loss
@@ -402,22 +399,23 @@ class EnsembleClassifier:
         # mean-probability voting has no single pre-softmax layer; the log
         # of the vote is the monotone stand-in used by margin attacks
         p = self.predict_proba(X)
-        return np.log(np.maximum(p, 1e-12))
+        return np.log(np.maximum(p, PROB_FLOOR))
 
     def input_gradients(self, X, y):
-        p, pull = self._pullback(X)
-        y2 = np.atleast_1d(np.asarray(y, dtype=int))
+        X2 = _check_input(X, self.members[0].input_dim)
+        y2 = _check_labels(y, len(X2), self.class_count)
+        p, pull = self._pullback(X2)
         rows = np.arange(len(y2))
         v = np.zeros_like(p)
-        py = np.maximum(p[rows, y2], 1e-12)
+        py = np.maximum(p[rows, y2], PROB_FLOOR)
         v[rows, y2] = -1.0 / py
-        v[p[rows, y2] <= 1e-12] = 0.0
+        v[p[rows, y2] <= PROB_FLOOR] = 0.0
         return _like_input(X, pull(v))
 
     def logit_cot_input_gradients(self, X, cot):
-        p, pull = self._pullback(X)
+        p, pull = self._pullback(_check_input(X, self.members[0].input_dim))
         cot2 = np.atleast_2d(np.asarray(cot, dtype=float))
-        return _like_input(X, pull(cot2 / np.maximum(p, 1e-12)))
+        return _like_input(X, pull(cot2 / np.maximum(p, PROB_FLOOR)))
 
 
 def train_ensemble(dataset: Dataset, policy, config: DefenseConfig, *,

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .attacks import GREY_BOX, WHITE_BOX, run_attack_suite
-from .data import Dataset
+from .data import Dataset, _check_config_types
 from .defenses import DefenseConfig, train_ensemble, train_hardened
 from .nn import MlpClassifier, child_seed, train_supervised
 
@@ -147,6 +147,9 @@ def train_models(specs, train_set: Dataset, policy, seed, threat_model=WHITE_BOX
 
 def select_attack_pool(test_set: Dataset, positive_class: int, cap: int, seed):
     """Seeded choice of up to `cap` positive-class test examples."""
+    _check_config_types({"attack_pool": cap, "positive_class": positive_class}, {})
+    if cap < 1:
+        raise ValueError(f"attack_pool must be >= 1, got {cap}")
     positives = np.flatnonzero(test_set.y == positive_class)
     if len(positives) == 0:
         raise ValueError("no positive-class examples to attack")

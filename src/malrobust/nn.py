@@ -8,13 +8,14 @@ the inner maximizer need) stop there, and only training turns the
 cotangents into weight and bias gradients.  Each model's private
 ``_pullback`` runs its forward once and returns the output with the map
 from an output cotangent to the input gradient over that forward; every
-prediction and input-gradient method is built on it.
+prediction and input-gradient method is built on it.  Each public method
+checks its input and labels once, so ``_pullback`` takes a checked 2-d
+float batch and checks nothing.
 """
 
 from __future__ import annotations
 
 import json
-import numbers
 import os
 from dataclasses import dataclass, fields
 
@@ -34,17 +35,6 @@ def child_seed(seed, k: int) -> list:
     if isinstance(seed, (list, tuple)):
         return list(seed) + [int(k)]
     return [int(seed), int(k)]
-
-
-def _check_config_types(counts: dict, reals: dict) -> None:
-    """Reject a count that is no integer (a bool included) and a rate or
-    ratio that is no real number (NaN included), naming the field."""
-    for key, value in counts.items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{key} must be an integer, got {value!r}")
-    for key, value in reals.items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Real) or value != value:
-            raise ValueError(f"{key} must be a real number, got {value!r}")
 
 
 def _act(name: str, z: np.ndarray) -> np.ndarray:
@@ -140,9 +130,28 @@ def _check_input(X, dim: int) -> np.ndarray:
     return X2
 
 
+def _check_labels(y, rows: int, class_count: int) -> np.ndarray:
+    """y as one int label per row of a batch, each in [0, class_count)."""
+    y2 = np.atleast_1d(np.asarray(y, dtype=int))
+    if y2.shape != (rows,):
+        raise ValueError(f"{y2.size} labels for {rows} input rows")
+    labels = y2.tolist()  # on an attack step's one label, faster than numpy reductions
+    if labels and not (0 <= min(labels) and max(labels) < class_count):
+        raise ValueError(f"label out of range [0, {class_count})")
+    return y2
+
+
 def _like_input(X, out):
     """A batch output for a batch X; its single row for a single vector X."""
     return out if np.ndim(X) == 2 else out[0]
+
+
+def _stack_pullback(model, X2, activate_last=False):
+    """Output of the checked batch X2 through a dense model, and the map
+    from an output cotangent to the input cotangent over this forward."""
+    out, zs = _stack_forward(model.weights, model.biases, model.activation, X2, activate_last)
+    return out, lambda cot: _stack_backward(model.weights, model.activation, zs, cot,
+                                            activate_last)[0]
 
 
 def _init_params(layer_sizes, rng):
@@ -194,11 +203,7 @@ class DenseStack:
         return (*_param_grads(self.activation, X2, zs, deltas), input_cot)
 
     def _pullback(self, X2):
-        """Output of the batch X2, and the map from an output cotangent to
-        the input cotangent (no parameter gradients) over this forward."""
-        out, zs = self.forward_cached(X2)
-        return out, lambda cot: _stack_backward(self.weights, self.activation, zs, cot,
-                                                self.activate_last)[0]
+        return _stack_pullback(self, X2, self.activate_last)
 
 
 @dataclass
@@ -236,16 +241,10 @@ class MlpClassifier:
     def class_count(self) -> int:
         return self.weights[-1].shape[1]
 
-    def _pullback(self, X):
-        """Logits of the checked batch X, and the map from a logit
-        cotangent to the input gradient over this forward."""
-        X2 = _check_input(X, self.input_dim)
-        out, zs = _stack_forward(self.weights, self.biases, self.activation, X2, False)
-        return out, lambda cot: _stack_backward(self.weights, self.activation, zs, cot,
-                                                False)[0]
+    _pullback = _stack_pullback  # logits stay linear
 
     def logits(self, X):
-        return _like_input(X, self._pullback(X)[0])
+        return _like_input(X, self._pullback(_check_input(X, self.input_dim))[0])
 
     def predict_proba(self, X):
         return softmax(self.logits(X))
@@ -259,13 +258,14 @@ class MlpClassifier:
 
     def input_gradients(self, X, y):
         """Per-example gradient of the cross-entropy loss w.r.t. the input."""
-        z, pull = self._pullback(X)
-        y2 = np.atleast_1d(np.asarray(y, dtype=int))
+        X2 = _check_input(X, self.input_dim)
+        y2 = _check_labels(y, len(X2), self.class_count)
+        z, pull = self._pullback(X2)
         return _like_input(X, pull(_ce_logit_cotangent(softmax(z), y2)))
 
     def logit_cot_input_gradients(self, X, cot):
         """Per-example input gradient of sum(cot * logits)."""
-        _, pull = self._pullback(X)
+        _, pull = self._pullback(_check_input(X, self.input_dim))
         return _like_input(X, pull(np.atleast_2d(np.asarray(cot, dtype=float))))
 
 
@@ -302,20 +302,14 @@ def logits(model: MlpClassifier, x) -> np.ndarray:
 def cross_entropy(probs, y):
     """-log p_y with a 1e-12 probability floor.
 
-    Accepts a single distribution with an int label or a batch with a
-    label vector (returns a vector then).
+    Accepts a single distribution with an int label or a batch with one
+    label per row (returns a vector then).
     """
     p = np.asarray(probs, dtype=float)
-    if p.ndim == 1:
-        yi = int(y)
-        if yi < 0 or yi >= p.shape[0]:
-            raise ValueError("label out of range")
-        return float(-np.log(max(p[yi], PROB_FLOOR)))
-    yv = np.asarray(y, dtype=int)
-    if np.any(yv < 0) or np.any(yv >= p.shape[1]):
-        raise ValueError("label out of range")
-    picked = p[np.arange(len(yv)), yv]
-    return -np.log(np.maximum(picked, PROB_FLOOR))
+    p2 = np.atleast_2d(p)
+    y2 = _check_labels(y, len(p2), p2.shape[1])
+    loss = -np.log(np.maximum(p2[np.arange(len(y2)), y2], PROB_FLOOR))
+    return float(loss[0]) if p.ndim == 1 else loss
 
 
 def backward(model: MlpClassifier, x, y: int) -> GradientBundle:
@@ -323,11 +317,10 @@ def backward(model: MlpClassifier, x, y: int) -> GradientBundle:
     X2 = _check_input(x, model.input_dim)
     if X2.shape[0] != 1:
         raise ValueError("backward takes a single example")
-    y2 = np.array([int(y)])
-    if y2[0] < 0 or y2[0] >= model.class_count:
-        raise ValueError("label out of range")
+    y2 = _check_labels(y, 1, model.class_count)
     wg, bg, _ = _batch_param_gradients(model, X2, y2)  # the mean over one row is exact
-    return GradientBundle(wg, bg, model.input_gradients(X2, y2)[0])
+    z, pull = model._pullback(X2)
+    return GradientBundle(wg, bg, pull(_ce_logit_cotangent(softmax(z), y2))[0])
 
 
 def _batch_param_gradients(model: MlpClassifier, X2, y2):

@@ -316,6 +316,47 @@ class TestBadValues:
         assert not (tmp_path / "atk").exists()
 
 
+    @pytest.mark.parametrize("key, value", [
+        ("dim", 20.5), ("classes", 2.5), ("flip_noise", "0.1"),
+        ("per_class", 2.5), ("per_class", [40]), ("per_class", -1),
+        ("class_densities", [0.5]), ("class_densities", [0.5, "x"]),
+    ])
+    def test_bad_synthetic_value_reported(self, tmp_path, capsys, key, value):
+        cfg_path = tmp_path / "cfg.json"
+        cfg = write_config(cfg_path)
+        cfg["dataset"]["synthetic"][key] = value
+        cfg_path.write_text(json.dumps(cfg))
+        assert run("gen", "-c", str(cfg_path), "--out", str(tmp_path / "g")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+        assert not (tmp_path / "g").exists()
+
+    def test_rejected_gen_leaves_no_run_directory(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg = write_config(cfg_path)
+        cfg["dataset"]["synthetic"]["dim"] = 1
+        cfg_path.write_text(json.dumps(cfg))
+        assert run("gen", "-c", str(cfg_path)) == 2
+        assert "dim" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("attack", "attack_pool", 2.5), ("attack", "attack_pool", True),
+        ("attack", "attack_pool", 0), ("attack", "attack_pool", -1),
+        ("attack", "positive_class", True), ("evaluate", "attack_pool", 0),
+    ])
+    def test_bad_evaluation_value_reported(self, pipeline, capsys, command, key, value):
+        tmp_path, cfg_path, cfg = pipeline
+        assert run("train", "-c", str(cfg_path), "--out", str(tmp_path / "m")) == 0
+        cfg["evaluation"][key] = value
+        cfg_path.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        assert run(command, "-c", str(cfg_path), "--models", str(tmp_path / "m"),
+                   "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+        assert not (tmp_path / "out").exists()
+
 THREE_KINDS = [
     {"label": "basic", "kind": "plain"},
     {"label": "at", "kind": "hardened", "config": {"inner_steps": 2, "epochs": 2}},

@@ -199,6 +199,12 @@ class TestGenerateSynthetic:
         with pytest.raises(ValueError):
             generate_synthetic(1, 2, 3, 0.0)
 
+    def test_numpy_values_accepted(self):
+        a, _ = generate_synthetic(np.int64(30), 2, np.int64(4), np.float64(0.1), seed=6,
+                                  class_densities=np.array([0.9, 0.1]))
+        b, _ = generate_synthetic(30, 2, [4, 4], 0.1, seed=6, class_densities=[0.9, 0.1])
+        assert np.array_equal(a.X, b.X) and np.array_equal(a.y, b.y)
+
 
 class TestSparseIO:
     def test_round_trip(self, tmp_path, rng):

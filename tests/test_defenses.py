@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from malrobust import nn
+from malrobust import defenses, nn
 from malrobust.data import Dataset, ManipulationPolicy, generate_synthetic
 from malrobust.defenses import (DefenseConfig, DenoisingAutoencoder,
                                 EnsembleClassifier, HardenedClassifier,
@@ -655,6 +655,65 @@ class TestOneForwardPerGradient:
                             lambda *a: calls.append(1) or original(*a))
         getattr(ens, method)(X, arg)
         assert len(calls) == 3 * stacks
+
+
+def three_kinds():
+    """An MLP, a hardened model with a subset, binarization and a DAE, and
+    a 3-member ensemble of such models, all 12 features wide."""
+    return {"mlp": MlpClassifier.init([12, 5, 2], seed=1),
+            "hardened": dae_hardened(),
+            "ensemble": EnsembleClassifier([dae_hardened(seed=s) for s in (1, 2, 3)])}
+
+
+PUBLIC_CALLS = {
+    "predict": lambda model, X: model.predict(X),
+    "loss": lambda model, X: model.loss(X, [0, 1, 1]),
+    "input_gradients": lambda model, X: model.input_gradients(X, [0, 1, 1]),
+    "logit_cot_input_gradients":
+        lambda model, X: model.logit_cot_input_gradients(X, np.ones((3, 2))),
+}
+
+
+class TestOneCheckPerCall:
+    """Each public call checks its input once, at its entry; the layers
+    below it (view, DAE encoder, head, ensemble members) do not re-check."""
+
+    @pytest.mark.parametrize("kind", ["mlp", "hardened", "ensemble"])
+    @pytest.mark.parametrize("call", sorted(PUBLIC_CALLS))
+    def test_check_input_runs_once(self, monkeypatch, kind, call):
+        model = three_kinds()[kind]
+        X = (np.random.default_rng(41).random((3, 12)) < 0.5).astype(float)
+        calls = []
+        original = nn._check_input
+
+        def counted(*args):
+            calls.append(1)
+            return original(*args)
+        monkeypatch.setattr(nn, "_check_input", counted)
+        monkeypatch.setattr(defenses, "_check_input", counted)
+        PUBLIC_CALLS[call](model, X)
+        assert len(calls) == 1
+
+
+class TestBadLabels:
+    """A label outside [0, class_count) or a label count that differs from
+    the row count is a ValueError, not a silent wrong answer."""
+
+    @pytest.mark.parametrize("kind", ["mlp", "hardened", "ensemble"])
+    @pytest.mark.parametrize("X, y, message", [
+        (np.zeros(12), -1, r"label out of range \[0, 2\)"),
+        (np.zeros((3, 12)), [0, -1, 1], r"label out of range \[0, 2\)"),
+        (np.zeros(12), 5, r"label out of range \[0, 2\)"),
+        (np.zeros((3, 12)), [0, 2, 1], r"label out of range \[0, 2\)"),
+        (np.zeros((3, 12)), [1], "1 labels for 3 input rows"),
+        (np.zeros((3, 12)), [1, 0, 1, 0], "4 labels for 3 input rows"),
+        (np.zeros(12), [0, 1], "2 labels for 1 input rows"),
+    ])
+    @pytest.mark.parametrize("method", ["input_gradients", "loss"])
+    def test_rejected(self, kind, X, y, message, method):
+        model = three_kinds()[kind]
+        with pytest.raises(ValueError, match=message):
+            getattr(model, method)(X, y)
 
 
 class TestDaeLatentDim:

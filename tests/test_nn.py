@@ -108,6 +108,8 @@ class TestCrossEntropy:
     def test_label_out_of_range(self):
         with pytest.raises(ValueError):
             cross_entropy(np.array([0.5, 0.5]), 2)
+        with pytest.raises(ValueError, match="1 labels for 3 input rows"):
+            cross_entropy(np.full((3, 2), 0.5), [1])
 
     def test_batched(self, rng):
         P = rng.random((6, 3))
@@ -119,6 +121,11 @@ class TestCrossEntropy:
 
 
 class TestBackward:
+    @pytest.mark.parametrize("y", [-1, 2, [0, 1]])
+    def test_bad_label_rejected(self, y):
+        with pytest.raises(ValueError, match="label"):
+            backward(MlpClassifier.init([3, 4, 2], seed=1), np.zeros(3), y)
+
     def test_saturated_minimum_has_tiny_input_grad(self):
         # huge margin toward the true class: p_y ~ 1, gradient ~ 0
         W = np.array([[30.0, -30.0]])
