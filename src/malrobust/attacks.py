@@ -331,8 +331,9 @@ def run_single(model, x, y, policy, config: AttackConfig,
     """Run one attack against one binary example with a label of the model."""
     x = np.asarray(x, dtype=float)
     _check_binary(x)
-    if not 0 <= y < model.class_count:
-        raise ValueError(f"label {y} outside [0, {model.class_count})")
+    # nn._check_labels' rule: a signed or unsigned int (no bool) in range
+    if np.asarray(y).dtype.kind not in "iu" or not 0 <= y < model.class_count:
+        raise ValueError(f"label {y!r} is no integer in [0, {model.class_count})")
     return _ATTACKS[config.name](model, x, y, policy, config, benign_pool, rng)
 
 

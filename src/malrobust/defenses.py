@@ -23,9 +23,9 @@ import numpy as np
 from .data import (Dataset, ManipulationPolicy, _check_config_types, binarize, oversample,
                    project_to_m)
 from .nn import (MAXIMIZE, PROB_FLOOR, AdamState, DenseStack, MlpClassifier, _adam_states,
-                 _adam_update, _batch_param_gradients, _check_input, _check_labels, _field,
-                 _like_input, _model_from_record, _model_record, _read_checkpoint,
-                 _write_checkpoint, adam_step, child_seed, softmax)
+                 _adam_update, _batch_param_gradients, _check_cotangent, _check_input,
+                 _check_labels, _field, _like_input, _model_from_record, _model_record,
+                 _read_checkpoint, _write_checkpoint, adam_step, child_seed, softmax)
 
 
 @dataclass
@@ -136,7 +136,7 @@ def _dae_param_grads(ae, X_clean, inputs):
         loss += float(np.mean(diff * diff))
         cot = 2.0 * diff / (n * d)
         dwg, dbg, h_cot = ae.decoder.backward(H, dec_zs, cot)
-        ewg, ebg, _ = ae.encoder.backward(X_in, enc_zs, h_cot)
+        ewg, ebg, _ = ae.encoder.backward(X_in, enc_zs, h_cot, input_cot=False)
         for i in range(len(enc_wg)):
             enc_wg[i] += ewg[i]
             enc_bg[i] += ebg[i]
@@ -413,8 +413,9 @@ class EnsembleClassifier:
         return _like_input(X, pull(v))
 
     def logit_cot_input_gradients(self, X, cot):
-        p, pull = self._pullback(_check_input(X, self.members[0].input_dim))
-        cot2 = np.atleast_2d(np.asarray(cot, dtype=float))
+        X2 = _check_input(X, self.members[0].input_dim)
+        cot2 = _check_cotangent(cot, len(X2), self.class_count)
+        p, pull = self._pullback(X2)
         return _like_input(X, pull(cot2 / np.maximum(p, PROB_FLOOR)))
 
 

@@ -11,11 +11,18 @@ from an output cotangent to the input gradient over that forward; every
 prediction and input-gradient method is built on it.  Each public method
 checks its input and labels once, so ``_pullback`` takes a checked 2-d
 float batch and checks nothing.
+
+Checkpoints (``format_version`` 2) are one JSON record per model: sizes
+and settings as plain JSON, and each weight and bias as ``{"shape",
+"data"}``, ``data`` the base64 of its little-endian float64 bytes, so a
+load gives back every bit.  Only the current version is read.
 """
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 import os
 from dataclasses import dataclass, fields
 
@@ -27,7 +34,7 @@ PROB_FLOOR = 1e-12  # inside log, so a saturated softmax never yields -inf
 MINIMIZE = "minimize"
 MAXIMIZE = "maximize"
 ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def child_seed(seed, k: int) -> list:
@@ -80,23 +87,23 @@ def _stack_forward(weights, biases, activation, X, activate_last):
 
 
 def _stack_backward(weights, activation, zs, out_cot, activate_last):
-    """Backpropagate a cotangent on the stack output down to the input.
+    """Backpropagate a cotangent on the stack output down to the first
+    layer's pre-activation.
 
-    Returns (input_cot, deltas) where deltas[i] is the cotangent on layer
-    i's pre-activation; both stay per-example.
+    Returns deltas, where deltas[i] is the per-example cotangent on layer
+    i's pre-activation; the input cotangent is ``deltas[0] @ weights[0].T``,
+    left to the callers that need it (training does not).
     """
     last = len(weights) - 1
     delta = out_cot
     if activate_last:
         delta = delta * _act_grad(activation, zs[last])
     deltas = [None] * len(weights)
-    for i in range(last, -1, -1):
-        deltas[i] = delta
-        if i > 0:
-            delta = (delta @ weights[i].T) * _act_grad(activation, zs[i - 1])
-        else:
-            delta = delta @ weights[i].T
-    return delta, deltas
+    deltas[last] = delta
+    for i in range(last, 0, -1):
+        delta = (delta @ weights[i].T) * _act_grad(activation, zs[i - 1])
+        deltas[i - 1] = delta
+    return deltas
 
 
 def _param_grads(activation, X, zs, deltas):
@@ -132,13 +139,25 @@ def _check_input(X, dim: int) -> np.ndarray:
 
 def _check_labels(y, rows: int, class_count: int) -> np.ndarray:
     """y as one int label per row of a batch, each in [0, class_count)."""
-    y2 = np.atleast_1d(np.asarray(y, dtype=int))
+    y2 = np.atleast_1d(np.asarray(y))
     if y2.shape != (rows,):
         raise ValueError(f"{y2.size} labels for {rows} input rows")
+    # signed or unsigned ints only (no bools); an empty list reads as float
+    if rows and y2.dtype.kind not in "iu":
+        raise ValueError(f"labels must be integers, got {y2.dtype}")
     labels = y2.tolist()  # on an attack step's one label, faster than numpy reductions
     if labels and not (0 <= min(labels) and max(labels) < class_count):
         raise ValueError(f"label out of range [0, {class_count})")
-    return y2
+    return y2.astype(int, copy=False)
+
+
+def _check_cotangent(cot, rows: int, class_count: int) -> np.ndarray:
+    """cot as a float batch of one output cotangent per input row."""
+    cot2 = np.atleast_2d(np.asarray(cot, dtype=float))
+    if cot2.shape != (rows, class_count):
+        raise ValueError(f"cotangent of shape {cot2.shape} for {rows} input rows "
+                         f"and {class_count} classes")
+    return cot2
 
 
 def _like_input(X, out):
@@ -151,7 +170,7 @@ def _stack_pullback(model, X2, activate_last=False):
     from an output cotangent to the input cotangent over this forward."""
     out, zs = _stack_forward(model.weights, model.biases, model.activation, X2, activate_last)
     return out, lambda cot: _stack_backward(model.weights, model.activation, zs, cot,
-                                            activate_last)[0]
+                                            activate_last)[0] @ model.weights[0].T
 
 
 def _init_params(layer_sizes, rng):
@@ -196,11 +215,13 @@ class DenseStack:
         return _stack_forward(self.weights, self.biases, self.activation,
                               X2, self.activate_last)
 
-    def backward(self, X2, zs, out_cot):
-        """Returns (weight_grads, bias_grads, input_cot)."""
-        input_cot, deltas = _stack_backward(self.weights, self.activation, zs,
-                                            out_cot, self.activate_last)
-        return (*_param_grads(self.activation, X2, zs, deltas), input_cot)
+    def backward(self, X2, zs, out_cot, input_cot=True):
+        """Returns (weight_grads, bias_grads, input_cot); the input
+        cotangent is None when ``input_cot`` is false (a first stack)."""
+        deltas = _stack_backward(self.weights, self.activation, zs, out_cot,
+                                 self.activate_last)
+        return (*_param_grads(self.activation, X2, zs, deltas),
+                deltas[0] @ self.weights[0].T if input_cot else None)
 
     def _pullback(self, X2):
         return _stack_pullback(self, X2, self.activate_last)
@@ -265,8 +286,10 @@ class MlpClassifier:
 
     def logit_cot_input_gradients(self, X, cot):
         """Per-example input gradient of sum(cot * logits)."""
-        _, pull = self._pullback(_check_input(X, self.input_dim))
-        return _like_input(X, pull(np.atleast_2d(np.asarray(cot, dtype=float))))
+        X2 = _check_input(X, self.input_dim)
+        cot2 = _check_cotangent(cot, len(X2), self.class_count)
+        _, pull = self._pullback(X2)
+        return _like_input(X, pull(cot2))
 
 
 def _ce_logit_cotangent(p: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -329,7 +352,7 @@ def _batch_param_gradients(model: MlpClassifier, X2, y2):
     p = softmax(logits_)
     n = len(y2)
     delta = _ce_logit_cotangent(p, y2) / n
-    _, deltas = _stack_backward(model.weights, model.activation, zs, delta, False)
+    deltas = _stack_backward(model.weights, model.activation, zs, delta, False)
     wg, bg = _param_grads(model.activation, X2, zs, deltas)
     loss = float(np.mean(cross_entropy(p, y2)))
     return wg, bg, loss
@@ -410,14 +433,38 @@ def train_supervised(model: MlpClassifier, dataset, epochs: int,
     return model, trace
 
 
+def _encode_array(a: np.ndarray) -> dict:
+    """An array as its shape and the base64 of its little-endian float64
+    bytes in C order; decoding gives back every bit."""
+    a = np.asarray(a, dtype="<f8")
+    return {"shape": list(a.shape), "data": base64.b64encode(a.tobytes()).decode("ascii")}
+
+
+def _shape(value) -> tuple:
+    if type(value) is not list or any(type(n) is not int or n < 0 for n in value):
+        raise ValueError(f"expected a list of non-negative ints, got {value!r}")
+    return tuple(value)
+
+
+def _decode_array(record) -> np.ndarray:
+    """The writable float array an :func:`_encode_array` record holds; a
+    record whose shape or data is malformed, or whose byte count disagrees
+    with its shape, raises a ValueError naming the key."""
+    shape = _field(record, "shape", _shape)
+    data = _field(record, "data", lambda v: base64.b64decode(v, validate=True))
+    if len(data) != 8 * math.prod(shape):
+        raise ValueError(f"{len(data)} bytes of data for shape {list(shape)}")
+    return np.frombuffer(data, dtype="<f8").reshape(shape).astype(float)
+
+
 def _model_record(model) -> dict:
-    """Layer sizes, settings and parameters of an MLP or a dense stack as
-    JSON lists."""
+    """Layer sizes and settings of an MLP or a dense stack, with each
+    parameter array encoded by :func:`_encode_array`."""
     return {"layer_sizes": model.layer_sizes,
             **{f.name: getattr(model, f.name) for f in fields(model)
                if f.name not in ("weights", "biases")},
-            "weights": [W.tolist() for W in model.weights],
-            "biases": [b.tolist() for b in model.biases]}
+            "weights": [_encode_array(W) for W in model.weights],
+            "biases": [_encode_array(b) for b in model.biases]}
 
 
 def _field(record, key, convert=None):
@@ -445,7 +492,7 @@ def _of_type(kind):
 def _model_from_record(record, cls=MlpClassifier):
     """Rebuild an MLP (or a dense stack) through its parameter checks and
     check the recorded settings' types and layer sizes."""
-    params = {key: _field(record, key, lambda ps: [np.asarray(p, dtype=float) for p in ps])
+    params = {key: _field(record, key, lambda ps: [_decode_array(p) for p in ps])
               for key in ("weights", "biases")}
     model = cls(**params, **{f.name: _field(record, f.name, _of_type(type(f.default)))
                              for f in fields(cls) if f.name not in params})

@@ -416,6 +416,18 @@ class TestBadValues:
             run_single(always_predicts(1, 3), np.zeros(3), label, allow_all(3), cfg)
 
     @pytest.mark.parametrize("name", ["fgsm", "bca", "pgd_l2", "random"])
+    @pytest.mark.parametrize("label", [1.0, 1.5, np.float64(1.0), True, "1"])
+    def test_label_that_is_no_integer_rejected(self, name, label):
+        cfg = AttackConfig.for_attack(name, max_steps=3)
+        with pytest.raises(ValueError, match="is no integer"):
+            run_single(always_predicts(1, 3), np.zeros(3), label, allow_all(3), cfg)
+
+    @pytest.mark.parametrize("label", [1, np.int64(1), np.int32(1), np.uint8(1)])
+    def test_numpy_integer_labels_accepted(self, label):
+        cfg = AttackConfig.for_attack("fgsm", max_steps=3)
+        run_single(always_predicts(1, 3), np.zeros(3), label, allow_all(3), cfg)
+
+    @pytest.mark.parametrize("name", ["fgsm", "bca", "pgd_l2", "random"])
     def test_non_binary_example_rejected(self, name):
         cfg = AttackConfig.for_attack(name, max_steps=3)
         with pytest.raises(ValueError, match="not binary"):

@@ -1,3 +1,4 @@
+import base64
 import json
 
 import numpy as np
@@ -424,8 +425,7 @@ class TestCheckpoints:
         manifest.write_text(json.dumps({
             "format_version": 1, "kind": "ensemble", "l": 2, "subsets": [None, None],
             "members": ["member_0.json", "member_1.json"]}))
-        with pytest.raises(ValueError, match=r"manifest\.json: malformed key 'members': "
-                                             "expected a JSON object, got str"):
+        with pytest.raises(ValueError, match=r"manifest\.json: unsupported checkpoint version 1"):
             load_ensemble(manifest)
 
 
@@ -436,6 +436,12 @@ def dae_hardened(dim=12, view=6, latent=4, seed=30):
     dae = DenoisingAutoencoder.init(view, latent, seed=rng)
     head = MlpClassifier.init([latent, 5, 2], seed=rng)
     return HardenedClassifier(head, dae, subset, np.full(view, 0.5), dim)
+
+
+def edit_array(stack, key, i, edit):
+    """Decode array ``i`` of a stack record's ``key`` list, replace it with
+    ``edit(array)`` and store that re-encoded."""
+    stack[key][i] = nn._encode_array(edit(nn._decode_array(stack[key][i])))
 
 
 def tampered(tmp_path, clf, edit):
@@ -541,11 +547,13 @@ class TestCheckpointChecks:
         (lambda r: r.update(thresholds=[0.5] * 5), "5 thresholds"),
         (lambda r: r["encoder"].update(layer_sizes=[999, 999]), "layer_sizes disagree"),
         (lambda r: r["decoder"].update(layer_sizes=[4, 7]), "layer_sizes disagree"),
-        (lambda r: r["encoder"]["biases"][0].append(0.0), "inconsistent layer shapes"),
-        (lambda r: r["encoder"]["weights"][0][0].__setitem__(0, float("nan")),
+        (lambda r: edit_array(r["encoder"], "biases", 0, lambda b: np.append(b, 0.0)),
+         "inconsistent layer shapes"),
+        (lambda r: edit_array(r["encoder"], "weights", 0,
+                              lambda W: W.__setitem__((0, 0), np.nan) or W),
          "non-finite"),
-        (lambda r: r["head"].update(weights=[[[0.0] * 5] * 3] + r["head"]["weights"][1:],
-                                    layer_sizes=[3, 5, 2]),
+        (lambda r: r["head"].update(weights=[nn._encode_array(np.zeros((3, 5)))]
+                                    + r["head"]["weights"][1:], layer_sizes=[3, 5, 2]),
          "encoder output width differs from the head input width"),
     ])
     def test_tampered_checkpoint_rejected(self, tmp_path, edit, message):
@@ -574,7 +582,8 @@ class TestCheckpointChecks:
         (lambda r: r.update(input_dim="12"), "malformed key 'input_dim'"),
         (lambda r: r.update(head=[1, 2]), "malformed key 'head': expected a JSON object"),
         (lambda r: r["head"].update(weights=[[[0.0, 1.0], [2.0]]]), "malformed key 'head'"),
-        (lambda r: r["head"].update(weights=[1.0]), "malformed key 'head': inconsistent"),
+        (lambda r: r["head"].update(weights=[nn._encode_array(np.array(1.0))]),
+         "malformed key 'head': inconsistent"),
         (lambda r: r.update(decoder=None), "needs both 'encoder' and 'decoder'"),
         (lambda r: r["encoder"].update(activate_last="no"),
          "malformed key 'encoder': malformed key 'activate_last': expected bool, got str"),
@@ -587,7 +596,7 @@ class TestCheckpointChecks:
     @pytest.mark.parametrize("text, message", [
         ("[1, 2]", "expected a JSON object, got list"),
         ('{"kind": "hardened"}', "missing key 'format_version'"),
-        ('{"format_version": 1}', "missing key 'kind'"),
+        (json.dumps({"format_version": nn.CHECKPOINT_VERSION}), "missing key 'kind'"),
         ("{", "Expecting"),
     ])
     def test_malformed_file_names_file(self, tmp_path, text, message):
@@ -595,6 +604,53 @@ class TestCheckpointChecks:
         path.write_text(text)
         with pytest.raises(ValueError, match=r"hardened\.json: " + message):
             load_hardened(path)
+
+
+class TestCheckpointPayload:
+    """Each weight and bias is stored as {"shape", "data"}, ``data`` the
+    base64 of its little-endian float64 bytes; a fault in either names the
+    key and the file."""
+
+    def test_record_layout(self, tmp_path):
+        clf = dae_hardened()
+        record = json.loads(tampered(tmp_path, clf, lambda r: None).read_text())
+        assert record["format_version"] == nn.CHECKPOINT_VERSION == 2
+        W = record["encoder"]["weights"][0]
+        assert sorted(W) == ["data", "shape"] and W["shape"] == [6, 4]
+        assert base64.b64decode(W["data"]) == clf.dae.encoder.weights[0].astype("<f8").tobytes()
+        assert record["subset"] == clf.subset.tolist()
+        assert record["thresholds"] == [0.5] * 6 and record["input_dim"] == 12
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda W: W.update(data="*" + W["data"][1:]), "malformed key 'data': "),
+        (lambda W: W.update(data=W["data"] + "\n"), "malformed key 'data': "),
+        (lambda W: W.update(data="\u00e9" + W["data"][1:]), "malformed key 'data': "),
+        (lambda W: W.update(data=5), "malformed key 'data': "),
+        (lambda W: W.update(data=W["data"][:-4]), r"189 bytes of data for shape \[6, 4\]"),
+        (lambda W: W.update(shape=[6, 3]), r"192 bytes of data for shape \[6, 3\]"),
+        (lambda W: W.update(shape=[10**12, 10**12]), "192 bytes of data for shape"),
+        (lambda W: W.update(shape=[6, -4]), "malformed key 'shape': .*non-negative ints"),
+        (lambda W: W.update(shape=[6, 4.0]), "malformed key 'shape': .*non-negative ints"),
+        (lambda W: W.update(shape=[6, True]), "malformed key 'shape': .*non-negative ints"),
+        (lambda W: W.update(shape="6, 4"), "malformed key 'shape': .*non-negative ints"),
+        (lambda W: W.pop("data"), "missing key 'data'"),
+        (lambda W: W.pop("shape"), "missing key 'shape'"),
+        (lambda W: W.update(nn._encode_array(np.full((6, 4), np.nan))), "non-finite parameters"),
+    ])
+    def test_tampered_payload_names_key_and_file(self, tmp_path, edit, message):
+        path = tampered(tmp_path, dae_hardened(), lambda r: edit(r["encoder"]["weights"][0]))
+        with pytest.raises(ValueError, match=r"hardened\.json: malformed key 'encoder': "
+                                             ".*" + message):
+            load_hardened(path)
+
+    def test_loaded_arrays_are_writable(self, tmp_path):
+        members = [dae_hardened(seed=s) for s in (1, 2)]
+        save_ensemble(tmp_path / "ens.json", EnsembleClassifier(members))
+        for m in load_ensemble(tmp_path / "ens.json").members:
+            for stack in (m.mlp, m.dae.encoder, m.dae.decoder):
+                for a in stack.weights + stack.biases:
+                    assert a.flags.writeable and a.dtype == np.float64
+                    a[...] = 0.0
 
 
 class TestEnsembleChecks:
@@ -630,7 +686,8 @@ class TestEnsembleChecks:
 
     def test_members_key_must_be_a_list_of_records(self, tmp_path):
         path = tmp_path / "ens.json"
-        path.write_text(json.dumps({"format_version": 1, "kind": "ensemble", "members": 3}))
+        path.write_text(json.dumps({"format_version": nn.CHECKPOINT_VERSION, "kind": "ensemble",
+                                    "members": 3}))
         with pytest.raises(ValueError, match=r"ens\.json: malformed key 'members'"):
             load_ensemble(path)
 
@@ -708,12 +765,53 @@ class TestBadLabels:
         (np.zeros((3, 12)), [1], "1 labels for 3 input rows"),
         (np.zeros((3, 12)), [1, 0, 1, 0], "4 labels for 3 input rows"),
         (np.zeros(12), [0, 1], "2 labels for 1 input rows"),
+        (np.zeros(12), 1.7, "labels must be integers, got float64"),
+        (np.zeros(12), np.float64(1.0), "labels must be integers, got float64"),
+        (np.zeros(12), True, "labels must be integers, got bool"),
+        (np.zeros((3, 12)), [0, 1.0, 1], "labels must be integers, got float64"),
+        (np.zeros((3, 12)), [False, True, True], "labels must be integers, got bool"),
     ])
     @pytest.mark.parametrize("method", ["input_gradients", "loss"])
     def test_rejected(self, kind, X, y, message, method):
         model = three_kinds()[kind]
         with pytest.raises(ValueError, match=message):
             getattr(model, method)(X, y)
+
+    @pytest.mark.parametrize("kind", ["mlp", "hardened", "ensemble"])
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint8, np.uint64])
+    def test_numpy_integer_labels_accepted(self, kind, dtype):
+        model = three_kinds()[kind]
+        X = np.random.default_rng(42).random((3, 12))
+        y = np.array([0, 1, 1], dtype=dtype)
+        assert np.array_equal(model.input_gradients(X, y), model.input_gradients(X, [0, 1, 1]))
+        assert np.array_equal(model.loss(X, y), model.loss(X, [0, 1, 1]))
+
+
+class TestBadCotangent:
+    """logit_cot_input_gradients takes one cotangent row per input row, as
+    wide as the model's classes; anything else is a ValueError."""
+
+    @pytest.mark.parametrize("kind", ["mlp", "hardened", "ensemble"])
+    @pytest.mark.parametrize("X, cot, shape", [
+        (np.zeros((3, 12)), np.ones((1, 2)), r"\(1, 2\) for 3 input rows and 2 classes"),
+        (np.zeros((3, 12)), np.ones(2), r"\(1, 2\) for 3 input rows"),
+        (np.zeros((3, 12)), np.ones((3, 3)), r"\(3, 3\) for 3 input rows and 2 classes"),
+        (np.zeros((2, 12)), np.ones((3, 2)), r"\(3, 2\) for 2 input rows"),
+        (np.zeros(12), np.ones(3), r"\(1, 3\) for 1 input rows and 2 classes"),
+        (np.zeros(12), np.ones((1, 1, 2)), r"\(1, 1, 2\) for 1 input rows"),
+    ])
+    def test_rejected(self, kind, X, cot, shape):
+        with pytest.raises(ValueError, match="cotangent of shape " + shape):
+            three_kinds()[kind].logit_cot_input_gradients(X, cot)
+
+    @pytest.mark.parametrize("kind", ["mlp", "hardened", "ensemble"])
+    def test_one_point_takes_a_1d_cotangent(self, kind):
+        model = three_kinds()[kind]
+        x = np.random.default_rng(43).random(12)
+        cot = np.array([0.3, -1.2])
+        g = model.logit_cot_input_gradients(x, cot)
+        assert g.shape == (12,)
+        assert np.array_equal(g, model.logit_cot_input_gradients(x[None, :], cot[None, :])[0])
 
 
 class TestDaeLatentDim:

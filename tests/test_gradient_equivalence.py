@@ -4,8 +4,9 @@
 every layer's weight and bias gradients on every call, input gradients
 included.  The ``old_*`` helpers rebuild the earlier input-gradient paths
 of the plain, hardened and ensemble classifiers on top of it;
-``old_scatter`` and ``old_input_backward`` are the earlier
-``HardenedClassifier._scatter`` and ``DenseStack.input_backward`` verbatim,
+``old_scatter`` is the earlier ``HardenedClassifier._scatter`` verbatim and
+``old_input_backward`` the earlier ``DenseStack.input_backward`` (now with
+the first layer's product that ``_stack_backward`` leaves to its callers),
 which each model's ``_pullback`` replaced.  Every
 comparison is bitwise (``np.array_equal``): attack outcome tables, trained
 models and reports depend on the exact floating-point values.
@@ -66,7 +67,7 @@ def old_scatter(self, X, view_grads):
 def old_input_backward(self, zs, out_cot):
     """Input cotangent alone, without parameter gradients."""
     return _stack_backward(self.weights, self.activation, zs, out_cot,
-                           self.activate_last)[0]
+                           self.activate_last)[0] @ self.weights[0].T
 
 
 def old_mlp_backward(model, X2, out_cot):

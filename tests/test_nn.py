@@ -287,9 +287,31 @@ class TestCheckpoint:
         model = MlpClassifier.init([2, 2], seed=0)
         path = tmp_path / "model.json"
         nn.save_model(path, model)
-        text = path.read_text().replace('"format_version": 1', '"format_version": 99')
+        text = path.read_text().replace(f'"format_version": {nn.CHECKPOINT_VERSION}',
+                                        '"format_version": 99')
         path.write_text(text)
         with pytest.raises(ValueError, match="version"):
+            nn.load_model(path)
+
+    def test_version_1_file_rejected(self, tmp_path):
+        # version 1 stored parameters as nested JSON lists; no reader is kept
+        model = MlpClassifier.init([3, 2], seed=0)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({
+            "format_version": 1, "kind": "mlp", "activation": "relu", "layer_sizes": [3, 2],
+            "weights": [W.tolist() for W in model.weights],
+            "biases": [b.tolist() for b in model.biases]}))
+        with pytest.raises(ValueError, match=r"model\.json: unsupported checkpoint version 1"):
+            nn.load_model(path)
+
+    def test_payload_fault_names_key_and_file(self, tmp_path):
+        path = tmp_path / "model.json"
+        nn.save_model(path, MlpClassifier.init([3, 2], seed=0))
+        record = json.loads(path.read_text())
+        record["biases"][0]["data"] = record["biases"][0]["data"][:-4]
+        path.write_text(json.dumps(record))
+        with pytest.raises(ValueError, match=r"model\.json: malformed key 'biases': "
+                                             r"15 bytes of data for shape \[2\]"):
             nn.load_model(path)
 
     def test_missing_key_names_key_and_file(self, tmp_path):

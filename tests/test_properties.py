@@ -1,21 +1,23 @@
 """Property tests: projection onto the manipulation domain, the
-sparse-dataset and policy file round trips, and the checkpoint round
-trips of hardened models and ensembles."""
+sparse-dataset and policy file round trips, the checkpoint parameter
+payload, and the checkpoint round trips of models, hardened models and
+ensembles."""
 
+import json
 import os
 import tempfile
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from malrobust.data import (Dataset, ManipulationPolicy, admissible, project_to_m,
                             read_policy, read_sparse, write_policy, write_sparse)
 from malrobust.defenses import (DenoisingAutoencoder, EnsembleClassifier,
                                 HardenedClassifier, load_ensemble, load_hardened,
                                 save_ensemble, save_hardened)
-from malrobust.nn import MlpClassifier
+from malrobust.nn import MlpClassifier, _decode_array, _encode_array, load_model, save_model
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -75,6 +77,52 @@ def test_policy_round_trip(flags):
         back = read_policy(path)
     assert np.array_equal(back.addition_allowed, policy.addition_allowed)
     assert np.array_equal(back.removal_allowed, policy.removal_allowed)
+
+
+FINFO = np.finfo(float)
+EDGE_VALUES = [0.0, -0.0, FINFO.smallest_subnormal, -FINFO.smallest_subnormal,
+               FINFO.tiny, -FINFO.tiny, FINFO.max, -FINFO.max, 1.0 / 3.0]
+finite_floats = st.one_of(st.sampled_from(EDGE_VALUES),
+                          st.floats(allow_nan=False, allow_infinity=False))
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape and got.dtype == np.float64
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))  # -0.0 stays -0.0
+
+
+@SETTINGS
+@given(arrays(float, array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=8),
+              elements=finite_floats))
+def test_array_payload_round_trip(a):
+    back = _decode_array(json.loads(json.dumps(_encode_array(a))))
+    assert back.flags.writeable
+    assert_same_bits(back, a)
+
+
+@st.composite
+def edge_mlps(draw):
+    """MLPs whose parameters are drawn from any finite float, the extremes,
+    signed zeros and subnormals included."""
+    sizes = [draw(st.integers(1, 5))] + draw(st.lists(st.integers(1, 5), max_size=2)) \
+        + [draw(st.integers(2, 3))]
+    weights = [draw(arrays(float, (a, b), elements=finite_floats))
+               for a, b in zip(sizes[:-1], sizes[1:])]
+    biases = [draw(arrays(float, b, elements=finite_floats)) for b in sizes[1:]]
+    return MlpClassifier(weights, biases, draw(st.sampled_from(["relu", "elu"])))
+
+
+@SETTINGS
+@given(edge_mlps())
+def test_model_checkpoint_keeps_every_bit(model):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.json")
+        save_model(path, model)
+        back = load_model(path)
+    assert back.activation == model.activation
+    for got, want in zip(back.weights + back.biases, model.weights + model.biases):
+        assert_same_bits(got, want)
 
 
 @st.composite
