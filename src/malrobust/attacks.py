@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import _check_binary, _check_config_types, project_to_m
+from .data import _check_binary, _check_config_types, _check_labels, project_to_m
 from .nn import MAXIMIZE, AdamState, adam_step
 
 WHITE_BOX = "white_box"
@@ -331,9 +331,7 @@ def run_single(model, x, y, policy, config: AttackConfig,
     """Run one attack against one binary example with a label of the model."""
     x = np.asarray(x, dtype=float)
     _check_binary(x)
-    # nn._check_labels' rule: a signed or unsigned int (no bool) in range
-    if np.asarray(y).dtype.kind not in "iu" or not 0 <= y < model.class_count:
-        raise ValueError(f"label {y!r} is no integer in [0, {model.class_count})")
+    (y,) = _check_labels(y, 1, model.class_count)
     return _ATTACKS[config.name](model, x, y, policy, config, benign_pool, rng)
 
 
@@ -351,7 +349,7 @@ def run_attack_suite(victim, X, y, policy, configs, threat_model=WHITE_BOX,
         raise ValueError("grey-box attacks need a surrogate model")
     attack_model = victim if threat_model == WHITE_BOX else surrogate
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=int))
+    y = _check_labels(y, len(X), victim.class_count)
 
     def one(config, i):
         rng = np.random.default_rng([config.seed, i])

@@ -30,6 +30,25 @@ def _check_config_types(counts: dict, reals: dict) -> None:
             raise ValueError(f"{key} must be a real number, got {value!r}")
 
 
+def _check_labels(y, rows: int, class_count: int) -> np.ndarray:
+    """y as one int label per row of a batch, each in [0, class_count): the
+    library's one label rule, so a bool or a float is no label."""
+    y2 = np.atleast_1d(np.asarray(y))
+    if y2.ndim != 1:
+        raise ValueError(f"labels must be one per row, got shape {y2.shape}")
+    if len(y2) != rows:
+        raise ValueError(f"{len(y2)} labels for {rows} input rows")
+    if not rows:
+        return y2.astype(int)  # an empty list reads as float
+    if y2.dtype.kind not in "iu":  # signed or unsigned ints only, no bools
+        raise ValueError(f"labels must be integers, got {y2.dtype}")
+    # one label (each attack step) is cheaper in Python, a batch in numpy
+    lo, hi = (y2.item(),) * 2 if rows == 1 else (y2.min(), y2.max())
+    if lo < 0 or hi >= class_count:
+        raise ValueError(f"label out of range [0, {class_count})")
+    return y2.astype(int, copy=False)
+
+
 @dataclass
 class ManipulationPolicy:
     """Per-feature addition / removal permissions."""
@@ -67,13 +86,12 @@ class Dataset:
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=float)
-        self.y = np.asarray(self.y, dtype=int)
         if self.X.ndim != 2:
             raise ValueError("X must be 2-d (n, dim)")
-        if len(self.X) != len(self.y):
-            raise ValueError("X and y lengths differ")
-        if len(self.y) and (self.y.min() < 0 or self.y.max() >= self.class_count):
-            raise ValueError("labels out of range")
+        _check_config_types({"class_count": self.class_count}, {})
+        if self.class_count < 1:
+            raise ValueError("class_count must be >= 1")
+        self.y = _check_labels(self.y, len(self.X), self.class_count)
 
     def __len__(self) -> int:
         return len(self.y)

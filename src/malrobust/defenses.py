@@ -20,11 +20,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import (Dataset, ManipulationPolicy, _check_config_types, binarize, oversample,
-                   project_to_m)
+from .data import (Dataset, ManipulationPolicy, _check_config_types, _check_labels, binarize,
+                   oversample, project_to_m)
 from .nn import (MAXIMIZE, PROB_FLOOR, AdamState, DenseStack, MlpClassifier, _adam_states,
                  _adam_update, _batch_param_gradients, _check_cotangent, _check_input,
-                 _check_labels, _field, _like_input, _model_from_record, _model_record,
+                 _field, _like_input, _model_from_record, _model_record,
                  _read_checkpoint, _write_checkpoint, adam_step, child_seed, softmax)
 
 
@@ -239,7 +239,6 @@ def inner_maximize(model, X, y, policy, config: DefenseConfig, rng=None):
     rng = np.random.default_rng(config.seed if rng is None else rng)
     single = np.ndim(X) == 1
     X2 = np.atleast_2d(np.asarray(X, dtype=float))
-    y2 = np.atleast_1d(np.asarray(y, dtype=int))
     if policy is None:  # box-only: every flip is allowed
         allowed = np.ones(X2.shape[1], dtype=bool)
         policy = ManipulationPolicy(allowed, allowed)
@@ -254,11 +253,11 @@ def inner_maximize(model, X, y, policy, config: DefenseConfig, rng=None):
             delta = _salt_pepper_batch(X2, ratio, rng) - X2
         adam = AdamState.zeros(X2.shape, learning_rate=config.inner_lr)
         for _ in range(config.inner_steps):
-            g = model.input_gradients(X2 + delta, y2)
+            g = model.input_gradients(X2 + delta, y)
             delta = adam_step(adam, delta, g, MAXIMIZE)
             delta = np.clip(X2 + delta, 0.0, 1.0) - X2
         rounded = project_to_m(X2, X2 + delta, policy)
-        losses = np.atleast_1d(model.loss(rounded, y2))
+        losses = np.atleast_1d(model.loss(rounded, y))
         better = losses > best_loss
         best_loss = np.where(better, losses, best_loss)
         best_x[better] = rounded[better]
@@ -281,6 +280,7 @@ def train_hardened(dataset: Dataset, policy, config: DefenseConfig, *,
     """
     if len(dataset) == 0:
         raise ValueError("empty dataset")
+    _check_input(dataset.X, dataset.dim)  # no model call checks the head's training batches
     if known_manipulation_set and policy is None:
         raise ValueError("known_manipulation_set requires a policy")
     rng = np.random.default_rng(config.seed)
@@ -294,7 +294,7 @@ def train_hardened(dataset: Dataset, policy, config: DefenseConfig, *,
         if k < 1:
             raise ValueError("subspace_ratio yields an empty feature subset")
         subset = np.sort(rng.choice(dim, size=k, replace=False))
-    X = ds.X[:, subset] if subset is not None else np.asarray(ds.X, dtype=float)
+    X = ds.X[:, subset] if subset is not None else ds.X
     view_dim = X.shape[1]
     thresholds = np.full(view_dim, 0.5)
     if use_binarization:

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .attacks import GREY_BOX, WHITE_BOX, run_attack_suite
-from .data import Dataset, _check_config_types
+from .data import Dataset, _check_config_types, _check_labels
 from .defenses import DefenseConfig, train_ensemble, train_hardened
 from .nn import MlpClassifier, child_seed, train_supervised
 
@@ -58,13 +58,9 @@ def macro_f1(y_true, y_pred, class_count: int) -> float:
     A class with precision + recall = 0 (including classes absent from
     both vectors) contributes F1 = 0.
     """
-    y_true = np.asarray(y_true, dtype=int)
-    y_pred = np.asarray(y_pred, dtype=int)
-    if y_true.shape != y_pred.shape:
+    if np.size(y_true) != np.size(y_pred):
         raise ValueError("label vector lengths differ")
-    if len(y_true) and (y_true.min() < 0 or y_true.max() >= class_count
-                        or y_pred.min() < 0 or y_pred.max() >= class_count):
-        raise ValueError("labels out of range")
+    y_true, y_pred = (_check_labels(y, np.size(y), class_count) for y in (y_true, y_pred))
     f1s = []
     for c in range(class_count):
         tp = int(np.sum((y_true == c) & (y_pred == c)))

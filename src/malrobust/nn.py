@@ -10,7 +10,9 @@ cotangents into weight and bias gradients.  Each model's private
 from an output cotangent to the input gradient over that forward; every
 prediction and input-gradient method is built on it.  Each public method
 checks its input and labels once, so ``_pullback`` takes a checked 2-d
-float batch and checks nothing.
+float batch and checks nothing.  The label rule is the one of
+:mod:`malrobust.data`, which also applies it to every ``Dataset``;
+training checks its dataset's features once per call.
 
 Checkpoints (``format_version`` 2) are one JSON record per model: sizes
 and settings as plain JSON, and each weight and bias as ``{"shape",
@@ -28,7 +30,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .data import atomic_write
+from .data import _check_labels, atomic_write
 
 PROB_FLOOR = 1e-12  # inside log, so a saturated softmax never yields -inf
 MINIMIZE = "minimize"
@@ -135,20 +137,6 @@ def _check_input(X, dim: int) -> np.ndarray:
     if not np.isfinite(X2).all():
         raise ValueError("non-finite input")
     return X2
-
-
-def _check_labels(y, rows: int, class_count: int) -> np.ndarray:
-    """y as one int label per row of a batch, each in [0, class_count)."""
-    y2 = np.atleast_1d(np.asarray(y))
-    if y2.shape != (rows,):
-        raise ValueError(f"{y2.size} labels for {rows} input rows")
-    # signed or unsigned ints only (no bools); an empty list reads as float
-    if rows and y2.dtype.kind not in "iu":
-        raise ValueError(f"labels must be integers, got {y2.dtype}")
-    labels = y2.tolist()  # on an attack step's one label, faster than numpy reductions
-    if labels and not (0 <= min(labels) and max(labels) < class_count):
-        raise ValueError(f"label out of range [0, {class_count})")
-    return y2.astype(int, copy=False)
 
 
 def _check_cotangent(cot, rows: int, class_count: int) -> np.ndarray:
@@ -414,8 +402,8 @@ def train_supervised(model: MlpClassifier, dataset, epochs: int,
     from the seed stream and the last short batch is kept.  Returns
     (model, per-epoch mean loss trace); the model is updated in place.
     """
-    X = np.asarray(dataset.X, dtype=float)
-    y = np.asarray(dataset.y, dtype=int)
+    X = _check_input(dataset.X, model.input_dim)
+    y = _check_labels(dataset.y, len(X), model.class_count)
     if len(X) == 0:
         raise ValueError("empty dataset")
     rng = np.random.default_rng(seed)

@@ -419,7 +419,7 @@ class TestBadValues:
     @pytest.mark.parametrize("label", [1.0, 1.5, np.float64(1.0), True, "1"])
     def test_label_that_is_no_integer_rejected(self, name, label):
         cfg = AttackConfig.for_attack(name, max_steps=3)
-        with pytest.raises(ValueError, match="is no integer"):
+        with pytest.raises(ValueError, match="labels must be integers"):
             run_single(always_predicts(1, 3), np.zeros(3), label, allow_all(3), cfg)
 
     @pytest.mark.parametrize("label", [1, np.int64(1), np.int32(1), np.uint8(1)])

@@ -4,10 +4,15 @@ import numpy as np
 import pytest
 
 from malrobust import data
+from malrobust.attacks import AttackConfig, run_attack_suite, run_single
 from malrobust.data import (Dataset, ManipulationPolicy, admissible, atomic_write, binarize,
                             generate_synthetic, oversample, project_to_m,
                             read_policy, read_sparse, split, write_policy,
                             write_sparse)
+from malrobust.defenses import (DefenseConfig, EnsembleClassifier, HardenedClassifier,
+                                inner_maximize)
+from malrobust.evaluation import macro_f1
+from malrobust.nn import MlpClassifier, cross_entropy
 
 
 class TestBinarize:
@@ -356,3 +361,77 @@ class TestAtomicWrite:
         assert path.read_text() == "new"
         assert path.stat().st_mode == plain.stat().st_mode
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt", "plain.txt"]
+
+
+def _label_entry_points():
+    """Each public call that takes labels, as (rows it expects, call on y):
+    a 3-row batch of 4 binary features on a 2-class model, or one example
+    for run_single."""
+    X = np.array([[0.0, 1.0, 0.0, 1.0], [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]])
+    mlp = MlpClassifier.init([4, 3, 2], seed=0)
+    ensemble = EnsembleClassifier([HardenedClassifier(MlpClassifier.init([4, 3, 2], seed=s))
+                                   for s in (1, 2)])
+    policy = ManipulationPolicy.additions_only(4)
+    fgsm = AttackConfig.for_attack("fgsm")
+    return {
+        "Dataset": (3, lambda y: Dataset(X, y, 2)),
+        "run_attack_suite": (3, lambda y: run_attack_suite(mlp, X, y, policy, [fgsm])),
+        "run_single": (1, lambda y: run_single(mlp, X[0], y, policy, fgsm)),
+        "inner_maximize": (3, lambda y: inner_maximize(mlp, X, y, policy,
+                                                       DefenseConfig(inner_steps=1))),
+        "macro_f1": (3, lambda y: macro_f1([0, 1, 1], y, 2)),
+        "MlpClassifier.input_gradients": (3, lambda y: mlp.input_gradients(X, y)),
+        "EnsembleClassifier.input_gradients": (3, lambda y: ensemble.input_gradients(X, y)),
+        "cross_entropy": (3, lambda y: cross_entropy(np.full((3, 2), 0.5), y)),
+    }
+
+
+def _repeat(value, rows):
+    """The label itself for one row, else one copy of it per row."""
+    return value if rows == 1 else [value] * rows
+
+
+# bad label -> (labels for `rows` rows, expected message with `rows` filled in)
+_BAD_LABELS = {
+    "float": (lambda rows: _repeat(1.7, rows), "labels must be integers, got float64"),
+    "bool": (lambda rows: _repeat(True, rows), "labels must be integers, got bool"),
+    "negative": (lambda rows: _repeat(-1, rows), r"label out of range \[0, 2\)"),
+    "class_count": (lambda rows: _repeat(2, rows), r"label out of range \[0, 2\)"),
+    "2-d": (lambda rows: np.ones((rows, 1), dtype=int),
+            r"labels must be one per row, got shape \({rows}, 1\)"),
+    "one too many": (lambda rows: np.ones(rows + 1, dtype=int),
+                     "^{more} labels for {rows} input rows$"),
+    "one too few": (lambda rows: np.ones(rows - 1, dtype=int),
+                    "^{fewer} labels for {rows} input rows$"),
+}
+
+
+class TestLabelRule:
+    """Every call that takes labels applies the one rule of
+    data._check_labels: one int label per row, each in [0, class_count)."""
+
+    @pytest.mark.parametrize("bad", sorted(_BAD_LABELS))
+    @pytest.mark.parametrize("entry", sorted(_label_entry_points()))
+    def test_bad_label_rejected(self, entry, bad):
+        rows, call = _label_entry_points()[entry]
+        make, message = _BAD_LABELS[bad]
+        if entry == "macro_f1" and bad.startswith("one too"):
+            message = "label vector lengths differ"  # two label vectors, no input rows
+        with pytest.raises(ValueError, match=message.format(rows=rows, more=rows + 1,
+                                                            fewer=rows - 1)):
+            call(make(rows))
+
+    @pytest.mark.parametrize("entry", sorted(_label_entry_points()))
+    def test_good_labels_accepted(self, entry):
+        rows, call = _label_entry_points()[entry]
+        call(np.array([0, 1, 1], dtype=np.uint8)[:rows])
+
+    def test_dataset_keeps_int_labels(self):
+        ds = Dataset(np.zeros((2, 3)), np.array([1, 0], dtype=np.int8), 2)
+        assert ds.y.dtype == int and ds.y.tolist() == [1, 0]
+        assert Dataset(np.zeros((0, 3)), [], 2).y.dtype == int
+
+    @pytest.mark.parametrize("class_count", [2.5, 2.0, True, "2", None, 0, -1])
+    def test_dataset_rejects_bad_class_count(self, class_count):
+        with pytest.raises(ValueError, match="class_count"):
+            Dataset(np.zeros((2, 3)), [0, 0], class_count)

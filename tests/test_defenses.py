@@ -526,6 +526,15 @@ class TestNonFiniteInput:
             with pytest.raises(ValueError, match="non-finite input"):
                 call(X)
 
+    @pytest.mark.parametrize("inner_steps", [0, 1])
+    def test_train_hardened_rejects_a_nan_training_set(self, inner_steps):
+        # with inner_steps=0 no model call sees the raw batch
+        X = np.zeros((4, 6))
+        X[2, 3] = np.nan
+        cfg = DefenseConfig(inner_steps=inner_steps, epochs=1, batch_size=4, hidden=(4,))
+        with pytest.raises(ValueError, match="non-finite input"):
+            train_hardened(Dataset(X, [0, 1, 0, 1], 2), ManipulationPolicy.additions_only(6), cfg)
+
 
 class TestCheckpointChecks:
     def test_input_dim_round_trip(self, tmp_path):

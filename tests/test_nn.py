@@ -269,6 +269,21 @@ class TestTrainSupervised:
         with pytest.raises(ValueError):
             train_supervised(model, data.Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int), 2), 1)
 
+    def test_nan_training_set_rejected(self):
+        ds = separable_dataset(8)
+        ds.X[5, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite input"):
+            train_supervised(MlpClassifier.init([2, 4, 2], seed=1), ds, epochs=1)
+
+    def test_width_mismatch_names_the_input_dimension(self):
+        with pytest.raises(ValueError, match="input dimension 2 != model dimension 3"):
+            train_supervised(MlpClassifier.init([3, 4, 2], seed=1), separable_dataset(8), 1)
+
+    def test_label_outside_the_model_rejected(self):
+        ds = data.Dataset(np.zeros((3, 2)), [0, 2, 1], 3)
+        with pytest.raises(ValueError, match=r"label out of range \[0, 2\)"):
+            train_supervised(MlpClassifier.init([2, 4, 2], seed=1), ds, epochs=1)
+
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path, rng):
