@@ -7,8 +7,9 @@ against the plain model under white-box attacks.  Two hardened flavors:
 
 * adversarial training (AT): the defender knows the manipulation set, so
   the inner maximizer projects into it;
-* adversarial regularization (AR): no manipulation-set knowledge, the
-  search is box-only with salt-and-pepper restarts.
+* adversarial regularization (AR): no manipulation-set knowledge, so it
+  trains with no policy and the search is box-only with salt-and-pepper
+  restarts.
 """
 
 import numpy as np
@@ -38,8 +39,7 @@ at_model, _ = mr.train_hardened(train, policy, at_cfg)
 ar_cfg = DefenseConfig.adversarial_regularization_profile(
     restarts=2, noise_ratio_max=0.1,
     epochs=20, batch_size=128, lr=0.001, seed=11)
-ar_model, _ = mr.train_hardened(train, None, ar_cfg,
-                                known_manipulation_set=False)
+ar_model, _ = mr.train_hardened(train, None, ar_cfg)  # no policy: box-only search
 
 models = {"plain": plain, "AT": at_model, "AR": ar_model}
 for label, m in models.items():

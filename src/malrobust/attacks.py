@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import _check_binary, _check_config_types, _check_labels, project_to_m
+from .data import _check_binary, _check_config_types, _check_labels, _check_policy, project_to_m
 from .nn import MAXIMIZE, AdamState, adam_step
 
 WHITE_BOX = "white_box"
@@ -331,6 +331,7 @@ def run_single(model, x, y, policy, config: AttackConfig,
     """Run one attack against one binary example with a label of the model."""
     x = np.asarray(x, dtype=float)
     _check_binary(x)
+    _check_policy(policy, x)
     (y,) = _check_labels(y, 1, model.class_count)
     return _ATTACKS[config.name](model, x, y, policy, config, benign_pool, rng)
 

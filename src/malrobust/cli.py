@@ -141,8 +141,7 @@ def _load_dataset_files(cfg):
     test = data.read_sparse(paths["test"])
     val = data.read_sparse(paths["val"]) if paths.get("val") else None
     policy = data.read_policy(paths["policy"])
-    if policy.dim != train.dim:
-        raise ConfigError("policy dimension does not match dataset")
+    data._check_policy(policy, train.X)
     return train, val, test, policy
 
 

@@ -59,8 +59,9 @@ class ManipulationPolicy:
     def __post_init__(self):
         self.addition_allowed = np.asarray(self.addition_allowed, dtype=bool)
         self.removal_allowed = np.asarray(self.removal_allowed, dtype=bool)
-        if self.addition_allowed.shape != self.removal_allowed.shape:
-            raise ValueError("addition/removal flag lengths differ")
+        shapes = (self.addition_allowed.shape, self.removal_allowed.shape)
+        if len(shapes[0]) != 1 or shapes[0] != shapes[1]:
+            raise ValueError(f"policy flags must be two 1-d arrays of one length, got {shapes}")
 
     @property
     def dim(self) -> int:
@@ -74,6 +75,13 @@ class ManipulationPolicy:
     @classmethod
     def additions_only(cls, dim: int) -> "ManipulationPolicy":
         return cls(np.ones(dim, dtype=bool), np.zeros(dim, dtype=bool))
+
+
+def _check_policy(policy: ManipulationPolicy, x) -> None:
+    """Reject a policy whose width differs from that of the example or
+    batch x: the library's one policy rule, checked where a policy enters."""
+    if np.shape(x)[-1:] != (policy.dim,):
+        raise ValueError(f"policy of width {policy.dim} for examples of shape {np.shape(x)}")
 
 
 @dataclass
@@ -121,8 +129,7 @@ def admissible(x: np.ndarray, x_adv: np.ndarray, policy: ManipulationPolicy) -> 
     x_adv = np.asarray(x_adv, dtype=float)
     if x.shape != x_adv.shape:
         raise ValueError("shape mismatch")
-    if x.shape[-1] != policy.dim:
-        raise ValueError("policy dimension mismatch")
+    _check_policy(policy, x)
     _check_binary(x, "x")
     _check_binary(x_adv, "x_adv")
     added = (x == 0.0) & (x_adv == 1.0)
@@ -139,6 +146,7 @@ def project_to_m(x: np.ndarray, x_cont: np.ndarray, policy: ManipulationPolicy) 
     to x.  Works on single vectors or (n, dim) batches.
     """
     x = np.asarray(x, dtype=float)
+    _check_policy(policy, x)
     x_cont = np.asarray(x_cont, dtype=float)
     rounded = (x_cont >= 0.5).astype(float)
     added = (x == 0.0) & (rounded == 1.0)
@@ -364,7 +372,7 @@ def write_policy(path, policy: ManipulationPolicy) -> None:
 
 
 def read_policy(path) -> ManipulationPolicy:
-    adds, rems = {}, {}
+    flags = {}  # feature index -> (add, remove)
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -381,16 +389,11 @@ def read_policy(path) -> ManipulationPolicy:
                 raise ValueError(f"line {lineno}: flags must be 0/1")
             if idx < 0:
                 raise ValueError(f"line {lineno}: negative index {idx}")
-            if idx in adds:
+            if idx in flags:
                 raise ValueError(f"line {lineno}: duplicate index {idx}")
-            adds[idx] = bool(a)
-            rems[idx] = bool(r)
-    dim = 1 + max(adds, default=-1)
-    add = np.zeros(dim, dtype=bool)
-    rem = np.zeros(dim, dtype=bool)
-    for i in range(dim):
-        if i not in adds:
-            raise ValueError(f"policy file missing feature {i}")
-        add[i] = adds[i]
-        rem[i] = rems[i]
-    return ManipulationPolicy(add, rem)
+            flags[idx] = (a, r)
+    dim = 1 + max(flags, default=-1)
+    if len(flags) != dim:
+        raise ValueError(f"policy file missing feature {min(set(range(dim)) - set(flags))}")
+    pairs = np.array([flags[i] for i in range(dim)], dtype=bool).reshape(dim, 2)
+    return ManipulationPolicy(pairs[:, 0], pairs[:, 1])

@@ -20,8 +20,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import (Dataset, ManipulationPolicy, _check_config_types, _check_labels, binarize,
-                   oversample, project_to_m)
+from .data import (Dataset, ManipulationPolicy, _check_config_types, _check_labels,
+                   _check_policy, binarize, oversample, project_to_m)
 from .nn import (MAXIMIZE, PROB_FLOOR, AdamState, DenseStack, MlpClassifier, _adam_states,
                  _adam_update, _batch_param_gradients, _check_cotangent, _check_input,
                  _field, _like_input, _model_from_record, _model_record,
@@ -73,7 +73,7 @@ class DefenseConfig:
 
     @classmethod
     def adversarial_regularization_profile(cls, **overrides) -> "DefenseConfig":
-        """Inner maximizer run with lr 0.01 for 60 steps, box-only."""
+        """Inner maximizer run with lr 0.01 for 60 steps; train with no policy for box-only."""
         return cls(**{"inner_lr": 0.01, "inner_steps": 60, **overrides})
 
 
@@ -237,11 +237,11 @@ def inner_maximize(model, X, y, policy, config: DefenseConfig, rng=None):
     the input (a single vector yields single vectors).
     """
     rng = np.random.default_rng(config.seed if rng is None else rng)
-    single = np.ndim(X) == 1
     X2 = np.atleast_2d(np.asarray(X, dtype=float))
     if policy is None:  # box-only: every flip is allowed
         allowed = np.ones(X2.shape[1], dtype=bool)
         policy = ManipulationPolicy(allowed, allowed)
+    _check_policy(policy, X2)
     best_loss = np.full(len(X2), -np.inf)
     best_x = X2.copy()
     best_delta = np.zeros_like(X2)
@@ -262,27 +262,25 @@ def inner_maximize(model, X, y, policy, config: DefenseConfig, rng=None):
         best_loss = np.where(better, losses, best_loss)
         best_x[better] = rounded[better]
         best_delta[better] = delta[better]
-    if single:
-        return best_x[0], best_delta[0]
-    return best_x, best_delta
+    return _like_input(X, best_x), _like_input(X, best_delta)
 
 
 def train_hardened(dataset: Dataset, policy, config: DefenseConfig, *,
-                   use_dae: bool = False, use_binarization: bool = False,
-                   known_manipulation_set: bool = True):
+                   use_dae: bool = False, use_binarization: bool = False):
     """Train one hardened classifier (the per-member training loop).
 
-    With known_manipulation_set the inner maximizer respects the policy;
-    without it the search is box-only (adversarial regularization).  With
-    use_dae the encoder feeds the classifier and the autoencoder /
-    classifier parameters are updated in alternating steps.  Returns
-    (classifier, per-epoch loss trace); deterministic given config.seed.
+    The policy is the manipulation set the defender knows: the inner
+    maximizer respects it, and with policy None the search is box-only
+    (adversarial regularization).  With use_dae the encoder feeds the
+    classifier and the autoencoder / classifier parameters are updated in
+    alternating steps.  Returns (classifier, per-epoch loss trace);
+    deterministic given config.seed.
     """
     if len(dataset) == 0:
         raise ValueError("empty dataset")
     _check_input(dataset.X, dataset.dim)  # no model call checks the head's training batches
-    if known_manipulation_set and policy is None:
-        raise ValueError("known_manipulation_set requires a policy")
+    if policy is not None:
+        _check_policy(policy, dataset.X)
     rng = np.random.default_rng(config.seed)
     ds = oversample(dataset, config.oversample_ratio, seed=rng) \
         if config.oversample_ratio else dataset
@@ -300,9 +298,7 @@ def train_hardened(dataset: Dataset, policy, config: DefenseConfig, *,
     if use_binarization:
         X = binarize(X, thresholds)
     y = ds.y
-    pol_view = None
-    if known_manipulation_set:
-        pol_view = policy.restrict(subset) if subset is not None else policy
+    pol_view = policy if policy is None or subset is None else policy.restrict(subset)
 
     o = ds.class_count
     hidden = list(config.hidden)
@@ -420,8 +416,7 @@ class EnsembleClassifier:
 
 
 def train_ensemble(dataset: Dataset, policy, config: DefenseConfig, *,
-                   use_dae: bool = False, use_binarization: bool = False,
-                   known_manipulation_set: bool = True):
+                   use_dae: bool = False, use_binarization: bool = False):
     """Train config.ensemble_size hardened members on seeded random
     feature subspaces and example subsets, with disjoint seed streams."""
     if config.ensemble_size < 1:
@@ -436,10 +431,8 @@ def train_ensemble(dataset: Dataset, policy, config: DefenseConfig, *,
             n_keep = max(1, int(round(config.data_fraction * len(dataset))))
             keep = np.sort(d_rng.choice(len(dataset), size=n_keep, replace=False))
             sub = Dataset(dataset.X[keep], dataset.y[keep], dataset.class_count)
-        member, trace = train_hardened(
-            sub, policy, member_cfg, use_dae=use_dae,
-            use_binarization=use_binarization,
-            known_manipulation_set=known_manipulation_set)
+        member, trace = train_hardened(sub, policy, member_cfg, use_dae=use_dae,
+                                       use_binarization=use_binarization)
         members.append(member)
         traces.append(trace)
     return EnsembleClassifier(members), traces

@@ -27,29 +27,28 @@ SURROGATE_PROFILE = {"hidden": (200, 200), "activation": "relu",
 def binary_metrics(y_true, y_pred, positive_class=1):
     """(FNR, FPR, accuracy) with the given class treated as positive.
 
-    Empty denominators yield 0 with a warning.
+    Both vectors hold two-class labels; empty denominators yield 0 with a
+    warning.
     """
-    y_true = np.asarray(y_true, dtype=int)
-    y_pred = np.asarray(y_pred, dtype=int)
-    if y_true.shape != y_pred.shape:
+    _check_config_types({"positive_class": positive_class}, {})
+    if positive_class not in (0, 1):
+        raise ValueError(f"positive_class must be 0 or 1, got {positive_class!r}")
+    if np.size(y_true) != np.size(y_pred):
         raise ValueError("label vector lengths differ")
-    pos = y_true == positive_class
-    tp = int(np.sum(pos & (y_pred == positive_class)))
-    fn = int(np.sum(pos & (y_pred != positive_class)))
-    fp = int(np.sum(~pos & (y_pred == positive_class)))
-    tn = int(np.sum(~pos & (y_pred != positive_class)))
-    if fn + tp == 0:
-        warnings.warn("no positive examples; FNR set to 0", RuntimeWarning)
-        fnr = 0.0
-    else:
-        fnr = fn / (fn + tp)
-    if fp + tn == 0:
-        warnings.warn("no negative examples; FPR set to 0", RuntimeWarning)
-        fpr = 0.0
-    else:
-        fpr = fp / (fp + tn)
+    y_true, y_pred = (_check_labels(y, np.size(y), 2) for y in (y_true, y_pred))
+    pos, flagged = y_true == positive_class, y_pred == positive_class
     accuracy = float(np.mean(y_true == y_pred)) if len(y_true) else 0.0
-    return float(fnr), float(fpr), accuracy
+    return (_error_rate(pos, ~flagged, "no positive examples; FNR set to 0"),
+            _error_rate(~pos, flagged, "no negative examples; FPR set to 0"), accuracy)
+
+
+def _error_rate(rows, wrong, empty_warning):
+    """The share of the selected rows that are wrong; 0 with a warning
+    when no row is selected."""
+    if not rows.any():
+        warnings.warn(empty_warning, RuntimeWarning)
+        return 0.0
+    return int(np.sum(rows & wrong)) / int(np.sum(rows))
 
 
 def macro_f1(y_true, y_pred, class_count: int) -> float:
@@ -96,6 +95,9 @@ class DefenseSpec:
     def __post_init__(self):
         if self.kind not in ("plain", "hardened", "ensemble"):
             raise ValueError(f"unknown defense kind {self.kind!r}")
+        for key in ("use_dae", "use_binarization", "known_manipulation_set"):
+            if not isinstance(getattr(self, key), bool):
+                raise ValueError(f"{key} must be true or false, got {getattr(self, key)!r}")
 
 
 def _train_mlp(train_set: Dataset, seed, hidden, activation, epochs, batch_size, lr):
@@ -113,11 +115,10 @@ def train_defense(spec: DefenseSpec, train_set: Dataset, policy, seed=None):
     if spec.kind == "plain":
         return _train_mlp(train_set, cfg.seed,
                           **{key: getattr(cfg, key) for key in SURROGATE_PROFILE})
-    flags = dict(use_dae=spec.use_dae, use_binarization=spec.use_binarization,
-                 known_manipulation_set=spec.known_manipulation_set)
-    if spec.kind == "hardened":
-        return train_hardened(train_set, policy, cfg, **flags)
-    return train_ensemble(train_set, policy, cfg, **flags)
+    # the defender knows the manipulation set through the policy it trains with
+    train = train_hardened if spec.kind == "hardened" else train_ensemble
+    return train(train_set, policy if spec.known_manipulation_set else None, cfg,
+                 use_dae=spec.use_dae, use_binarization=spec.use_binarization)
 
 
 def train_surrogate(train_set: Dataset, seed, profile=None) -> MlpClassifier:

@@ -294,6 +294,17 @@ class TestBadValues:
         assert err.startswith("error: ") and key in err
         assert not (tmp_path / "m").exists()
 
+    @pytest.mark.parametrize("key, value", [("use_dae", "false"), ("use_binarization", 1),
+                                            ("known_manipulation_set", "no")])
+    def test_bad_defense_flag_reported(self, pipeline, capsys, key, value):
+        tmp_path, cfg_path, cfg = pipeline
+        cfg["defenses"] = [{"label": "at", "kind": "hardened", "flags": {key: value}}]
+        cfg_path.write_text(json.dumps(cfg))
+        assert run("train", "-c", str(cfg_path), "--out", str(tmp_path / "m")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+        assert not (tmp_path / "m").exists()
+
     @pytest.mark.parametrize("entry", [
         {"name": "mimicry", "mimicry_selection": "randm"},
         {"name": "mimicry", "mimicry_candidates": 0},

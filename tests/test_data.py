@@ -10,8 +10,8 @@ from malrobust.data import (Dataset, ManipulationPolicy, admissible, atomic_writ
                             read_policy, read_sparse, split, write_policy,
                             write_sparse)
 from malrobust.defenses import (DefenseConfig, EnsembleClassifier, HardenedClassifier,
-                                inner_maximize)
-from malrobust.evaluation import macro_f1
+                                inner_maximize, train_hardened)
+from malrobust.evaluation import binary_metrics, macro_f1
 from malrobust.nn import MlpClassifier, cross_entropy
 
 
@@ -380,6 +380,7 @@ def _label_entry_points():
         "inner_maximize": (3, lambda y: inner_maximize(mlp, X, y, policy,
                                                        DefenseConfig(inner_steps=1))),
         "macro_f1": (3, lambda y: macro_f1([0, 1, 1], y, 2)),
+        "binary_metrics": (3, lambda y: binary_metrics([0, 1, 1], y)),
         "MlpClassifier.input_gradients": (3, lambda y: mlp.input_gradients(X, y)),
         "EnsembleClassifier.input_gradients": (3, lambda y: ensemble.input_gradients(X, y)),
         "cross_entropy": (3, lambda y: cross_entropy(np.full((3, 2), 0.5), y)),
@@ -415,7 +416,7 @@ class TestLabelRule:
     def test_bad_label_rejected(self, entry, bad):
         rows, call = _label_entry_points()[entry]
         make, message = _BAD_LABELS[bad]
-        if entry == "macro_f1" and bad.startswith("one too"):
+        if entry in ("macro_f1", "binary_metrics") and bad.startswith("one too"):
             message = "label vector lengths differ"  # two label vectors, no input rows
         with pytest.raises(ValueError, match=message.format(rows=rows, more=rows + 1,
                                                             fewer=rows - 1)):
@@ -435,3 +436,40 @@ class TestLabelRule:
     def test_dataset_rejects_bad_class_count(self, class_count):
         with pytest.raises(ValueError, match="class_count"):
             Dataset(np.zeros((2, 3)), [0, 0], class_count)
+
+
+def _policy_entry_points():
+    """Each call a policy enters through, as a call on the policy: a batch
+    or one example of 6 binary features on a 2-class model of width 6."""
+    rng = np.random.default_rng(0)
+    X = (rng.random((4, 6)) < 0.5).astype(float)
+    y = np.array([1, 0, 1, 0])
+    mlp = MlpClassifier.init([6, 4, 2], seed=0)
+    cfg = DefenseConfig(inner_steps=1, epochs=1, batch_size=4, hidden=(4,),
+                        subspace_ratio=0.5)
+    points = {f"run_single[{name}]": lambda policy, name=name: run_single(
+        mlp, X[0], 1, policy, AttackConfig.for_attack(name, max_steps=2), benign_pool=X,
+        rng=np.random.default_rng(1)) for name in ("random", "mimicry", "fgsm", "bca", "pgd_l1")}
+    return {
+        **points,
+        "inner_maximize": lambda policy: inner_maximize(mlp, X, y, policy, cfg),
+        "train_hardened": lambda policy: train_hardened(Dataset(X, y, 2), policy, cfg),
+        "project_to_m": lambda policy: project_to_m(X, X, policy),
+        "admissible": lambda policy: admissible(X[0], X[0], policy),
+    }
+
+
+class TestPolicyRule:
+    """Every call a policy enters through applies data._check_policy: the
+    policy is exactly as wide as the examples."""
+
+    @pytest.mark.parametrize("width", [1, 3, 7])
+    @pytest.mark.parametrize("entry", sorted(_policy_entry_points()))
+    def test_wrong_width_rejected(self, entry, width):
+        with pytest.raises(ValueError, match=f"policy of width {width} for examples of shape"):
+            _policy_entry_points()[entry](ManipulationPolicy.additions_only(width))
+
+    @pytest.mark.parametrize("flags", [[[True] * 6], True, np.ones((2, 3), bool)])
+    def test_flags_must_be_1d(self, flags):
+        with pytest.raises(ValueError, match="policy flags must be two 1-d arrays"):
+            ManipulationPolicy(flags, np.logical_not(flags))

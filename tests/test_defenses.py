@@ -203,17 +203,11 @@ class TestTrainHardened:
         for W1, W2 in zip(a.mlp.weights, b.mlp.weights):
             assert np.array_equal(W1, W2)
 
-    def test_requires_policy_when_known(self):
-        ds, _ = small_task()
-        cfg = DefenseConfig(epochs=1, hidden=(4,))
-        with pytest.raises(ValueError):
-            train_hardened(ds, None, cfg, known_manipulation_set=True)
-
     def test_regularization_mode_trains_without_policy(self):
         ds, _ = small_task()
         cfg = DefenseConfig(inner_steps=3, epochs=2, batch_size=16, lr=0.01,
                             hidden=(8,), seed=13)
-        clf, trace = train_hardened(ds, None, cfg, known_manipulation_set=False)
+        clf, trace = train_hardened(ds, None, cfg)
         assert len(trace) == 2
         assert clf.predict(ds.X).shape == (len(ds),)
 

@@ -56,6 +56,16 @@ class TestBinaryMetrics:
         with pytest.raises(ValueError):
             binary_metrics([0, 1], [0])
 
+    @pytest.mark.parametrize("positive_class", [7, -1, 2, True, 1.0, None])
+    def test_positive_class_must_be_zero_or_one(self, positive_class):
+        with pytest.raises(ValueError, match="positive_class"):
+            binary_metrics([0, 1], [0, 1], positive_class)
+
+    @pytest.mark.parametrize("y_true", [[1.7, 0], [True, False], [2, 0]])
+    def test_true_labels_follow_the_two_class_rule(self, y_true):
+        with pytest.raises(ValueError, match="label"):
+            binary_metrics(y_true, [1, 0])
+
 
 def brute_force_macro_f1(y_true, y_pred, o):
     scores = []
@@ -91,6 +101,14 @@ class TestMacroF1:
     def test_label_out_of_range(self):
         with pytest.raises(ValueError):
             macro_f1([0, 3], [0, 1], 2)
+
+
+class TestDefenseSpec:
+    @pytest.mark.parametrize("key", ["use_dae", "use_binarization", "known_manipulation_set"])
+    @pytest.mark.parametrize("value", ["false", "no", 0, 1, None])
+    def test_flags_must_be_bools(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be true or false"):
+            DefenseSpec("d", "hardened", **{key: value})
 
 
 class TestHarmonicMean:

@@ -230,6 +230,7 @@ HARDENED_CASES = {
     "hardened": ({}, {}),
     "hardened_no_hidden": ({"hidden": ()}, {}),
     "regularization": ({}, {"known_manipulation_set": False}),
+    "regularization_subset": ({"subspace_ratio": 0.5}, {"known_manipulation_set": False}),
     "dae": ({}, {"use_dae": True}),
     "dae_elu_three_layers": ({"activation": "elu", "hidden": (10, 8, 6)}, {"use_dae": True}),
     "subset": ({"subspace_ratio": 0.5}, {"use_binarization": True}),
@@ -245,7 +246,11 @@ def test_train_hardened_matches_oracle(case):
     cfg = DefenseConfig(**{"inner_steps": 3, "restarts": 1, "noise_ratio_max": 0.2,
                            "epochs": 2, "batch_size": 16, "lr": 0.01, "hidden": (8, 8),
                            "latent_dim": 10, "seed": 6, **overrides})
-    a, trace_a = defenses.train_hardened(ds, policy, cfg, **flags)
+    # the oracle's known_manipulation_set=False is the library's policy=None
+    known = flags.get("known_manipulation_set", True)
+    a, trace_a = defenses.train_hardened(
+        ds, policy if known else None, cfg,
+        **{k: v for k, v in flags.items() if k != "known_manipulation_set"})
     b, trace_b = train_hardened(ds, policy, cfg, **flags)
     assert trace_a == trace_b
     assert_same_stack(a.mlp, b.mlp)
