@@ -7,13 +7,13 @@ net with iterative shrinkage).  Gradient-based attacks maximize the
 victim's cross-entropy loss (ead minimizes a logit-margin objective);
 every attack emits a binary vector admissible under the policy.
 
-The iterative attacks share two loops.  grosse, bca and bga run the
-greedy-flip loop with a selection rule: the single largest positive loss
-gradient for grosse and bca (for two classes the softmax saliency of
-Grosse et al. is a positive multiple of that gradient, so one rule serves
-both names), and the ||g||_2 / sqrt(dim) threshold for bga.  The four
-PGD variants and ead run the projected-step loop with a per-attack
-direction.  run_single dispatches on the attack name through a table.
+fgsm and mimicry are one-shot.  The nine iterative attacks share one
+search loop: it judges each point an attack proposes and stops at the
+first success, at the step budget, or when nothing is left to propose.
+Each family only proposes points: random flips one admissible feature at
+a time; grosse, bca and bga set to 1 the features a selection rule picks;
+the four PGD variants and ead round a continuous step through the policy.
+run_single dispatches on the attack name through a table.
 
 An attack succeeds when the model it runs against no longer predicts the
 true label.  Under the grey-box threat model the suite runs each attack
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -115,28 +116,8 @@ def _misclassified(model, x, y) -> bool:
 
 
 # Every attack below takes (model, x, y, policy, config, benign_pool, rng)
-# with x a float vector; run_single dispatches through the _ATTACKS table.
-
-def random_attack(model, x, y, policy, config, benign_pool, rng) -> AttackOutcome:
-    """Flip one uniformly chosen admissible feature per step.
-
-    Each feature is flipped at most once; stops at the step budget, at
-    success, or when no admissible flip remains.
-    """
-    rng = np.random.default_rng(config.seed if rng is None else rng)
-    cur = x.copy()
-    allowed = np.where(x == 0.0, policy.addition_allowed, policy.removal_allowed)
-    candidates = list(np.flatnonzero(allowed))
-    steps = 0
-    success = _misclassified(model, cur, y)
-    while steps < config.max_steps and candidates and not success:
-        pick = int(rng.integers(len(candidates)))
-        j = candidates.pop(pick)
-        cur[j] = 1.0 - cur[j]
-        steps += 1
-        success = _misclassified(model, cur, y)
-    return _outcome(x, cur, success, steps)
-
+# with x a float vector, and each proposal generator of _search the same
+# but benign_pool; run_single dispatches through the _ATTACKS table.
 
 def mimicry_attack(model, x, y, policy, config, benign_pool, rng) -> AttackOutcome:
     """Copy the admissible coordinates of guide examples onto x.
@@ -180,28 +161,55 @@ def fgsm(model, x, y, policy, config, benign_pool, rng) -> AttackOutcome:
     return _outcome(x, x_adv, _misclassified(model, x_adv, y), 1)
 
 
-def _greedy_flips(select, model, x, y, policy, config, benign_pool, rng) -> AttackOutcome:
-    """The loop of grosse, bca and bga: per step, set to 1 the features
-    `select` picks among the addition-allowed zero features with a
-    positive loss gradient.  Stops at success, at the step budget, or when
+def _search(propose, model, x, y, policy, config, benign_pool, rng) -> AttackOutcome:
+    """The loop of the nine iterative attacks: judge each new array that
+    ``propose(model, x, y, policy, config, rng)`` yields until one
+    succeeds, ``max_steps`` are judged or none is left.  A start point
+    that is already misclassified succeeds after 0 steps."""
+    x_adv, steps = x.copy(), 0
+    success = _misclassified(model, x, y)
+    if not success:
+        for steps, x_adv in enumerate(islice(propose(model, x, y, policy, config, rng),
+                                             config.max_steps), 1):
+            success = _misclassified(model, x_adv, y)
+            if success:
+                break
+    return _outcome(x, x_adv, success, steps)
+
+
+def _random_flips(model, x, y, policy, config, rng):
+    """random: flip one uniformly chosen admissible feature per step, each
+    feature at most once."""
+    rng = np.random.default_rng(config.seed if rng is None else rng)
+    allowed = np.where(x == 0.0, policy.addition_allowed, policy.removal_allowed)
+    candidates = list(np.flatnonzero(allowed))
+    cur = x
+    while candidates:
+        j = candidates.pop(int(rng.integers(len(candidates))))
+        cur = cur.copy()
+        cur[j] = 1.0 - cur[j]
+        yield cur
+
+
+def _greedy_flips(select, model, x, y, policy, config, rng):
+    """grosse, bca and bga: set to 1 the features `select` picks among the
+    addition-allowed zero features with a positive loss gradient, until
     nothing is picked; never removes a feature."""
-    cur = x.copy()
-    steps = 0
-    success = _misclassified(model, cur, y)
-    while steps < config.max_steps and not success:
+    cur = x
+    while True:
         g = model.input_gradients(cur, y)
         picked = select(g, (cur == 0.0) & policy.addition_allowed & (g > 0.0))
         if len(picked) == 0:
-            break
+            return
+        cur = cur.copy()
         cur[picked] = 1.0
-        steps += 1
-        success = _misclassified(model, cur, y)
-    return _outcome(x, cur, success, steps)
+        yield cur
 
 
 def _top_gradient(g, candidates):
     """grosse and bca: the candidate with the largest gradient (lowest
-    index on ties)."""
+    index on ties).  For two classes the softmax saliency of Grosse et al.
+    is a positive multiple of that gradient, so one rule serves both."""
     return [int(np.argmax(np.where(candidates, g, -np.inf)))] if candidates.any() else []
 
 
@@ -222,30 +230,19 @@ def _project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
     return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
 
 
-def _projected_steps(direction, model, x, y, policy, config, benign_pool,
-                     rng) -> AttackOutcome:
-    """The loop of the pgd variants and ead, on a continuous perturbation
-    delta that starts at 0.
-
-    `direction` returns the next delta; the loop clips x + delta into the
-    unit box and rounds it through the policy after every step, so the
-    attack stops at the first admissible success.  A start point that is
-    already misclassified succeeds after 0 steps.
-    """
+def _projected_steps(direction, model, x, y, policy, config, rng):
+    """The pgd variants and ead, on a continuous perturbation delta that
+    starts at 0: `direction` returns the next delta, x + delta is clipped
+    into the unit box, and each proposed point is its rounding through the
+    policy."""
     delta = np.zeros_like(x)
     adam = AdamState.zeros(x.shape, learning_rate=config.step_size)
-    rounded = project_to_m(x, x, policy)
-    if _misclassified(model, rounded, y):
-        return _outcome(x, rounded, True, 0)
-    for steps in range(1, config.max_steps + 1):
+    while True:
         delta = np.clip(x + direction(model, x, y, delta, config, adam), 0.0, 1.0) - x
-        rounded = project_to_m(x, x + delta, policy)
-        if _misclassified(model, rounded, y):
-            return _outcome(x, rounded, True, steps)
-    return _outcome(x, rounded, False, config.max_steps)
+        yield project_to_m(x, x + delta, policy)
 
 
-# Directions of the projected-step loop.  A finite epsilon_ball projects
+# Directions of the projected steps.  A finite epsilon_ball projects
 # the l1 / l2 / linf steps into their norm ball; `adam` is the example's
 # Adam state, used by pgd_adam only.
 
@@ -311,17 +308,17 @@ def _ead_direction(model, x, y, delta, config, adam):
 
 
 _ATTACKS = {
-    "random": random_attack,
+    "random": partial(_search, _random_flips),
     "mimicry": mimicry_attack,
     "fgsm": fgsm,
-    "grosse": partial(_greedy_flips, _top_gradient),
-    "bga": partial(_greedy_flips, _gradient_threshold),
-    "bca": partial(_greedy_flips, _top_gradient),
-    "pgd_l1": partial(_projected_steps, _l1_direction),
-    "pgd_l2": partial(_projected_steps, _l2_direction),
-    "pgd_linf": partial(_projected_steps, _linf_direction),
-    "pgd_adam": partial(_projected_steps, _adam_direction),
-    "ead": partial(_projected_steps, _ead_direction),
+    "grosse": partial(_search, partial(_greedy_flips, _top_gradient)),
+    "bga": partial(_search, partial(_greedy_flips, _gradient_threshold)),
+    "bca": partial(_search, partial(_greedy_flips, _top_gradient)),
+    "pgd_l1": partial(_search, partial(_projected_steps, _l1_direction)),
+    "pgd_l2": partial(_search, partial(_projected_steps, _l2_direction)),
+    "pgd_linf": partial(_search, partial(_projected_steps, _linf_direction)),
+    "pgd_adam": partial(_search, partial(_projected_steps, _adam_direction)),
+    "ead": partial(_search, partial(_projected_steps, _ead_direction)),
 }
 ATTACK_NAMES = tuple(_ATTACKS)
 

@@ -218,6 +218,7 @@ def _load_checkpoint(models_dir, spec):
 def cmd_train(cfg: dict, out_dir=None) -> str:
     train, _, _, policy = _load_dataset_files(cfg)
     specs = _defense_specs(cfg)
+    evaluation._surrogate_settings(cfg.get("surrogate"))  # checked before anything is written
     run_dir = make_run_dir(cfg, "train", out_dir)
     models, traces, surrogate = evaluation.train_models(
         specs, train, policy, cfg["seed"], cfg["threat_model"], cfg.get("surrogate"))

@@ -22,9 +22,9 @@ import numpy as np
 
 from .data import (Dataset, ManipulationPolicy, _check_config_types, _check_labels,
                    _check_policy, binarize, oversample, project_to_m)
-from .nn import (MAXIMIZE, PROB_FLOOR, AdamState, DenseStack, MlpClassifier, _adam_states,
-                 _adam_update, _batch_param_gradients, _check_cotangent, _check_input,
-                 _field, _like_input, _model_from_record, _model_record,
+from .nn import (MAXIMIZE, PROB_FLOOR, AdamState, DenseStack, MlpClassifier, _ACTIVATIONS,
+                 _adam_states, _adam_update, _batch_param_gradients, _check_cotangent,
+                 _check_input, _field, _like_input, _model_from_record, _model_record,
                  _read_checkpoint, _write_checkpoint, adam_step, child_seed, softmax)
 
 
@@ -65,6 +65,13 @@ class DefenseConfig:
             raise ValueError("data_fraction must be in (0, 1]")
         if min(self.epochs, self.restarts, self.inner_steps) < 0:
             raise ValueError("epochs, restarts and inner_steps must be >= 0")
+        if self.activation not in _ACTIVATIONS:
+            raise ValueError(f"unknown activation {self.activation!r}")
+        for i, h in enumerate(self.hidden):
+            if h < 1:
+                raise ValueError(f"hidden[{i}] must be >= 1, got {h}")
+        if self.latent_dim < 1:
+            raise ValueError(f"latent_dim must be >= 1, got {self.latent_dim}")
 
     @classmethod
     def adversarial_training_profile(cls, **overrides) -> "DefenseConfig":

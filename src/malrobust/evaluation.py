@@ -10,7 +10,7 @@ from the experiment seed, so a report replays exactly.
 from __future__ import annotations
 
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -95,9 +95,14 @@ class DefenseSpec:
     def __post_init__(self):
         if self.kind not in ("plain", "hardened", "ensemble"):
             raise ValueError(f"unknown defense kind {self.kind!r}")
+        defaults = {f.name: f.default for f in fields(self)}
         for key in ("use_dae", "use_binarization", "known_manipulation_set"):
-            if not isinstance(getattr(self, key), bool):
-                raise ValueError(f"{key} must be true or false, got {getattr(self, key)!r}")
+            value = getattr(self, key)
+            if not isinstance(value, bool):
+                raise ValueError(f"{key} must be true or false, got {value!r}")
+            if self.kind == "plain" and value != defaults[key]:
+                raise ValueError(f"{key}={value} applies to hardened and ensemble "
+                                 f"defenses only, not to plain {self.label!r}")
 
 
 def _train_mlp(train_set: Dataset, seed, hidden, activation, epochs, batch_size, lr):
@@ -121,10 +126,24 @@ def train_defense(spec: DefenseSpec, train_set: Dataset, policy, seed=None):
                  use_dae=spec.use_dae, use_binarization=spec.use_binarization)
 
 
+def _surrogate_settings(profile) -> dict:
+    """SURROGATE_PROFILE with the keys of ``profile`` over it, checked by
+    the rules of a defense's MLP settings."""
+    settings = {**SURROGATE_PROFILE, **(profile or {})}
+    unknown = set(settings) - set(SURROGATE_PROFILE)
+    if unknown:
+        raise ValueError(f"surrogate profile: unknown keys {sorted(unknown)}")
+    try:
+        DefenseConfig(**settings)
+    except ValueError as exc:
+        raise ValueError(f"surrogate profile: {exc}") from None
+    return settings
+
+
 def train_surrogate(train_set: Dataset, seed, profile=None) -> MlpClassifier:
     """Plain classifier standing in for the grey-box attacker's model;
     ``profile`` overrides keys of SURROGATE_PROFILE."""
-    return _train_mlp(train_set, seed, **{**SURROGATE_PROFILE, **(profile or {})})[0]
+    return _train_mlp(train_set, seed, **_surrogate_settings(profile))[0]
 
 
 def train_models(specs, train_set: Dataset, policy, seed, threat_model=WHITE_BOX,
@@ -132,6 +151,8 @@ def train_models(specs, train_set: Dataset, policy, seed, threat_model=WHITE_BOX
     """Train defense k on child_seed(seed, k) and, under grey-box, the
     surrogate on child_seed(seed, 999).  Returns ({label: classifier},
     {label: training trace}, surrogate or None)."""
+    if threat_model == GREY_BOX:
+        _surrogate_settings(surrogate_profile)  # a bad profile fails before any training
     models, traces = {}, {}
     for k, spec in enumerate(specs):
         models[spec.label], traces[spec.label] = train_defense(

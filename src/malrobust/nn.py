@@ -37,6 +37,7 @@ MINIMIZE = "minimize"
 MAXIMIZE = "maximize"
 ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
 CHECKPOINT_VERSION = 2
+_ACTIVATIONS = ("relu", "elu")
 
 
 def child_seed(seed, k: int) -> list:
@@ -116,12 +117,17 @@ def _param_grads(activation, X, zs, deltas):
             [d.sum(axis=0) for d in deltas])
 
 
-def _check_layers(weights, biases) -> None:
-    """Each layer's weights chain onto the next, each bias matches its
-    layer's width, and every parameter is finite."""
+def _check_layers(weights, biases, activation) -> None:
+    """The activation is known, each layer's weights chain onto the next,
+    each bias matches its layer's width, no layer is zero-wide, and every
+    parameter is finite."""
+    if activation not in _ACTIVATIONS:
+        raise ValueError(f"unknown activation {activation!r}")
     if not weights or len(weights) != len(biases) or any(np.ndim(W) != 2 for W in weights):
         raise ValueError("inconsistent layer shapes")
     sizes = [weights[0].shape[0]] + [W.shape[1] for W in weights]
+    if min(sizes) < 1:
+        raise ValueError(f"zero-width layer in layer sizes {sizes}")
     for i, (W, b) in enumerate(zip(weights, biases)):
         if W.shape != (sizes[i], sizes[i + 1]) or b.shape != (sizes[i + 1],):
             raise ValueError("inconsistent layer shapes")
@@ -181,7 +187,7 @@ class DenseStack:
     activate_last: bool = False
 
     def __post_init__(self):
-        _check_layers(self.weights, self.biases)
+        _check_layers(self.weights, self.biases, self.activation)
 
     @classmethod
     def init(cls, layer_sizes, activation="relu", seed=0, activate_last=False):
@@ -228,7 +234,7 @@ class MlpClassifier:
     activation: str = "relu"
 
     def __post_init__(self):
-        _check_layers(self.weights, self.biases)
+        _check_layers(self.weights, self.biases, self.activation)
         if self.class_count < 2:
             raise ValueError("output dimension must be >= 2")
 

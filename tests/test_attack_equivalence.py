@@ -1,5 +1,5 @@
-"""The greedy-flip kernel and the projected-step loop against the attack
-bodies they replaced.
+"""The search loop of the iterative attacks against the attack bodies it
+replaced.
 
 The oracle below keeps the former per-attack functions verbatim; every
 case compares ``run_single`` to it with exact equality on the adversarial
@@ -9,13 +9,38 @@ point, the success flag, the flip count and the steps used.
 import numpy as np
 import pytest
 
-from malrobust.attacks import (AttackConfig, _misclassified, _outcome,
+from malrobust.attacks import (AttackConfig, AttackOutcome, _misclassified, _outcome,
                                _project_l1_ball, run_single)
 from malrobust.data import ManipulationPolicy, project_to_m
 from malrobust.nn import MAXIMIZE, AdamState, MlpClassifier, adam_step
 
 
 # ---------------------------------------------------------------- oracle
+
+def random_attack(model, x, y, policy, config, benign_pool, rng) -> AttackOutcome:
+    """Flip one uniformly chosen admissible feature per step.
+
+    Each feature is flipped at most once; stops at the step budget, at
+    success, or when no admissible flip remains.
+    """
+    rng = np.random.default_rng(config.seed if rng is None else rng)
+    cur = x.copy()
+    allowed = np.where(x == 0.0, policy.addition_allowed, policy.removal_allowed)
+    candidates = list(np.flatnonzero(allowed))
+    steps = 0
+    success = _misclassified(model, cur, y)
+    while steps < config.max_steps and candidates and not success:
+        pick = int(rng.integers(len(candidates)))
+        j = candidates.pop(pick)
+        cur[j] = 1.0 - cur[j]
+        steps += 1
+        success = _misclassified(model, cur, y)
+    return _outcome(x, cur, success, steps)
+
+
+def random(model, x, y, policy: ManipulationPolicy, config: AttackConfig):
+    return random_attack(model, np.asarray(x, dtype=float), y, policy, config, None, None)
+
 
 def _addition_candidates(cur, grads, policy):
     return (cur == 0.0) & policy.addition_allowed & (grads > 0.0)
@@ -184,8 +209,8 @@ def ead(model, x, y, policy: ManipulationPolicy, config: AttackConfig):
 OVERRIDES = {"pgd_linf": {"step_size": 0.1}, "pgd_adam": {"step_size": 0.1},
              "ead": {"step_size": 0.1, "ead_c": 20.0}}
 
-ORACLE = {"grosse": grosse, "bga": bga, "bca": bca, "pgd_l1": pgd, "pgd_l2": pgd,
-          "pgd_linf": pgd, "pgd_adam": pgd, "ead": ead}
+ORACLE = {"random": random, "grosse": grosse, "bga": bga, "bca": bca, "pgd_l1": pgd,
+          "pgd_l2": pgd, "pgd_linf": pgd, "pgd_adam": pgd, "ead": ead}
 
 
 # ---------------------------------------------------------------- cases
@@ -238,3 +263,16 @@ def test_cases_cover_both_outcomes():
         hits += out.success and out.steps_used > 0
         misses += not out.success
     assert starts == {False, True} and hits and misses
+
+
+def test_random_runs_out_of_flips():
+    """A model that predicts class 0 everywhere never leaves label 0, so
+    random flips every admissible feature once and stops short of its
+    budget."""
+    model = MlpClassifier([np.zeros((8, 2))], [np.zeros(2)])
+    policy = ManipulationPolicy(np.arange(8) < 3, np.arange(8) >= 6)
+    x = np.array([0, 0, 0, 1, 0, 1, 1, 1], dtype=float)
+    cfg = AttackConfig.for_attack("random", max_steps=20, seed=5)
+    out = run_single(model, x, 0, policy, cfg)
+    assert_same(out, random(model, x, 0, policy, cfg))
+    assert out.steps_used == out.flips == 5 and not out.success

@@ -284,7 +284,9 @@ class TestBadValues:
     @pytest.mark.parametrize("key, value", [("epochs", -1), ("restarts", -2),
                                             ("inner_steps", -1), ("data_fraction", 3.0),
                                             ("epochs", 1.5), ("batch_size", "8"),
-                                            ("hidden", [4.5]), ("hidden", 5), ("lr", None)])
+                                            ("hidden", [4.5]), ("hidden", 5), ("lr", None),
+                                            ("hidden", [0]), ("latent_dim", 0),
+                                            ("activation", "tanh")])
     def test_bad_defense_value_reported(self, pipeline, capsys, key, value):
         tmp_path, cfg_path, cfg = pipeline
         cfg["defenses"] = [{"label": "at", "kind": "hardened", "config": {key: value}}]
@@ -303,6 +305,29 @@ class TestBadValues:
         assert run("train", "-c", str(cfg_path), "--out", str(tmp_path / "m")) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err
+        assert not (tmp_path / "m").exists()
+
+    @pytest.mark.parametrize("key, value", [("use_dae", True), ("use_binarization", True),
+                                            ("known_manipulation_set", False)])
+    def test_flag_of_a_plain_defense_reported(self, pipeline, capsys, key, value):
+        tmp_path, cfg_path, cfg = pipeline
+        cfg["defenses"] = [{"label": "p", "kind": "plain", "flags": {key: value}}]
+        cfg_path.write_text(json.dumps(cfg))
+        assert run("train", "-c", str(cfg_path), "--out", str(tmp_path / "m")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{key}={value}" in err
+        assert not (tmp_path / "m").exists()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("epochs", "3", "epochs must be an integer"), ("epochs", -2, "must be >= 0"),
+        ("lr", -1.0, "must be positive"), ("batch_size", 0, "must be positive")])
+    def test_bad_surrogate_value_reported(self, pipeline, capsys, key, value, message):
+        tmp_path, cfg_path, cfg = pipeline
+        cfg.update(threat_model="grey_box", surrogate={key: value})
+        cfg_path.write_text(json.dumps(cfg))
+        assert run("train", "-c", str(cfg_path), "--out", str(tmp_path / "m")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: surrogate profile: ") and message in err
         assert not (tmp_path / "m").exists()
 
     @pytest.mark.parametrize("entry", [

@@ -271,6 +271,8 @@ class TestBadValues:
         {"hidden": (8, True)}, {"inner_steps": True}, {"restarts": "1"}, {"latent_dim": 8.0},
         {"lr": "0.1"}, {"inner_lr": float("nan")}, {"subspace_ratio": None},
         {"oversample_ratio": False}, {"hidden": 5}, {"hidden": None},
+        {"activation": "tanh"}, {"activation": 5}, {"hidden": (0,)}, {"hidden": (8, 0)},
+        {"latent_dim": 0},
     ])
     def test_config_rejects(self, overrides):
         with pytest.raises(ValueError, match=next(iter(overrides))):

@@ -3,12 +3,14 @@ import warnings
 import numpy as np
 import pytest
 
+from malrobust import evaluation
 from malrobust.attacks import AttackConfig
 from malrobust.data import ManipulationPolicy, generate_synthetic, split
 from malrobust.defenses import DefenseConfig
 from malrobust.evaluation import (DefenseSpec, _jsonable, binary_metrics,
                                   evaluate_models, harmonic_mean, macro_f1,
-                                  report_rows, report_table, run_experiment)
+                                  report_rows, report_table, run_experiment,
+                                  train_models, train_surrogate)
 
 
 def brute_force_counts(y_true, y_pred, c):
@@ -110,6 +112,15 @@ class TestDefenseSpec:
         with pytest.raises(ValueError, match=f"{key} must be true or false"):
             DefenseSpec("d", "hardened", **{key: value})
 
+    @pytest.mark.parametrize("key, value", [("use_dae", True), ("use_binarization", True),
+                                            ("known_manipulation_set", False)])
+    def test_plain_rejects_flags_it_would_ignore(self, key, value):
+        with pytest.raises(ValueError, match=f"{key}={value} applies to hardened and "
+                                             "ensemble defenses only, not to plain 'p'"):
+            DefenseSpec("p", "plain", DefenseConfig(), **{key: value})
+        for kind in ("hardened", "ensemble"):
+            assert getattr(DefenseSpec("d", kind, **{key: value}), key) is value
+
 
 class TestHarmonicMean:
     def test_equal_inputs(self):
@@ -140,6 +151,29 @@ def small_experiment():
     cfg = DefenseConfig(epochs=25, batch_size=16, lr=0.01, hidden=(12, 12))
     specs = [DefenseSpec("basic", "plain", cfg)]
     return train, test, policy, specs
+
+
+class TestSurrogateProfile:
+    @pytest.mark.parametrize("profile, message", [
+        ({"epochs": "3"}, "epochs must be an integer, got '3'"),
+        ({"epochs": -2}, "epochs, restarts and inner_steps must be >= 0"),
+        ({"lr": -1.0}, "rates and batch size must be positive"),
+        ({"batch_size": 0}, "rates and batch size must be positive"),
+        ({"hidden": (0,)}, r"hidden\[0\] must be >= 1"),
+        ({"activation": "tanh"}, "unknown activation 'tanh'"),
+        ({"inner_lr": 0.1}, r"unknown keys \['inner_lr'\]"),
+    ])
+    def test_bad_profile_rejected(self, small_experiment, profile, message):
+        with pytest.raises(ValueError, match="surrogate profile: " + message):
+            train_surrogate(small_experiment[0], 0, profile)
+
+    def test_bad_profile_rejected_before_any_defense_trains(self, small_experiment,
+                                                            monkeypatch):
+        train, _, policy, specs = small_experiment
+        monkeypatch.setattr(evaluation, "train_defense",
+                            lambda *args, **kwargs: pytest.fail("a defense was trained"))
+        with pytest.raises(ValueError, match="surrogate profile: epochs"):
+            train_models(specs, train, policy, 0, "grey_box", {"epochs": -2})
 
 
 class TestRunExperiment:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from malrobust import data, nn
-from malrobust.nn import (MAXIMIZE, MINIMIZE, AdamState, MlpClassifier,
+from malrobust.nn import (MAXIMIZE, MINIMIZE, AdamState, DenseStack, MlpClassifier,
                           adam_step, backward, cross_entropy, forward, logits,
                           softmax, train_supervised)
 
@@ -342,8 +342,40 @@ class TestCheckpoint:
         path = tmp_path / "model.json"
         nn.save_model(path, MlpClassifier.init([3, 2], seed=0))
         before = path.read_bytes()
-        unwritable = MlpClassifier.init([3, 2], activation=object(), seed=1)
+        unwritable = MlpClassifier.init([3, 2], seed=1)
+        unwritable.activation = object()  # set past the constructor's check
         with pytest.raises(TypeError):
             nn.save_model(path, unwritable)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
+
+class TestLayerChecks:
+    @pytest.mark.parametrize("cls", [MlpClassifier, DenseStack])
+    def test_unknown_activation_rejected(self, cls):
+        with pytest.raises(ValueError, match="unknown activation 'tanh'"):
+            cls.init([4, 3, 2], activation="tanh")
+
+    @pytest.mark.parametrize("cls, sizes", [(MlpClassifier, [4, 0, 2]), (DenseStack, [4, 0]),
+                                            (DenseStack, [0, 3])])
+    def test_zero_width_layer_rejected(self, cls, sizes):
+        with pytest.raises(ValueError, match="zero-width layer"):
+            cls.init(sizes)
+
+    def test_checkpoint_with_unknown_activation_fails_at_load(self, tmp_path):
+        path = tmp_path / "model.json"
+        nn.save_model(path, MlpClassifier.init([4, 3, 2], seed=0))
+        path.write_text(path.read_text().replace('"activation": "relu"', '"activation": "tanh"'))
+        with pytest.raises(ValueError, match=r"model\.json: unknown activation 'tanh'"):
+            nn.load_model(path)
+
+    def test_checkpoint_with_zero_width_layer_fails_at_load(self, tmp_path):
+        path = tmp_path / "model.json"
+        nn.save_model(path, MlpClassifier.init([3, 4, 2], seed=0))
+        record = json.loads(path.read_text())
+        record.update(layer_sizes=[3, 0, 2],
+                      weights=[nn._encode_array(np.zeros(s)) for s in ((3, 0), (0, 2))],
+                      biases=[nn._encode_array(np.zeros(s)) for s in (0, 2)])
+        path.write_text(json.dumps(record))
+        with pytest.raises(ValueError, match=r"model\.json: zero-width layer"):
+            nn.load_model(path)

@@ -1,7 +1,7 @@
-"""Property tests: projection onto the manipulation domain, the
-sparse-dataset and policy file round trips, the checkpoint parameter
-payload, and the checkpoint round trips of models, hardened models and
-ensembles."""
+"""Property tests: projection onto the manipulation domain, the outcome
+of every attack, the sparse-dataset and policy file round trips, the
+checkpoint parameter payload, and the checkpoint round trips of models,
+hardened models and ensembles."""
 
 import json
 import os
@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from malrobust.attacks import ATTACK_NAMES, AttackConfig, run_single
 from malrobust.data import (Dataset, ManipulationPolicy, admissible, project_to_m,
                             read_policy, read_sparse, write_policy, write_sparse)
 from malrobust.defenses import (DenoisingAutoencoder, EnsembleClassifier,
@@ -53,6 +54,42 @@ def test_project_to_m_is_admissible_and_idempotent(case):
     once = project_to_m(x, x_cont, policy)
     assert admissible(x, once, policy)
     assert np.array_equal(project_to_m(x, once, policy), once)
+
+
+@st.composite
+def attack_cases(draw):
+    """(model, x, y, policy, benign pool) over a small seeded MLP whose
+    weights are scaled up so that short attacks can cross its margins."""
+    dim, classes = draw(st.integers(1, 12)), draw(st.integers(2, 3))
+    sizes = [dim] + draw(st.lists(st.integers(1, 6), max_size=2)) + [classes]
+    model = MlpClassifier.init(sizes, draw(st.sampled_from(["relu", "elu"])),
+                               seed=draw(st.integers(0, 2**32 - 1)))
+    model.weights = [3.0 * W for W in model.weights]
+    bits = arrays(bool, dim)
+    policy = ManipulationPolicy(draw(bits), draw(bits))
+    pool = draw(arrays(bool, (draw(st.integers(1, 4)), dim))).astype(float)
+    return model, draw(bits).astype(float), draw(st.integers(0, classes - 1)), policy, pool
+
+
+@SETTINGS
+@given(attack_cases(), st.sampled_from(ATTACK_NAMES), st.integers(0, 8),
+       st.sampled_from([{}, {"step_size": 0.5}]), st.integers(0, 2**32 - 1))
+def test_attack_outcome_describes_its_point(case, name, max_steps, step, seed):
+    model, x, y, policy, pool = case
+    cfg = AttackConfig.for_attack(name, max_steps=max_steps, seed=seed,
+                                  mimicry_candidates=3, **step)
+    out = run_single(model, x, y, policy, cfg, benign_pool=pool)
+    assert np.isin(out.x_adv, (0.0, 1.0)).all() and admissible(x, out.x_adv, policy)
+    assert out.success == (int(model.predict(out.x_adv)) != y)
+    assert out.flips == np.count_nonzero(out.x_adv != x)
+    if name == "fgsm":
+        assert out.steps_used == 1
+    elif name == "mimicry":
+        assert out.steps_used == min(3, len(pool))
+    else:
+        assert out.steps_used <= max_steps
+        if int(model.predict(x)) != y:
+            assert out.success and out.steps_used == 0
 
 
 @SETTINGS
