@@ -43,6 +43,8 @@ _RESERVED_LABELS = {"surrogate", "trace"}
 
 
 def _check_keys(section, allowed, where):
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {section!r}")
     unknown = set(section) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
@@ -57,24 +59,47 @@ def _check_label(label, where):
                           f"directory's {label}.json")
 
 
+def _check_list(section, key, where):
+    """section[key], a JSON list when present; [] when absent."""
+    value = section.get(key, [])
+    if not isinstance(value, list):
+        raise ConfigError(f"{where} must be a list, got {value!r}")
+    return value
+
+
+def _check_seed(section, where):
+    """A seed is a non-negative int (no bool) or a list of them."""
+    seed = section.get("seed", 0)
+    if any(type(s) is not int or s < 0 for s in (seed if isinstance(seed, list) else [seed])):
+        raise ConfigError(f"{where} must be a non-negative integer or a list of them, "
+                          f"got {seed!r}")
+
+
 def validate_config(cfg: dict) -> dict:
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
     _check_keys(cfg, _TOP_KEYS, "config")
     cfg.setdefault("seed", 0)
     cfg.setdefault("output_dir", "runs")
     cfg.setdefault("threat_model", WHITE_BOX)
+    _check_seed(cfg, "seed")
+    if not isinstance(cfg["output_dir"], str):
+        raise ConfigError(f"output_dir must be a string, got {cfg['output_dir']!r}")
     if cfg["threat_model"] not in (WHITE_BOX, GREY_BOX):
         raise ConfigError(f"unknown threat_model {cfg['threat_model']!r}")
     ds = cfg.get("dataset", {})
     _check_keys(ds, _DATASET_KEYS, "dataset")
+    split = _check_list(ds, "split", "dataset.split")
+    data._check_config_types({}, {f"dataset.split[{i}]": f for i, f in enumerate(split)})
     if "synthetic" in ds:
         _check_keys(ds["synthetic"], _SYNTH_KEYS, "dataset.synthetic")
+        _check_seed(ds["synthetic"], "dataset.synthetic.seed")
     if "paths" in ds:
         _check_keys(ds["paths"], _PATH_KEYS, "dataset.paths")
+        for key, value in ds["paths"].items():
+            if not isinstance(value, str):
+                raise ConfigError(f"dataset.paths.{key} must be a string, got {value!r}")
     if "model" in cfg:
         _check_keys(cfg["model"], _MODEL_KEYS, "model")
-    for i, entry in enumerate(cfg.get("defenses", [])):
+    for i, entry in enumerate(_check_list(cfg, "defenses", "defenses")):
         _check_keys(entry, _DEFENSE_KEYS, f"defenses[{i}]")
         if "label" not in entry:
             raise ConfigError(f"defenses[{i}] needs a label")
@@ -84,8 +109,9 @@ def validate_config(cfg: dict) -> dict:
     labels = [e["label"] for e in cfg.get("defenses", [])]
     if len(set(labels)) != len(labels):
         raise ConfigError("duplicate defense labels")
-    for i, entry in enumerate(cfg.get("attacks", [])):
+    for i, entry in enumerate(_check_list(cfg, "attacks", "attacks")):
         _check_keys(entry, _ATTACK_KEYS, f"attacks[{i}]")
+        _check_seed(entry, f"attacks[{i}].seed")
         if "name" not in entry:
             raise ConfigError(f"attacks[{i}] needs a name")
     if "surrogate" in cfg:
@@ -101,11 +127,9 @@ def load_config(path, overrides=None) -> dict:
             cfg = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
-    cfg = validate_config(cfg)
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            cfg[key] = value
-    return cfg
+    if isinstance(cfg, dict):  # the flags' values are checked with the rest
+        cfg.update({key: value for key, value in (overrides or {}).items() if value is not None})
+    return validate_config(cfg)
 
 
 def config_hash(cfg: dict) -> str:
@@ -199,7 +223,7 @@ _CHECKPOINTS = {
     "hardened": (defenses, "save_hardened", "load_hardened"),
     "ensemble": (defenses, "save_ensemble", "load_ensemble"),
 }
-_SURROGATE = evaluation.DefenseSpec("surrogate")  # a plain checkpoint
+_SURROGATE = evaluation._surrogate_spec(None)  # a plain checkpoint, surrogate.json
 
 
 def _save_checkpoint(models_dir, spec, model) -> None:
@@ -218,7 +242,7 @@ def _load_checkpoint(models_dir, spec):
 def cmd_train(cfg: dict, out_dir=None) -> str:
     train, _, _, policy = _load_dataset_files(cfg)
     specs = _defense_specs(cfg)
-    evaluation._surrogate_settings(cfg.get("surrogate"))  # checked before anything is written
+    evaluation._surrogate_spec(cfg.get("surrogate"))  # checked before anything is written
     run_dir = make_run_dir(cfg, "train", out_dir)
     models, traces, surrogate = evaluation.train_models(
         specs, train, policy, cfg["seed"], cfg["threat_model"], cfg.get("surrogate"))

@@ -301,13 +301,23 @@ def write_sparse(path, dataset: Dataset) -> None:
             fh.write(f"{label} {cells}".rstrip() + "\n")
 
 
+def _header_count(token: str, lineno: int) -> int:
+    """The non-negative integer of a ``key=value`` header token."""
+    key, value = token.split("=", 1)
+    if not (value.isascii() and value.isdigit()):
+        raise ValueError(f"line {lineno}: header {key} must be a non-negative "
+                         f"integer, got {value!r}")
+    return int(value)
+
+
 def read_sparse(path, dim: int | None = None, class_count: int | None = None) -> Dataset:
     """Read the sparse text format written by :func:`write_sparse`.
 
     `#` lines are comments; a `# dim=.. classes=..` header, when present,
     supplies the dimensions so the round trip is exact.  Errors name the
-    file line: bad cells, non-finite values, negative or repeated indices,
-    and indices or labels out of range.
+    file line: header values that are no non-negative integer, bad cells,
+    non-finite values, negative or repeated indices, and indices or labels
+    out of range.
     """
     rows = []  # (file line, label, {index: value})
     with open(path, "r", encoding="utf-8") as fh:
@@ -318,9 +328,9 @@ def read_sparse(path, dim: int | None = None, class_count: int | None = None) ->
             if line.startswith("#"):
                 for token in line[1:].split():
                     if token.startswith("dim=") and dim is None:
-                        dim = int(token[4:])
+                        dim = _header_count(token, lineno)
                     elif token.startswith("classes=") and class_count is None:
-                        class_count = int(token[8:])
+                        class_count = _header_count(token, lineno)
                 continue
             parts = line.split()
             try:

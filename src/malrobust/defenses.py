@@ -55,8 +55,9 @@ class DefenseConfig:
              **{f"hidden[{i}]": h for i, h in enumerate(self.hidden)}},
             {k: getattr(self, k) for k in ("inner_lr", "noise_ratio_max", "subspace_ratio",
                                            "data_fraction", "oversample_ratio", "lr")})
-        if self.inner_lr <= 0 or self.lr <= 0 or self.batch_size < 1:
-            raise ValueError("rates and batch size must be positive")
+        for key in ("inner_lr", "lr", "batch_size"):
+            if getattr(self, key) <= 0:
+                raise ValueError(f"{key} must be positive, got {getattr(self, key)!r}")
         if not 0.0 <= self.noise_ratio_max <= 1.0:
             raise ValueError("noise_ratio_max must be in [0, 1]")
         if not 0.0 < self.subspace_ratio <= 1.0:
@@ -131,25 +132,18 @@ def _dae_param_grads(ae, X_clean, inputs):
     adversarial batch) against the clean batch, as a mean squared error
     over rows and features."""
     n, d = X_clean.shape
-    enc_wg = [np.zeros_like(W) for W in ae.encoder.weights]
-    enc_bg = [np.zeros_like(b) for b in ae.encoder.biases]
-    dec_wg = [np.zeros_like(W) for W in ae.decoder.weights]
-    dec_bg = [np.zeros_like(b) for b in ae.decoder.biases]
-    loss = 0.0
+    grads, loss = [], 0.0
     for X_in in inputs:
         H, enc_zs = ae.encoder.forward_cached(X_in)
         R, dec_zs = ae.decoder.forward_cached(H)
         diff = R - X_clean
         loss += float(np.mean(diff * diff))
-        cot = 2.0 * diff / (n * d)
-        dwg, dbg, h_cot = ae.decoder.backward(H, dec_zs, cot)
+        dwg, dbg, h_cot = ae.decoder.backward(H, dec_zs, 2.0 * diff / (n * d))
         ewg, ebg, _ = ae.encoder.backward(X_in, enc_zs, h_cot, input_cot=False)
-        for i in range(len(enc_wg)):
-            enc_wg[i] += ewg[i]
-            enc_bg[i] += ebg[i]
-        for i in range(len(dec_wg)):
-            dec_wg[i] += dwg[i]
-            dec_bg[i] += dbg[i]
+        grads.append((ewg, ebg, dwg, dbg))
+    # each layer's gradient summed over the inputs, in input order
+    enc_wg, enc_bg, dec_wg, dec_bg = ([sum(gs) for gs in zip(*per_input)]
+                                      for per_input in zip(*grads))
     return enc_wg, enc_bg, dec_wg, dec_bg, loss
 
 
@@ -299,12 +293,7 @@ def train_hardened(dataset: Dataset, policy, config: DefenseConfig, *,
         if k < 1:
             raise ValueError("subspace_ratio yields an empty feature subset")
         subset = np.sort(rng.choice(dim, size=k, replace=False))
-    X = ds.X[:, subset] if subset is not None else ds.X
-    view_dim = X.shape[1]
-    thresholds = np.full(view_dim, 0.5)
-    if use_binarization:
-        X = binarize(X, thresholds)
-    y = ds.y
+    view_dim = dim if subset is None else len(subset)
     pol_view = policy if policy is None or subset is None else policy.restrict(subset)
 
     o = ds.class_count
@@ -317,6 +306,9 @@ def train_hardened(dataset: Dataset, policy, config: DefenseConfig, *,
         dae = None
         head_sizes = [view_dim] + hidden + [o]
     head = MlpClassifier.init(head_sizes, config.activation, seed=rng)
+    clf = HardenedClassifier(head, dae, subset,
+                             np.full(view_dim, 0.5) if use_binarization else None, dim)
+    X, y = clf._view(ds.X), ds.y  # the head trains on the view the model predicts from
     view_model = HardenedClassifier(head, dae, None, None)
 
     head_states = _adam_states(head, config.lr)
@@ -350,9 +342,6 @@ def train_hardened(dataset: Dataset, policy, config: DefenseConfig, *,
                          (a + b for a, b in zip(bg1, bg2)))
             batch_losses.append(l1 + l2)
         trace.append(float(np.mean(batch_losses)))
-
-    clf = HardenedClassifier(head, dae, subset,
-                             thresholds if use_binarization else None, dim)
     return clf, trace
 
 

@@ -105,45 +105,39 @@ class DefenseSpec:
                                  f"defenses only, not to plain {self.label!r}")
 
 
-def _train_mlp(train_set: Dataset, seed, hidden, activation, epochs, batch_size, lr):
-    """Plain softmax MLP trained on the cross-entropy loss; returns
-    (classifier, training trace)."""
-    sizes = [train_set.dim] + list(hidden) + [train_set.class_count]
-    model = MlpClassifier.init(sizes, activation, seed=child_seed(seed, 0))
-    return train_supervised(model, train_set, epochs, batch_size, lr,
-                            seed=child_seed(seed, 1))
-
-
 def train_defense(spec: DefenseSpec, train_set: Dataset, policy, seed=None):
-    """Train one defense; returns (classifier, training trace)."""
+    """Train one defense; returns (classifier, training trace).  A plain
+    defense is a softmax MLP trained on the cross-entropy loss."""
     cfg = spec.config if seed is None else replace(spec.config, seed=seed)
     if spec.kind == "plain":
-        return _train_mlp(train_set, cfg.seed,
-                          **{key: getattr(cfg, key) for key in SURROGATE_PROFILE})
+        sizes = [train_set.dim] + list(cfg.hidden) + [train_set.class_count]
+        model = MlpClassifier.init(sizes, cfg.activation, seed=child_seed(cfg.seed, 0))
+        return train_supervised(model, train_set, cfg.epochs, cfg.batch_size, cfg.lr,
+                                seed=child_seed(cfg.seed, 1))
     # the defender knows the manipulation set through the policy it trains with
     train = train_hardened if spec.kind == "hardened" else train_ensemble
     return train(train_set, policy if spec.known_manipulation_set else None, cfg,
                  use_dae=spec.use_dae, use_binarization=spec.use_binarization)
 
 
-def _surrogate_settings(profile) -> dict:
-    """SURROGATE_PROFILE with the keys of ``profile`` over it, checked by
-    the rules of a defense's MLP settings."""
+def _surrogate_spec(profile) -> DefenseSpec:
+    """The grey-box surrogate as a plain defense: SURROGATE_PROFILE with
+    the keys of ``profile`` over it, checked by the rules of a defense's
+    MLP settings."""
     settings = {**SURROGATE_PROFILE, **(profile or {})}
     unknown = set(settings) - set(SURROGATE_PROFILE)
     if unknown:
         raise ValueError(f"surrogate profile: unknown keys {sorted(unknown)}")
     try:
-        DefenseConfig(**settings)
+        return DefenseSpec("surrogate", "plain", DefenseConfig(**settings))
     except ValueError as exc:
         raise ValueError(f"surrogate profile: {exc}") from None
-    return settings
 
 
 def train_surrogate(train_set: Dataset, seed, profile=None) -> MlpClassifier:
     """Plain classifier standing in for the grey-box attacker's model;
     ``profile`` overrides keys of SURROGATE_PROFILE."""
-    return _train_mlp(train_set, seed, **_surrogate_settings(profile))[0]
+    return train_defense(_surrogate_spec(profile), train_set, None, seed)[0]
 
 
 def train_models(specs, train_set: Dataset, policy, seed, threat_model=WHITE_BOX,
@@ -152,7 +146,7 @@ def train_models(specs, train_set: Dataset, policy, seed, threat_model=WHITE_BOX
     surrogate on child_seed(seed, 999).  Returns ({label: classifier},
     {label: training trace}, surrogate or None)."""
     if threat_model == GREY_BOX:
-        _surrogate_settings(surrogate_profile)  # a bad profile fails before any training
+        _surrogate_spec(surrogate_profile)  # a bad profile fails before any training
     models, traces = {}, {}
     for k, spec in enumerate(specs):
         models[spec.label], traces[spec.label] = train_defense(

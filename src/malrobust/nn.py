@@ -4,15 +4,16 @@ Everything is plain numpy.  The classifier applies its activation between
 layers and a softmax on the last layer's output.  One backward recursion
 walks a cotangent from the output down to the input and keeps each
 layer's pre-activation cotangent; input gradients (all the attacks and
-the inner maximizer need) stop there, and only training turns the
-cotangents into weight and bias gradients.  Each model's private
-``_pullback`` runs its forward once and returns the output with the map
-from an output cotangent to the input gradient over that forward; every
-prediction and input-gradient method is built on it.  Each public method
-checks its input and labels once, so ``_pullback`` takes a checked 2-d
-float batch and checks nothing.  The label rule is the one of
-:mod:`malrobust.data`, which also applies it to every ``Dataset``;
-training checks its dataset's features once per call.
+the inner maximizer need) stop there, and one dense-stack gradient
+routine, ``_stack_grads``, turns the cotangents into weight and bias
+gradients for every training step.  Each model's private ``_pullback``
+runs its forward once and returns the output with the map from an output
+cotangent to the input gradient over that forward; every prediction and
+input-gradient method is built on it.  Each public method checks its
+input and labels once, so ``_pullback`` takes a checked 2-d float batch
+and checks nothing.  The label rule is the one of :mod:`malrobust.data`,
+which also applies it to every ``Dataset``; training checks its
+dataset's features once per call.
 
 Checkpoints (``format_version`` 2) are one JSON record per model: sizes
 and settings as plain JSON, and each weight and bias as ``{"shape",
@@ -95,7 +96,7 @@ def _stack_backward(weights, activation, zs, out_cot, activate_last):
 
     Returns deltas, where deltas[i] is the per-example cotangent on layer
     i's pre-activation; the input cotangent is ``deltas[0] @ weights[0].T``,
-    left to the callers that need it (training does not).
+    left to the callers that need it (a first stack's training does not).
     """
     last = len(weights) - 1
     delta = out_cot
@@ -109,12 +110,15 @@ def _stack_backward(weights, activation, zs, out_cot, activate_last):
     return deltas
 
 
-def _param_grads(activation, X, zs, deltas):
-    """Weight and bias gradients, summed over the batch, from the layer
-    cotangents of :func:`_stack_backward`."""
-    inputs = [X] + [_act(activation, z) for z in zs[:-1]]
-    return ([a.T @ d for a, d in zip(inputs, deltas)],
-            [d.sum(axis=0) for d in deltas])
+def _stack_grads(stack, X2, zs, out_cot, activate_last=False, input_cot=True):
+    """Gradients of sum(out_cot * output) over the forward of X2 through a
+    dense stack that cached ``zs``: (weight gradients, bias gradients, each
+    summed over the batch, and the input cotangent, or None when
+    ``input_cot`` is false)."""
+    deltas = _stack_backward(stack.weights, stack.activation, zs, out_cot, activate_last)
+    inputs = [X2] + [_act(stack.activation, z) for z in zs[:-1]]
+    return ([a.T @ d for a, d in zip(inputs, deltas)], [d.sum(axis=0) for d in deltas],
+            deltas[0] @ stack.weights[0].T if input_cot else None)
 
 
 def _check_layers(weights, biases, activation) -> None:
@@ -212,10 +216,7 @@ class DenseStack:
     def backward(self, X2, zs, out_cot, input_cot=True):
         """Returns (weight_grads, bias_grads, input_cot); the input
         cotangent is None when ``input_cot`` is false (a first stack)."""
-        deltas = _stack_backward(self.weights, self.activation, zs, out_cot,
-                                 self.activate_last)
-        return (*_param_grads(self.activation, X2, zs, deltas),
-                deltas[0] @ self.weights[0].T if input_cot else None)
+        return _stack_grads(self, X2, zs, out_cot, self.activate_last, input_cot)
 
     def _pullback(self, X2):
         return _stack_pullback(self, X2, self.activate_last)
@@ -335,21 +336,18 @@ def backward(model: MlpClassifier, x, y: int) -> GradientBundle:
     if X2.shape[0] != 1:
         raise ValueError("backward takes a single example")
     y2 = _check_labels(y, 1, model.class_count)
-    wg, bg, _ = _batch_param_gradients(model, X2, y2)  # the mean over one row is exact
-    z, pull = model._pullback(X2)
-    return GradientBundle(wg, bg, pull(_ce_logit_cotangent(softmax(z), y2))[0])
+    z, zs = _stack_forward(model.weights, model.biases, model.activation, X2, False)
+    wg, bg, g = _stack_grads(model, X2, zs, _ce_logit_cotangent(softmax(z), y2))
+    return GradientBundle(wg, bg, g[0])
 
 
 def _batch_param_gradients(model: MlpClassifier, X2, y2):
     """Mean parameter gradients over a batch, plus the mean loss."""
     logits_, zs = _stack_forward(model.weights, model.biases, model.activation, X2, False)
     p = softmax(logits_)
-    n = len(y2)
-    delta = _ce_logit_cotangent(p, y2) / n
-    deltas = _stack_backward(model.weights, model.activation, zs, delta, False)
-    wg, bg = _param_grads(model.activation, X2, zs, deltas)
-    loss = float(np.mean(cross_entropy(p, y2)))
-    return wg, bg, loss
+    wg, bg, _ = _stack_grads(model, X2, zs, _ce_logit_cotangent(p, y2) / len(y2),
+                             input_cot=False)
+    return wg, bg, float(np.mean(cross_entropy(p, y2)))
 
 
 @dataclass

@@ -280,6 +280,63 @@ class TestConfigValidation:
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["cfg.json", "sub"]
 
 
+    @pytest.mark.parametrize("path, value, message", [
+        (("dataset",), 5, "dataset must be a JSON object, got 5"),
+        (("dataset", "synthetic"), [24], "dataset.synthetic must be a JSON object"),
+        (("dataset", "paths"), "data", "dataset.paths must be a JSON object"),
+        (("model",), [10, 10], "model must be a JSON object"),
+        (("defenses",), [5], "defenses[0] must be a JSON object, got 5"),
+        (("defenses",), {"label": "a"}, "defenses must be a list"),
+        (("defenses",), None, "defenses must be a list, got None"),
+        (("defenses", 0, "flags"), [True], "defenses[0].flags must be a JSON object"),
+        (("defenses", 0, "config"), "x", "defenses[0].config must be a JSON object"),
+        (("attacks",), [7], "attacks[0] must be a JSON object, got 7"),
+        (("attacks",), "fgsm", "attacks must be a list, got 'fgsm'"),
+        (("surrogate",), [1], "surrogate must be a JSON object, got [1]"),
+        (("evaluation",), "x", "evaluation must be a JSON object, got 'x'"),
+        (("seed",), 1.5, "seed must be a non-negative integer or a list of them, got 1.5"),
+        (("seed",), "abc", "seed must be a non-negative integer or a list of them"),
+        (("seed",), True, "seed must be a non-negative integer or a list of them, got True"),
+        (("seed",), -1, "seed must be a non-negative integer or a list of them, got -1"),
+        (("seed",), [1, True], "seed must be a non-negative integer or a list of them"),
+        (("dataset", "synthetic", "seed"), 1.5, "dataset.synthetic.seed must be"),
+        (("attacks", 0, "seed"), "1", "attacks[0].seed must be"),
+        (("dataset", "split"), "abc", "dataset.split must be a list, got 'abc'"),
+        (("dataset", "split"), [0.6, "x", 0.2], "dataset.split[1] must be a real number"),
+        (("dataset", "paths", "train"), 5, "dataset.paths.train must be a string, got 5"),
+    ])
+    def test_value_of_wrong_json_type_reported(self, tmp_path, capsys, path, value, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg = section = write_config(cfg_path)
+        for key in path[:-1]:
+            section = section[key]
+        section[path[-1]] = value
+        cfg_path.write_text(json.dumps(cfg))
+        assert run("gen", "-c", str(cfg_path), "--out", str(tmp_path / "d")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    def test_output_dir_that_is_no_string_reported(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, output_dir=5)
+        assert run("gen", "-c", str(cfg_path)) == 2
+        assert "output_dir must be a string, got 5" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    def test_seed_flag_checked_like_the_config_seed(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path)
+        assert run("gen", "-c", str(cfg_path), "--seed", "-1", "--out", str(tmp_path / "d")) == 2
+        assert "seed must be a non-negative integer" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
+    def test_seed_list_accepted(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, seed=[17, 2])
+        assert run("gen", "-c", str(cfg_path), "--out", str(tmp_path / "d")) == 0
+
+
 class TestBadValues:
     @pytest.mark.parametrize("key, value", [("epochs", -1), ("restarts", -2),
                                             ("inner_steps", -1), ("data_fraction", 3.0),
@@ -320,7 +377,8 @@ class TestBadValues:
 
     @pytest.mark.parametrize("key, value, message", [
         ("epochs", "3", "epochs must be an integer"), ("epochs", -2, "must be >= 0"),
-        ("lr", -1.0, "must be positive"), ("batch_size", 0, "must be positive")])
+        ("lr", -1.0, "lr must be positive, got -1.0"),
+        ("batch_size", 0, "batch_size must be positive, got 0")])
     def test_bad_surrogate_value_reported(self, pipeline, capsys, key, value, message):
         tmp_path, cfg_path, cfg = pipeline
         cfg.update(threat_model="grey_box", surrogate={key: value})

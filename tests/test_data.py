@@ -297,6 +297,20 @@ class TestSparseIO:
         with pytest.raises(ValueError, match=r"line 4: label 5 out of range \(classes=2\)"):
             read_sparse(path)
 
+    @pytest.mark.parametrize("header, message", [
+        ("dim=abc", "dim must be a non-negative integer, got 'abc'"),
+        ("dim=-2", "dim must be a non-negative integer, got '-2'"),
+        ("dim=2.5", "dim must be a non-negative integer, got '2.5'"),
+        ("dim=", "dim must be a non-negative integer, got ''"),
+        ("classes=x", "classes must be a non-negative integer, got 'x'"),
+        ("classes=-1", "classes must be a non-negative integer, got '-1'"),
+    ])
+    def test_bad_header_value_reports_file_line(self, tmp_path, header, message):
+        path = tmp_path / "ds.txt"
+        path.write_text(f"0 0:1\n# remark\n# {header}\n1 1:1\n")
+        with pytest.raises(ValueError, match=f"line 3: header {message}"):
+            read_sparse(path)
+
 
 class TestPolicyIO:
     def test_round_trip(self, tmp_path, rng):

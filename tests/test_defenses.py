@@ -278,6 +278,13 @@ class TestBadValues:
         with pytest.raises(ValueError, match=next(iter(overrides))):
             DefenseConfig(**overrides)
 
+    @pytest.mark.parametrize("key, value", [("lr", -1.0), ("lr", 0.0), ("inner_lr", 0.0),
+                                            ("inner_lr", -0.5), ("batch_size", 0),
+                                            ("batch_size", -3)])
+    def test_non_positive_rate_or_batch_size_named(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be positive, got {value!r}$"):
+            DefenseConfig(**{key: value})
+
     def test_integer_like_values_accepted(self):
         cfg = DefenseConfig(epochs=np.int64(3), lr=np.float64(0.01), noise_ratio_max=0,
                             hidden=[np.int32(4)], seed=[1, 2])

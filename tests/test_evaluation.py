@@ -157,8 +157,8 @@ class TestSurrogateProfile:
     @pytest.mark.parametrize("profile, message", [
         ({"epochs": "3"}, "epochs must be an integer, got '3'"),
         ({"epochs": -2}, "epochs, restarts and inner_steps must be >= 0"),
-        ({"lr": -1.0}, "rates and batch size must be positive"),
-        ({"batch_size": 0}, "rates and batch size must be positive"),
+        ({"lr": -1.0}, "lr must be positive, got -1.0"),
+        ({"batch_size": 0}, "batch_size must be positive, got 0"),
         ({"hidden": (0,)}, r"hidden\[0\] must be >= 1"),
         ({"activation": "tanh"}, "unknown activation 'tanh'"),
         ({"inner_lr": 0.1}, r"unknown keys \['inner_lr'\]"),

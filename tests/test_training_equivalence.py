@@ -1,10 +1,12 @@
-"""The shared Adam update against the training loops it replaced.
+"""The shared training code against the training loops it replaced.
 
-The oracle below keeps the former ``AdamState``/``adam_step`` (with their
-beta and epsilon fields) and the former ``train_supervised`` and
-``train_hardened`` bodies, each with its own per-layer update loop,
-verbatim; every case compares the trained parameters and loss traces to
-it with exact equality.
+The oracle below keeps, verbatim, the former ``AdamState``/``adam_step``
+(with their beta and epsilon fields), the former ``train_supervised`` and
+``train_hardened`` bodies, each with its own per-layer update loop and its
+own subset-and-binarize view, the former ``_dae_param_grads`` with its
+zero-filled accumulators, and the former ``_train_mlp`` that trained plain
+defenses and the grey-box surrogate beside ``train_defense``; every case
+compares the trained parameters and loss traces to it with exact equality.
 """
 
 from dataclasses import dataclass
@@ -12,11 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from malrobust import defenses, nn
+from malrobust import defenses, evaluation, nn
 from malrobust.data import Dataset, ManipulationPolicy, binarize, generate_synthetic, oversample
 from malrobust.defenses import (DefenseConfig, DenoisingAutoencoder, HardenedClassifier,
-                                _dae_param_grads, _salt_pepper_batch, inner_maximize)
-from malrobust.nn import MAXIMIZE, MINIMIZE, MlpClassifier, _batch_param_gradients
+                                _salt_pepper_batch, inner_maximize)
+from malrobust.evaluation import SURROGATE_PROFILE, DefenseSpec
+from malrobust.nn import MAXIMIZE, MINIMIZE, MlpClassifier, _batch_param_gradients, child_seed
 
 
 # ---------------------------------------------------------------- oracle
@@ -90,6 +93,43 @@ def train_supervised(model: MlpClassifier, dataset, epochs: int,
             losses.append(loss)
         trace.append(float(np.mean(losses)))
     return model, trace
+
+
+def _dae_param_grads(ae, X_clean, inputs):
+    """Mean gradients of the summed reconstruction losses for a batch, and
+    that loss: the reconstruction error of each input (the noisy and the
+    adversarial batch) against the clean batch, as a mean squared error
+    over rows and features."""
+    n, d = X_clean.shape
+    enc_wg = [np.zeros_like(W) for W in ae.encoder.weights]
+    enc_bg = [np.zeros_like(b) for b in ae.encoder.biases]
+    dec_wg = [np.zeros_like(W) for W in ae.decoder.weights]
+    dec_bg = [np.zeros_like(b) for b in ae.decoder.biases]
+    loss = 0.0
+    for X_in in inputs:
+        H, enc_zs = ae.encoder.forward_cached(X_in)
+        R, dec_zs = ae.decoder.forward_cached(H)
+        diff = R - X_clean
+        loss += float(np.mean(diff * diff))
+        cot = 2.0 * diff / (n * d)
+        dwg, dbg, h_cot = ae.decoder.backward(H, dec_zs, cot)
+        ewg, ebg, _ = ae.encoder.backward(X_in, enc_zs, h_cot, input_cot=False)
+        for i in range(len(enc_wg)):
+            enc_wg[i] += ewg[i]
+            enc_bg[i] += ebg[i]
+        for i in range(len(dec_wg)):
+            dec_wg[i] += dwg[i]
+            dec_bg[i] += dbg[i]
+    return enc_wg, enc_bg, dec_wg, dec_bg, loss
+
+
+def _train_mlp(train_set: Dataset, seed, hidden, activation, epochs, batch_size, lr):
+    """Plain softmax MLP trained on the cross-entropy loss; returns
+    (classifier, training trace)."""
+    sizes = [train_set.dim] + list(hidden) + [train_set.class_count]
+    model = MlpClassifier.init(sizes, activation, seed=child_seed(seed, 0))
+    return train_supervised(model, train_set, epochs, batch_size, lr,
+                            seed=child_seed(seed, 1))
 
 
 def train_hardened(dataset: Dataset, policy, config: DefenseConfig, *,
@@ -184,8 +224,6 @@ def train_hardened(dataset: Dataset, policy, config: DefenseConfig, *,
     return clf, trace
 
 
-
-
 # ---------------------------------------------------------------- cases
 
 def small_task(seed):
@@ -261,3 +299,48 @@ def test_train_hardened_matches_oracle(case):
     assert (a.subset is None) == (b.subset is None)
     if a.subset is not None:
         assert np.array_equal(a.subset, b.subset)
+
+
+@pytest.mark.parametrize("hidden, activation", [((8, 8), "relu"), ((10, 8, 6), "elu")])
+def test_dae_param_grads_matches_oracle(hidden, activation):
+    rng = np.random.default_rng(8)
+    ae = DenoisingAutoencoder.init(24, 10, activation, seed=9)
+    X = (rng.random((16, 24)) < 0.3).astype(float)
+    inputs = (_salt_pepper_batch(X, 0.2, rng), (rng.random((16, 24)) < 0.5).astype(float))
+    *new, loss_new = defenses._dae_param_grads(ae, X, inputs)
+    *old, loss_old = _dae_param_grads(ae, X, inputs)
+    assert loss_new == loss_old
+    for a, b in zip(new, old):
+        assert len(a) == len(b) and all(np.array_equal(P, Q) for P, Q in zip(a, b))
+
+
+SURROGATE_CASES = {
+    "default": None,
+    "elu_small": {"hidden": [6], "activation": "elu", "epochs": 4, "batch_size": 16,
+                  "lr": 0.01},
+    "no_hidden": {"hidden": (), "epochs": 3},
+}
+
+
+@pytest.mark.parametrize("case", sorted(SURROGATE_CASES))
+@pytest.mark.parametrize("seed", [4, [5, 999]])
+def test_train_surrogate_matches_oracle(case, seed):
+    ds, _ = small_task(7)
+    profile = SURROGATE_CASES[case]
+    a = evaluation.train_surrogate(ds, seed, profile)
+    b, _ = _train_mlp(ds, seed, **{**SURROGATE_PROFILE, **(profile or {})})
+    assert_same_stack(a, b)
+
+
+@pytest.mark.parametrize("profile", [None, SURROGATE_CASES["elu_small"]])
+def test_train_models_plain_and_surrogate_match_oracle(profile):
+    ds, policy = small_task(8)
+    cfg = DefenseConfig(hidden=(7,), epochs=3, batch_size=16, lr=0.01, seed=1)
+    models, traces, surrogate = evaluation.train_models(
+        [DefenseSpec("basic", "plain", cfg)], ds, policy, 11, "grey_box", profile)
+    basic, trace = _train_mlp(ds, child_seed(11, 0),
+                              **{key: getattr(cfg, key) for key in SURROGATE_PROFILE})
+    assert_same_stack(models["basic"], basic)
+    assert traces["basic"] == trace
+    oracle = _train_mlp(ds, child_seed(11, 999), **{**SURROGATE_PROFILE, **(profile or {})})[0]
+    assert_same_stack(surrogate, oracle)
