@@ -8,12 +8,14 @@ victim's cross-entropy loss (ead minimizes a logit-margin objective);
 every attack emits a binary vector admissible under the policy.
 
 fgsm and mimicry are one-shot.  The nine iterative attacks share one
-search loop: it judges each point an attack proposes and stops at the
-first success, at the step budget, or when nothing is left to propose.
-Each family only proposes points: random flips one admissible feature at
-a time; grosse, bca and bga set to 1 the features a selection rule picks;
-the four PGD variants and ead round a continuous step through the policy.
-run_single dispatches on the attack name through a table.
+search loop: it judges each point an attack proposes, except a repeat of
+the point judged just before, and stops at the first success, at the step
+budget, or when nothing is left to propose.  Each family only proposes
+points: random flips one admissible feature at a time; grosse, bca and
+bga set to 1 the features a selection rule picks, from the gradient over
+the forward that judged the current point; the four PGD variants and ead
+round a continuous step through the policy.  run_single dispatches on the
+attack name through a table.
 
 An attack succeeds when the model it runs against no longer predicts the
 true label.  Under the grey-box threat model the suite runs each attack
@@ -29,8 +31,9 @@ from typing import Optional
 
 import numpy as np
 
-from .data import _check_binary, _check_config_types, _check_labels, _check_policy, project_to_m
-from .nn import MAXIMIZE, AdamState, adam_step
+from .data import (_check_binary, _check_config_types, _check_labels, _check_policy,
+                   _check_seed, project_to_m)
+from .nn import MAXIMIZE, AdamState, _check_input, adam_step
 
 WHITE_BOX = "white_box"
 GREY_BOX = "grey_box"
@@ -57,7 +60,7 @@ class AttackConfig:
     ead_c: float = 1.0
     mimicry_candidates: int = 10
     mimicry_selection: str = "nearest"  # or "random"
-    seed: int = 0
+    seed: object = 0  # an int or a list of ints
 
     def __post_init__(self):
         if self.name not in ATTACK_NAMES:
@@ -67,6 +70,7 @@ class AttackConfig:
             reals.append("epsilon_ball")
         _check_config_types({k: getattr(self, k) for k in ("max_steps", "mimicry_candidates")},
                             {k: getattr(self, k) for k in reals})
+        _check_seed(self.seed)
         if self.max_steps < 0:
             raise ValueError("max_steps must be >= 0")
         if self.step_size <= 0:
@@ -111,13 +115,31 @@ def _outcome(x, x_adv, success, steps) -> AttackOutcome:
     )
 
 
-def _misclassified(model, x, y) -> bool:
-    return int(model.predict(x)) != int(y)
+def _misclassified(model, x, y):
+    """The one judge of an attack point: whether the model no longer
+    predicts y at x, and a thunk for the loss input gradient at x over the
+    same forward."""
+    p, grad = model._loss_pullback(_check_input(x, model.input_dim), np.array([y]))
+    return int(np.argmax(p[0])) != int(y), lambda: grad()[0]
+
+
+def _check_pool(benign_pool, dim: int) -> np.ndarray:
+    """The benign pool as a float batch, checked to be a non-empty binary
+    2-d batch ``dim`` wide."""
+    if benign_pool is None:
+        raise ValueError("mimicry requires a benign pool")
+    pool = np.asarray(benign_pool, dtype=float)
+    if pool.ndim != 2 or pool.shape[1] != dim:
+        raise ValueError(f"benign pool of shape {pool.shape} is no batch of width {dim}")
+    if len(pool) == 0:
+        raise ValueError("empty benign pool")
+    _check_binary(pool, "benign pool")
+    return pool
 
 
 # Every attack below takes (model, x, y, policy, config, benign_pool, rng)
-# with x a float vector, and each proposal generator of _search the same
-# but benign_pool; run_single dispatches through the _ATTACKS table.
+# with x a float vector, and each proposal generator of _search (model, x,
+# y, policy, config, rng, grad); run_single dispatches through _ATTACKS.
 
 def mimicry_attack(model, x, y, policy, config, benign_pool, rng) -> AttackOutcome:
     """Copy the admissible coordinates of guide examples onto x.
@@ -128,11 +150,7 @@ def mimicry_attack(model, x, y, policy, config, benign_pool, rng) -> AttackOutco
     smallest l1 perturbation is returned; otherwise the overall
     minimum-perturbation candidate with success False.
     """
-    if benign_pool is None:
-        raise ValueError("mimicry requires a benign pool")
-    pool = np.atleast_2d(np.asarray(benign_pool, dtype=float))
-    if len(pool) == 0:
-        raise ValueError("empty benign pool")
+    pool = _check_pool(benign_pool, len(x))
     rng = np.random.default_rng(config.seed if rng is None else rng)
     k = min(config.mimicry_candidates, len(pool))
     if config.mimicry_selection == "random":
@@ -145,7 +163,7 @@ def mimicry_attack(model, x, y, policy, config, benign_pool, rng) -> AttackOutco
     for order, gi in enumerate(guide_idx):
         cand = np.where(flip_ok, pool[gi], x)
         l1 = float(np.abs(cand - x).sum())
-        succ = _misclassified(model, cand, y)
+        succ, _ = _misclassified(model, cand, y)
         key = (0 if succ else 1, l1, order)
         if best is None or key < best[0]:
             best = (key, cand, succ)
@@ -158,26 +176,31 @@ def fgsm(model, x, y, policy, config, benign_pool, rng) -> AttackOutcome:
     g = model.input_gradients(x, y)
     x_cont = np.clip(x + config.step_size * np.sign(g), 0.0, 1.0)
     x_adv = project_to_m(x, x_cont, policy)
-    return _outcome(x, x_adv, _misclassified(model, x_adv, y), 1)
+    return _outcome(x, x_adv, _misclassified(model, x_adv, y)[0], 1)
 
 
 def _search(propose, model, x, y, policy, config, benign_pool, rng) -> AttackOutcome:
-    """The loop of the nine iterative attacks: judge each new array that
-    ``propose(model, x, y, policy, config, rng)`` yields until one
-    succeeds, ``max_steps`` are judged or none is left.  A start point
-    that is already misclassified succeeds after 0 steps."""
+    """The loop of the nine iterative attacks: judge each array that
+    ``propose(model, x, y, policy, config, rng, grad)`` yields until one
+    succeeds, ``max_steps`` are proposed or none is left.  A proposal
+    equal to the last judged point is a step with no judge: that point was
+    not misclassified.  ``grad()`` is the loss input gradient at the last
+    judged point, from its judge's forward.  A start point that is already
+    misclassified succeeds after 0 steps."""
     x_adv, steps = x.copy(), 0
-    success = _misclassified(model, x, y)
+    judged, (success, grad) = x, _misclassified(model, x, y)
     if not success:
-        for steps, x_adv in enumerate(islice(propose(model, x, y, policy, config, rng),
-                                             config.max_steps), 1):
-            success = _misclassified(model, x_adv, y)
-            if success:
-                break
+        # the lambda looks grad up when called, so it follows each judge
+        for steps, x_adv in enumerate(islice(propose(model, x, y, policy, config, rng,
+                                                     lambda: grad()), config.max_steps), 1):
+            if not np.array_equal(x_adv, judged):
+                judged, (success, grad) = x_adv, _misclassified(model, x_adv, y)
+                if success:
+                    break
     return _outcome(x, x_adv, success, steps)
 
 
-def _random_flips(model, x, y, policy, config, rng):
+def _random_flips(model, x, y, policy, config, rng, grad):
     """random: flip one uniformly chosen admissible feature per step, each
     feature at most once."""
     rng = np.random.default_rng(config.seed if rng is None else rng)
@@ -191,13 +214,14 @@ def _random_flips(model, x, y, policy, config, rng):
         yield cur
 
 
-def _greedy_flips(select, model, x, y, policy, config, rng):
+def _greedy_flips(select, model, x, y, policy, config, rng, grad):
     """grosse, bca and bga: set to 1 the features `select` picks among the
     addition-allowed zero features with a positive loss gradient, until
-    nothing is picked; never removes a feature."""
+    nothing is picked; never removes a feature.  Each proposal differs
+    from the point before, so ``grad()`` is always the gradient at cur."""
     cur = x
     while True:
-        g = model.input_gradients(cur, y)
+        g = grad()
         picked = select(g, (cur == 0.0) & policy.addition_allowed & (g > 0.0))
         if len(picked) == 0:
             return
@@ -230,7 +254,7 @@ def _project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
     return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
 
 
-def _projected_steps(direction, model, x, y, policy, config, rng):
+def _projected_steps(direction, model, x, y, policy, config, rng, grad):
     """The pgd variants and ead, on a continuous perturbation delta that
     starts at 0: `direction` returns the next delta, x + delta is clipped
     into the unit box, and each proposed point is its rounding through the
@@ -348,6 +372,8 @@ def run_attack_suite(victim, X, y, policy, configs, threat_model=WHITE_BOX,
     attack_model = victim if threat_model == WHITE_BOX else surrogate
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = _check_labels(y, len(X), victim.class_count)
+    if benign_pool is not None:
+        benign_pool = _check_pool(benign_pool, X.shape[1])
 
     def one(config, i):
         rng = np.random.default_rng([config.seed, i])
@@ -355,7 +381,7 @@ def run_attack_suite(victim, X, y, policy, configs, threat_model=WHITE_BOX,
                          benign_pool=benign_pool, rng=rng)
         if attack_model is not victim:
             out = _outcome(X[i], out.x_adv,
-                           _misclassified(victim, out.x_adv, y[i]), out.steps_used)
+                           _misclassified(victim, out.x_adv, y[i])[0], out.steps_used)
         return out
 
     return {config.name: [one(config, i) for i in range(len(X))] for config in configs}

@@ -68,11 +68,11 @@ def _check_list(section, key, where):
 
 
 def _check_seed(section, where):
-    """A seed is a non-negative int (no bool) or a list of them."""
-    seed = section.get("seed", 0)
-    if any(type(s) is not int or s < 0 for s in (seed if isinstance(seed, list) else [seed])):
-        raise ConfigError(f"{where} must be a non-negative integer or a list of them, "
-                          f"got {seed!r}")
+    """The section's seed under the library's seed rule."""
+    try:
+        data._check_seed(section.get("seed", 0), where)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def validate_config(cfg: dict) -> dict:

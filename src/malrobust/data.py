@@ -30,6 +30,17 @@ def _check_config_types(counts: dict, reals: dict) -> None:
             raise ValueError(f"{key} must be a real number, got {value!r}")
 
 
+def _check_seed(seed, key: str = "seed") -> None:
+    """Reject a seed that is neither a non-negative integer (a bool is
+    none) nor a list or tuple of them, naming the field."""
+    for s in seed if isinstance(seed, (list, tuple)) else [seed]:
+        # a plain int skips the abstract-class checks, which cost microseconds
+        if type(s) is not int and (isinstance(s, bool) or not isinstance(s, numbers.Integral)) \
+                or s < 0:
+            raise ValueError(f"{key} must be a non-negative integer or a list of them, "
+                             f"got {seed!r}")
+
+
 def _check_labels(y, rows: int, class_count: int) -> np.ndarray:
     """y as one int label per row of a batch, each in [0, class_count): the
     library's one label rule, so a bool or a float is no label."""

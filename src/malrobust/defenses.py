@@ -20,8 +20,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import (Dataset, ManipulationPolicy, _check_config_types, _check_labels,
-                   _check_policy, binarize, oversample, project_to_m)
+from .data import (Dataset, ManipulationPolicy, _check_config_types, _check_policy,
+                   _check_seed, binarize, oversample, project_to_m)
 from .nn import (MAXIMIZE, PROB_FLOOR, AdamState, DenseStack, MlpClassifier, _ACTIVATIONS,
                  _adam_states, _adam_update, _batch_param_gradients, _check_cotangent,
                  _check_input, _field, _like_input, _model_from_record, _model_record,
@@ -55,6 +55,7 @@ class DefenseConfig:
              **{f"hidden[{i}]": h for i, h in enumerate(self.hidden)}},
             {k: getattr(self, k) for k in ("inner_lr", "noise_ratio_max", "subspace_ratio",
                                            "data_fraction", "oversample_ratio", "lr")})
+        _check_seed(self.seed)
         for key in ("inner_lr", "lr", "batch_size"):
             if getattr(self, key) <= 0:
                 raise ValueError(f"{key} must be positive, got {getattr(self, key)!r}")
@@ -214,6 +215,7 @@ class HardenedClassifier:
 
     # the plain MLP's methods over this model's _pullback; each class holds
     # its own entries, so each can be wrapped on its own
+    _loss_pullback = MlpClassifier._loss_pullback
     logits = MlpClassifier.logits
     predict_proba = MlpClassifier.predict_proba
     predict = MlpClassifier.predict
@@ -364,6 +366,10 @@ class EnsembleClassifier:
         return len(self.members)
 
     @property
+    def input_dim(self) -> int:
+        return self.members[0].input_dim
+
+    @property
     def class_count(self) -> int:
         return self.members[0].class_count
 
@@ -375,17 +381,34 @@ class EnsembleClassifier:
 
         def pull(v2):
             a = v2 / self.l
-            total = np.zeros((len(v2), self.members[0].input_dim))
+            total = np.zeros((len(v2), self.input_dim))
             for q, (_, member_pull) in zip(qs, members):
                 total += member_pull(q * (a - (q * a).sum(axis=1, keepdims=True)))
             return total
         return sum(qs) / self.l, pull
 
-    def predict_proba(self, X):
-        return _like_input(X, self._pullback(_check_input(X, self.members[0].input_dim))[0])
+    def _loss_pullback(self, X2, y2):
+        """Mean member probabilities of the checked batch X2, and a thunk for
+        the input gradient of the loss at the checked labels y2 over this
+        forward; the loss is -log of the vote, so its cotangent lives in
+        probability space."""
+        p, pull = self._pullback(X2)
 
-    predict = MlpClassifier.predict  # both over this class's predict_proba
+        def grad():
+            rows = np.arange(len(y2))
+            v = np.zeros_like(p)
+            v[rows, y2] = -1.0 / np.maximum(p[rows, y2], PROB_FLOOR)
+            v[p[rows, y2] <= PROB_FLOOR] = 0.0
+            return pull(v)
+        return p, grad
+
+    def predict_proba(self, X):
+        return _like_input(X, self._pullback(_check_input(X, self.input_dim))[0])
+
+    # the plain MLP's methods over this class's predict_proba and _loss_pullback
+    predict = MlpClassifier.predict
     loss = MlpClassifier.loss
+    input_gradients = MlpClassifier.input_gradients
 
     def logits(self, X):
         # mean-probability voting has no single pre-softmax layer; the log
@@ -393,19 +416,8 @@ class EnsembleClassifier:
         p = self.predict_proba(X)
         return np.log(np.maximum(p, PROB_FLOOR))
 
-    def input_gradients(self, X, y):
-        X2 = _check_input(X, self.members[0].input_dim)
-        y2 = _check_labels(y, len(X2), self.class_count)
-        p, pull = self._pullback(X2)
-        rows = np.arange(len(y2))
-        v = np.zeros_like(p)
-        py = np.maximum(p[rows, y2], PROB_FLOOR)
-        v[rows, y2] = -1.0 / py
-        v[p[rows, y2] <= PROB_FLOOR] = 0.0
-        return _like_input(X, pull(v))
-
     def logit_cot_input_gradients(self, X, cot):
-        X2 = _check_input(X, self.members[0].input_dim)
+        X2 = _check_input(X, self.input_dim)
         cot2 = _check_cotangent(cot, len(X2), self.class_count)
         p, pull = self._pullback(X2)
         return _like_input(X, pull(cot2 / np.maximum(p, PROB_FLOOR)))

@@ -9,7 +9,10 @@ routine, ``_stack_grads``, turns the cotangents into weight and bias
 gradients for every training step.  Each model's private ``_pullback``
 runs its forward once and returns the output with the map from an output
 cotangent to the input gradient over that forward; every prediction and
-input-gradient method is built on it.  Each public method checks its
+input-gradient method is built on it.  Each classifier's ``_loss_pullback``
+returns the class probabilities of one forward with a thunk for the loss
+input gradient over it, so an attack that judges a point can take the
+point's gradient without a second forward.  Each public method checks its
 input and labels once, so ``_pullback`` takes a checked 2-d float batch
 and checks nothing.  The label rule is the one of :mod:`malrobust.data`,
 which also applies it to every ``Dataset``; training checks its
@@ -272,12 +275,18 @@ class MlpClassifier:
     def loss(self, X, y):
         return cross_entropy(self.predict_proba(X), y)
 
+    def _loss_pullback(self, X2, y2):
+        """Class probabilities of the checked batch X2, and a thunk for the
+        input gradient of the loss at the checked labels y2 over this forward."""
+        z, pull = self._pullback(X2)
+        p = softmax(z)
+        return p, lambda: pull(_ce_logit_cotangent(p, y2))
+
     def input_gradients(self, X, y):
         """Per-example gradient of the cross-entropy loss w.r.t. the input."""
         X2 = _check_input(X, self.input_dim)
         y2 = _check_labels(y, len(X2), self.class_count)
-        z, pull = self._pullback(X2)
-        return _like_input(X, pull(_ce_logit_cotangent(softmax(z), y2)))
+        return _like_input(X, self._loss_pullback(X2, y2)[1]())
 
     def logit_cot_input_gradients(self, X, cot):
         """Per-example input gradient of sum(cot * logits)."""

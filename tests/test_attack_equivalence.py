@@ -1,21 +1,30 @@
 """The search loop of the iterative attacks against the attack bodies it
 replaced.
 
-The oracle below keeps the former per-attack functions verbatim; every
-case compares ``run_single`` to it with exact equality on the adversarial
-point, the success flag, the flip count and the steps used.
+The oracle below keeps the former per-attack functions verbatim, each
+point judged by its own ``predict`` and each gradient taken by its own
+``input_gradients`` call; every case compares ``run_single`` (and a
+grey-box ``run_attack_suite``) to it with exact equality on the
+adversarial point, the success flag, the flip count and the steps used,
+against a plain MLP, a hardened model with a feature subset, a DAE and
+thresholds, and an ensemble of such models.
 """
 
 import numpy as np
 import pytest
 
-from malrobust.attacks import (AttackConfig, AttackOutcome, _misclassified, _outcome,
-                               _project_l1_ball, run_single)
+from malrobust.attacks import (GREY_BOX, AttackConfig, AttackOutcome, _outcome,
+                               _project_l1_ball, run_attack_suite, run_single)
 from malrobust.data import ManipulationPolicy, project_to_m
+from malrobust.defenses import DenoisingAutoencoder, EnsembleClassifier, HardenedClassifier
 from malrobust.nn import MAXIMIZE, AdamState, MlpClassifier, adam_step
 
 
 # ---------------------------------------------------------------- oracle
+
+def _misclassified(model, x, y) -> bool:
+    return int(model.predict(x)) != int(y)
+
 
 def random_attack(model, x, y, policy, config, benign_pool, rng) -> AttackOutcome:
     """Flip one uniformly chosen admissible feature per step.
@@ -215,15 +224,35 @@ ORACLE = {"random": random, "grosse": grosse, "bga": bga, "bca": bca, "pgd_l1": 
 
 # ---------------------------------------------------------------- cases
 
-def random_case(seed, classes):
-    """Seeded MLP, policy and binary example; about a third of the examples
-    start out misclassified."""
+KINDS = ("mlp", "hardened", "ensemble")
+
+
+def hardened_model(rng, dim, classes, activation):
+    """A head behind a seeded feature subset, a DAE and thresholds."""
+    view = int(rng.integers(dim // 2, dim + 1))
+    subset = np.sort(rng.choice(dim, size=view, replace=False))
+    latent = int(rng.integers(3, 9))
+    dae = DenoisingAutoencoder.init(view, latent, activation, seed=rng)
+    head = MlpClassifier.init([latent, int(rng.integers(4, 12)), classes], activation, seed=rng)
+    head.weights = [3.0 * W for W in head.weights]
+    return HardenedClassifier(head, dae, subset, np.full(view, 0.5), dim)
+
+
+def random_case(seed, classes, kind="mlp"):
+    """Seeded model of the kind, policy and binary example; about a third
+    of the examples start out misclassified."""
     rng = np.random.default_rng(seed)
     dim = int(rng.integers(6, 20))
     hidden = [int(h) for h in rng.integers(4, 12, size=int(rng.integers(1, 3)))]
     activation = ("relu", "elu")[seed % 2]
-    model = MlpClassifier.init([dim] + hidden + [classes], activation, seed=seed)
-    model.weights = [3.0 * W for W in model.weights]  # margins the budgets can cross
+    if kind == "mlp":
+        model = MlpClassifier.init([dim] + hidden + [classes], activation, seed=seed)
+        model.weights = [3.0 * W for W in model.weights]  # margins the budgets can cross
+    else:  # from a stream of their own, so every kind sees the same x and policy
+        model_rng = np.random.default_rng([seed, 1])
+        members = [hardened_model(model_rng, dim, classes, activation)
+                   for _ in range(1 if kind == "hardened" else 3)]
+        model = members[0] if kind == "hardened" else EnsembleClassifier(members)
     policy = ManipulationPolicy(rng.random(dim) < 0.7, rng.random(dim) < 0.5)
     x = (rng.random(dim) < 0.4).astype(float)
     predicted = int(model.predict(x))
@@ -238,12 +267,13 @@ def assert_same(out, ref):
     assert out.steps_used == ref.steps_used
 
 
+@pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("name", sorted(ORACLE))
 @pytest.mark.parametrize("classes", [2, 3])
 @pytest.mark.parametrize("max_steps", [0, 1, 20])
-def test_matches_oracle(name, classes, max_steps):
+def test_matches_oracle(kind, name, classes, max_steps):
     for seed in range(12):
-        model, x, y, policy = random_case(seed, classes)
+        model, x, y, policy = random_case(seed, classes, kind)
         radii = [None]
         if name in ("pgd_l1", "pgd_l2", "pgd_linf"):
             radii += [0.3, 2.0]
@@ -253,11 +283,12 @@ def test_matches_oracle(name, classes, max_steps):
             assert_same(run_single(model, x, y, policy, cfg), ORACLE[name](model, x, y, policy, cfg))
 
 
-def test_cases_cover_both_outcomes():
+@pytest.mark.parametrize("kind", KINDS)
+def test_cases_cover_both_outcomes(kind):
     """The random cases reach successes from both start points and failures."""
     starts, hits, misses = set(), 0, 0
     for seed in range(12):
-        model, x, y, policy = random_case(seed, 2)
+        model, x, y, policy = random_case(seed, 2, kind)
         starts.add(int(model.predict(x)) != y)
         out = run_single(model, x, y, policy, AttackConfig.for_attack("bca", max_steps=20))
         hits += out.success and out.steps_used > 0
@@ -276,3 +307,41 @@ def test_random_runs_out_of_flips():
     out = run_single(model, x, 0, policy, cfg)
     assert_same(out, random(model, x, 0, policy, cfg))
     assert out.steps_used == out.flips == 5 and not out.success
+
+
+def oracle_grey_box_suite(victim, surrogate, X, y, policy, configs):
+    """Each oracle attack searches on the surrogate, with the suite's
+    per-example random stream, and its point is judged on the victim."""
+    results = {}
+    for cfg in configs:
+        outs = []
+        for i in range(len(X)):
+            if cfg.name == "random":
+                ref = random_attack(surrogate, X[i], y[i], policy, cfg, None,
+                                    np.random.default_rng([cfg.seed, i]))
+            else:
+                ref = ORACLE[cfg.name](surrogate, X[i], y[i], policy, cfg)
+            outs.append(_outcome(X[i], ref.x_adv, _misclassified(victim, ref.x_adv, y[i]),
+                                 ref.steps_used))
+        results[cfg.name] = outs
+    return results
+
+
+@pytest.mark.parametrize("classes", [2, 3])
+def test_grey_box_suite_matches_oracle(classes):
+    """An ensemble victim attacked through a hardened surrogate."""
+    for seed in range(6):
+        victim, x, _, policy = random_case(seed, classes, "ensemble")
+        surrogate = random_case(seed, classes, "hardened")[0]
+        rng = np.random.default_rng([seed, 2])
+        X = np.vstack([x, (rng.random((3, len(x))) < 0.4).astype(float)])
+        y = (surrogate.predict(X) + (rng.random(len(X)) < 0.35)) % classes
+        configs = [AttackConfig.for_attack(name, max_steps=20, seed=seed + 5,
+                                           **OVERRIDES.get(name, {})) for name in sorted(ORACLE)]
+        got = run_attack_suite(victim, X, y, policy, configs, threat_model=GREY_BOX,
+                               surrogate=surrogate)
+        ref = oracle_grey_box_suite(victim, surrogate, X, y, policy, configs)
+        assert list(got) == list(ref)
+        for name in got:
+            for out, expected in zip(got[name], ref[name], strict=True):
+                assert_same(out, expected)

@@ -1,10 +1,14 @@
+from itertools import islice
+
 import numpy as np
 import pytest
 
 from conftest import linear_binary_model
+from malrobust import attacks
 from malrobust.attacks import (AttackConfig, run_attack_suite, run_single,
                                _project_l1_ball)
 from malrobust.data import ManipulationPolicy, admissible
+from malrobust.defenses import EnsembleClassifier, HardenedClassifier
 from malrobust.nn import MlpClassifier, cross_entropy
 
 
@@ -100,6 +104,20 @@ class TestMimicry:
         with pytest.raises(ValueError):
             run_single(always_predicts(0, 2), np.zeros(2), 1, allow_all(2), cfg,
                        benign_pool=np.zeros((0, 2)))
+
+    @pytest.mark.parametrize("pool, message", [
+        (np.full((2, 10), 0.5), "benign pool is not binary"),
+        (np.full((2, 10), 2.0), "benign pool is not binary"),
+        (np.array([[0.0] * 9 + [np.nan]]), "benign pool is not binary"),
+        (np.zeros((2, 7)), r"benign pool of shape \(2, 7\) is no batch of width 10"),
+        (np.zeros((2, 2, 10)), r"benign pool of shape \(2, 2, 10\)"),
+        (np.zeros(10), r"benign pool of shape \(10,\)"),
+    ])
+    def test_malformed_pool_rejected(self, pool, message):
+        cfg = AttackConfig("mimicry")
+        with pytest.raises(ValueError, match=message):
+            run_single(always_predicts(1, 10), np.zeros(10), 1, allow_all(10), cfg,
+                       benign_pool=pool)
 
 
 class TestFgsm:
@@ -370,6 +388,17 @@ class TestSuite:
                 # grey-box success is judged on the victim
                 assert out.success == (int(victim.predict(out.x_adv)) != 1)
 
+    @pytest.mark.parametrize("bad", ["half", "narrow", "3d"])
+    def test_malformed_pool_rejected_before_any_attack(self, rng, monkeypatch, bad):
+        victim, _, X, y, pol, pool = self.small_setup(rng)
+        pool = {"half": 0.5 * pool, "narrow": pool[:, :7], "3d": pool[None]}[bad]
+        runs = []
+        monkeypatch.setattr(attacks, "run_single", lambda *args, **kwargs: runs.append(args))
+        configs = [AttackConfig.for_attack("fgsm"), AttackConfig("mimicry")]
+        with pytest.raises(ValueError, match="benign pool"):
+            run_attack_suite(victim, X, y, pol, configs, benign_pool=pool)
+        assert runs == []
+
     def test_seeded_determinism(self, rng):
         victim, _, X, y, pol, pool = self.small_setup(rng)
         configs = [AttackConfig.for_attack(n, max_steps=10, seed=42)
@@ -395,6 +424,8 @@ class TestBadValues:
         ({"step_size": "0.1"}, "step_size"), ({"epsilon_ball": "1"}, "epsilon_ball"),
         ({"ead_c": True}, "ead_c"), ({"ead_beta": float("nan")}, "ead_beta"),
         ({"ead_kappa": None}, "ead_kappa"),
+        ({"seed": 1.5}, "seed"), ({"seed": True}, "seed"), ({"seed": -1}, "seed"),
+        ({"seed": None}, "seed"), ({"seed": "3"}, "seed"), ({"seed": [1, -2]}, "seed"),
     ])
     def test_config_rejects(self, overrides, message):
         with pytest.raises(ValueError, match=message):
@@ -403,6 +434,16 @@ class TestBadValues:
     def test_config_accepts_numpy_numbers(self):
         cfg = AttackConfig("pgd_l2", max_steps=np.int64(3), step_size=np.float32(0.5))
         assert cfg.max_steps == 3 and cfg.epsilon_ball is None
+
+    @pytest.mark.parametrize("seed", [0, np.int64(7), [3, 4]])
+    def test_config_accepts_seed(self, seed):
+        victim = MlpClassifier.init([4, 3, 2], seed=1)
+        X = np.eye(4)[:2]
+        pool = np.ones((3, 4))
+        configs = [AttackConfig.for_attack(n, max_steps=2, seed=seed)
+                   for n in ("random", "mimicry")]
+        assert len(run_attack_suite(victim, X, [1, 1], allow_all(4), configs,
+                                    benign_pool=pool)["random"]) == 2
 
     def test_config_accepts_both_selections(self):
         for selection in ("nearest", "random"):
@@ -433,3 +474,76 @@ class TestBadValues:
         with pytest.raises(ValueError, match="not binary"):
             run_single(always_predicts(1, 3), np.array([0.0, 0.5, 1.0]), 1,
                        allow_all(3), cfg)
+
+
+def never_evaded(kind, dim=12):
+    """A model of the kind that predicts class 1 on the whole unit box
+    while its class-1 loss gradient is positive on the features it sees."""
+    def head(width, slope):
+        return linear_binary_model(np.full(width, slope), bias=(0.0, 5.0))
+    if kind == "mlp":
+        return head(dim, 0.1)
+    if kind == "hardened":
+        subset = np.array([0, 1, 3, 4, 6, 7, 9, 10])
+        return HardenedClassifier(head(8, 0.1), subset=subset, thresholds=np.full(8, 0.5),
+                                  input_dim=dim)
+    return EnsembleClassifier([never_evaded("hardened", dim), HardenedClassifier(head(dim, 0.2))])
+
+
+class TestJudgeCounts:
+    """Each distinct point an iterative attack proposes is judged once, by
+    one forward that also gives grosse, bca and bga their next gradient."""
+
+    @staticmethod
+    def count(monkeypatch, model):
+        """Record each point attacks._misclassified judges and the row count
+        of each forward the model runs."""
+        judged, forwards = [], []
+        judge, pullback = attacks._misclassified, model._pullback
+
+        def counted_judge(m, x, y):
+            judged.append(np.array(x))
+            return judge(m, x, y)
+
+        def counted_pullback(X2):
+            forwards.append(len(X2))
+            return pullback(X2)
+        monkeypatch.setattr(attacks, "_misclassified", counted_judge)
+        monkeypatch.setattr(model, "_pullback", counted_pullback)
+        return judged, forwards
+
+    @pytest.mark.parametrize("kind", ["mlp", "hardened", "ensemble"])
+    @pytest.mark.parametrize("name", ["bca", "grosse"])
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_greedy_step_reuses_the_judged_forward(self, monkeypatch, kind, name, k):
+        model = never_evaded(kind)
+        judged, forwards = self.count(monkeypatch, model)
+        out = run_single(model, np.zeros(12), 1, allow_all(12),
+                         AttackConfig(name, max_steps=k))
+        assert out.steps_used == out.flips == k and not out.success
+        assert forwards == [1] * (k + 1)
+        assert len(judged) == k + 1
+
+    def test_pgd_linf_judges_only_changed_proposals(self, monkeypatch):
+        """A 0.01 step changes the rounding at steps 50, 63 and 91 of 100
+        here; a bias on the true class keeps every point classified."""
+        model = MlpClassifier.init([12, 8, 2], seed=2)
+        x = (np.random.default_rng(12347).random(12) < 0.5).astype(float)
+        y = int(model.predict(x))
+        model.biases[-1][y] += 5.0
+        cfg = AttackConfig.for_attack("pgd_linf", max_steps=100)
+        assert cfg.step_size == 0.01
+        expected = [x]
+        for proposal in islice(attacks._projected_steps(attacks._linf_direction, model, x, y,
+                                                        allow_all(12), cfg, None, None), 100):
+            if not np.array_equal(proposal, expected[-1]):
+                expected.append(proposal)
+                if int(model.predict(proposal)) != y:
+                    break
+        judged, forwards = self.count(monkeypatch, model)
+        out = run_single(model, x, y, allow_all(12), cfg)
+        assert out.steps_used == 100 and not out.success
+        assert len(judged) == len(expected) == 4
+        assert all(np.array_equal(a, b) for a, b in zip(judged, expected))
+        # one forward per judged point and one per step's gradient
+        assert len(forwards) == len(judged) + out.steps_used

@@ -272,7 +272,8 @@ class TestBadValues:
         {"lr": "0.1"}, {"inner_lr": float("nan")}, {"subspace_ratio": None},
         {"oversample_ratio": False}, {"hidden": 5}, {"hidden": None},
         {"activation": "tanh"}, {"activation": 5}, {"hidden": (0,)}, {"hidden": (8, 0)},
-        {"latent_dim": 0},
+        {"latent_dim": 0}, {"seed": 1.5}, {"seed": "abc"}, {"seed": True}, {"seed": None},
+        {"seed": [1, 2.5]}, {"seed": -1}, {"seed": [1, -2]}, {"seed": (1, 2.0)},
     ])
     def test_config_rejects(self, overrides):
         with pytest.raises(ValueError, match=next(iter(overrides))):
@@ -289,6 +290,8 @@ class TestBadValues:
         cfg = DefenseConfig(epochs=np.int64(3), lr=np.float64(0.01), noise_ratio_max=0,
                             hidden=[np.int32(4)], seed=[1, 2])
         assert cfg.epochs == 3 and DefenseConfig(hidden=()).hidden == ()
+        assert DefenseConfig(seed=np.int64(4)).seed == 4 and DefenseConfig(seed=(4, 5)).seed
+        assert DefenseConfig(seed=nn.child_seed(cfg.seed, 1000)).seed == [1, 2, 1000]
 
     def test_zero_counts_and_full_data_accepted(self):
         cfg = DefenseConfig(epochs=0, restarts=0, inner_steps=0, data_fraction=1.0)
