@@ -32,6 +32,7 @@ cat > experiment.json <<'JSON'
     {"name": "fgsm"},
     {"name": "bca", "max_steps": 60},
     {"name": "pgd_l1", "max_steps": 60},
+    {"name": "ead", "ead_c": 20.0, "max_steps": 60},
     {"name": "mimicry"}
   ],
   "threat_model": "white_box",

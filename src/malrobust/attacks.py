@@ -71,10 +71,11 @@ class AttackConfig:
         _check_config_types({k: getattr(self, k) for k in ("max_steps", "mimicry_candidates")},
                             {k: getattr(self, k) for k in reals})
         _check_seed(self.seed)
-        if self.max_steps < 0:
-            raise ValueError("max_steps must be >= 0")
-        if self.step_size <= 0:
-            raise ValueError("step_size must be positive")
+        if min(self.max_steps, self.ead_beta, self.ead_kappa) < 0:
+            raise ValueError("max_steps, ead_beta and ead_kappa must be >= 0")
+        for key in ("step_size", "ead_c"):
+            if getattr(self, key) <= 0:
+                raise ValueError(f"{key} must be positive")
         if self.epsilon_ball is not None and self.epsilon_ball <= 0:
             raise ValueError("epsilon_ball must be positive or None")
         if self.mimicry_candidates < 1:
@@ -119,8 +120,8 @@ def _misclassified(model, x, y):
     """The one judge of an attack point: whether the model no longer
     predicts y at x, and a thunk for the loss input gradient at x over the
     same forward."""
-    p, grad = model._loss_pullback(_check_input(x, model.input_dim), np.array([y]))
-    return int(np.argmax(p[0])) != int(y), lambda: grad()[0]
+    p, grad = model._loss_pullback(_check_input(x, model.input_dim))
+    return int(np.argmax(p[0])) != int(y), lambda: grad(np.array([y]))[0]
 
 
 def _check_pool(benign_pool, dim: int) -> np.ndarray:
@@ -308,9 +309,8 @@ def _adam_direction(model, x, y, delta, config, adam):
     return adam_step(adam, delta, model.input_gradients(x + delta, y), MAXIMIZE)
 
 
-def _ead_margin_cotangent(model, x, y, kappa):
-    """Gradient seed for g = max(Z_y - max_{j != y} Z_j, -kappa)."""
-    z = model.logits(x)
+def _ead_margin_cotangent(z, y, kappa):
+    """Gradient seed for g = max(Z_y - max_{j != y} Z_j, -kappa) at logits z."""
     z_other = z.copy()
     z_other[y] = -np.inf
     j_star = int(np.argmax(z_other))
@@ -322,11 +322,11 @@ def _ead_margin_cotangent(model, x, y, kappa):
 
 
 def _ead_direction(model, x, y, delta, config, adam):
-    """Elastic net: gradient step on c*g + ||delta||_2^2, then an l1
-    proximal shrink of beta * step_size."""
-    cur = x + delta
-    cot = _ead_margin_cotangent(model, cur, y, config.ead_kappa)
-    g = config.ead_c * model.logit_cot_input_gradients(cur, cot) + 2.0 * delta
+    """Elastic net: gradient step on c*g + ||delta||_2^2, then an l1 proximal
+    shrink of beta * step_size; g and its gradient come from one _pullback."""
+    logits, pull = model._pullback(_check_input(x + delta, model.input_dim))
+    cot = _ead_margin_cotangent(logits[0], y, config.ead_kappa)
+    g = config.ead_c * pull(cot[None])[0] + 2.0 * delta
     z = delta - config.step_size * g
     return np.sign(z) * np.maximum(np.abs(z) - config.ead_beta * config.step_size, 0.0)
 

@@ -21,12 +21,13 @@ import numpy as np
 
 def _check_config_types(counts: dict, reals: dict) -> None:
     """Reject a count that is no integer (a bool included) and a rate or
-    ratio that is no real number (NaN included), naming the field."""
+    ratio that is no real number (NaN and +-inf included), naming the field."""
     for key, value in counts.items():
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ValueError(f"{key} must be an integer, got {value!r}")
     for key, value in reals.items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Real) or value != value:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) or value != value \
+                or abs(value) == math.inf:
             raise ValueError(f"{key} must be a real number, got {value!r}")
 
 
@@ -247,6 +248,8 @@ def generate_synthetic(dim: int, classes: int, per_class, flip_noise: float,
     _check_config_types({"dim": dim, "classes": classes}, {"flip_noise": flip_noise})
     if dim < 2 or classes < 2:
         raise ValueError("need dim >= 2 and classes >= 2")
+    if not 0.0 <= flip_noise <= 1.0:
+        raise ValueError(f"flip_noise must be in [0, 1], got {flip_noise!r}")
     if isinstance(per_class, numbers.Integral):
         per_class = [per_class] * classes
     if class_densities is None:
@@ -258,6 +261,9 @@ def generate_synthetic(dim: int, classes: int, per_class, flip_noise: float,
                         {f"class_densities[{c}]": d for c, d in enumerate(class_densities)})
     if min(per_class) < 0:
         raise ValueError(f"per_class counts must be >= 0, got {per_class!r}")
+    for c, d in enumerate(class_densities):
+        if not 0.0 <= d <= 1.0:
+            raise ValueError(f"class_densities[{c}] must be in [0, 1], got {d!r}")
     rng = np.random.default_rng(seed)
     X_parts, y_parts = [], []
     for c in range(classes):

@@ -9,7 +9,8 @@ autoencoder and classifier are updated in alternation (block coordinate
 descent); the classifier consumes the encoder output when the DAE is on.
 
 Random-subspace ensembles train several hardened members on seeded
-feature / example subsets and vote by mean probability.
+feature / example subsets and vote by mean probability; the log of the
+floored vote stands in for their logits.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ import numpy as np
 from .data import (Dataset, ManipulationPolicy, _check_config_types, _check_policy,
                    _check_seed, binarize, oversample, project_to_m)
 from .nn import (MAXIMIZE, PROB_FLOOR, AdamState, DenseStack, MlpClassifier, _ACTIVATIONS,
-                 _adam_states, _adam_update, _batch_param_gradients, _check_cotangent,
-                 _check_input, _field, _like_input, _model_from_record, _model_record,
-                 _read_checkpoint, _write_checkpoint, adam_step, child_seed, softmax)
+                 _adam_states, _adam_update, _batch_param_gradients, _check_input, _field,
+                 _like_input, _model_from_record, _model_record, _read_checkpoint,
+                 _write_checkpoint, adam_step, child_seed, softmax)
 
 
 @dataclass
@@ -59,8 +60,9 @@ class DefenseConfig:
         for key in ("inner_lr", "lr", "batch_size"):
             if getattr(self, key) <= 0:
                 raise ValueError(f"{key} must be positive, got {getattr(self, key)!r}")
-        if not 0.0 <= self.noise_ratio_max <= 1.0:
-            raise ValueError("noise_ratio_max must be in [0, 1]")
+        for key in ("noise_ratio_max", "oversample_ratio"):
+            if not 0.0 <= getattr(self, key) <= 1.0:
+                raise ValueError(f"{key} must be in [0, 1]")
         if not 0.0 < self.subspace_ratio <= 1.0:
             raise ValueError("subspace_ratio must be in (0, 1]")
         if not 0.0 < self.data_fraction <= 1.0:
@@ -173,6 +175,8 @@ class HardenedClassifier:
             raise ValueError("encoder output width differs from the head input width")
         if self.thresholds is not None and np.shape(self.thresholds) != (view_dim,):
             raise ValueError(f"{np.size(self.thresholds)} thresholds for a view of width {view_dim}")
+        if self.thresholds is not None and not np.isfinite(self.thresholds).all():
+            raise ValueError("non-finite thresholds")
         if self.input_dim is None:
             if self.subset is not None:
                 raise ValueError("a feature subset needs the full input_dim")
@@ -373,7 +377,7 @@ class EnsembleClassifier:
     def class_count(self) -> int:
         return self.members[0].class_count
 
-    def _pullback(self, X2):
+    def _vote(self, X2):
         """Mean member probabilities of the checked batch X2, and the map from
         a cotangent on them to the input gradient; each member runs one forward."""
         members = [m._pullback(X2) for m in self.members]
@@ -387,14 +391,20 @@ class EnsembleClassifier:
             return total
         return sum(qs) / self.l, pull
 
-    def _loss_pullback(self, X2, y2):
-        """Mean member probabilities of the checked batch X2, and a thunk for
-        the input gradient of the loss at the checked labels y2 over this
-        forward; the loss is -log of the vote, so its cotangent lives in
-        probability space."""
-        p, pull = self._pullback(X2)
+    def _pullback(self, X2):
+        """Log of the floored vote on the checked batch X2 (voting has no single
+        pre-softmax layer), and the map from a cotangent on it to the input gradient."""
+        p, pull = self._vote(X2)
+        floored = np.maximum(p, PROB_FLOOR)
+        return np.log(floored), lambda cot: pull(cot / floored)
 
-        def grad():
+    def _loss_pullback(self, X2):
+        """The vote on the checked batch X2, and the map from checked labels
+        to the input gradient of the loss over this forward; the loss is
+        -log of the vote, so its cotangent lives in probability space."""
+        p, pull = self._vote(X2)
+
+        def grad(y2):
             rows = np.arange(len(y2))
             v = np.zeros_like(p)
             v[rows, y2] = -1.0 / np.maximum(p[rows, y2], PROB_FLOOR)
@@ -402,25 +412,13 @@ class EnsembleClassifier:
             return pull(v)
         return p, grad
 
-    def predict_proba(self, X):
-        return _like_input(X, self._pullback(_check_input(X, self.input_dim))[0])
-
-    # the plain MLP's methods over this class's predict_proba and _loss_pullback
+    # the plain MLP's methods over this class's two entries
+    logits = MlpClassifier.logits
+    predict_proba = MlpClassifier.predict_proba
     predict = MlpClassifier.predict
     loss = MlpClassifier.loss
     input_gradients = MlpClassifier.input_gradients
-
-    def logits(self, X):
-        # mean-probability voting has no single pre-softmax layer; the log
-        # of the vote is the monotone stand-in used by margin attacks
-        p = self.predict_proba(X)
-        return np.log(np.maximum(p, PROB_FLOOR))
-
-    def logit_cot_input_gradients(self, X, cot):
-        X2 = _check_input(X, self.input_dim)
-        cot2 = _check_cotangent(cot, len(X2), self.class_count)
-        p, pull = self._pullback(X2)
-        return _like_input(X, pull(cot2 / np.maximum(p, PROB_FLOOR)))
+    logit_cot_input_gradients = MlpClassifier.logit_cot_input_gradients
 
 
 def train_ensemble(dataset: Dataset, policy, config: DefenseConfig, *,
@@ -447,6 +445,7 @@ def train_ensemble(dataset: Dataset, policy, config: DefenseConfig, *,
 
 
 def _hardened_record(clf: HardenedClassifier) -> dict:
+    replace(clf)  # a load rebuilds the model, so its constructor's checks run first
     return {
         "subset": None if clf.subset is None else [int(i) for i in clf.subset],
         "thresholds": None if clf.thresholds is None else clf.thresholds.tolist(),

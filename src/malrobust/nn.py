@@ -6,17 +6,18 @@ walks a cotangent from the output down to the input and keeps each
 layer's pre-activation cotangent; input gradients (all the attacks and
 the inner maximizer need) stop there, and one dense-stack gradient
 routine, ``_stack_grads``, turns the cotangents into weight and bias
-gradients for every training step.  Each model's private ``_pullback``
-runs its forward once and returns the output with the map from an output
-cotangent to the input gradient over that forward; every prediction and
-input-gradient method is built on it.  Each classifier's ``_loss_pullback``
-returns the class probabilities of one forward with a thunk for the loss
-input gradient over it, so an attack that judges a point can take the
-point's gradient without a second forward.  Each public method checks its
-input and labels once, so ``_pullback`` takes a checked 2-d float batch
-and checks nothing.  The label rule is the one of :mod:`malrobust.data`,
-which also applies it to every ``Dataset``; training checks its
-dataset's features once per call.
+gradients for every training step.  Each classifier has two private
+entries, each over one forward of a checked 2-d float batch: ``_pullback``
+returns the logits with the map from a logit cotangent to the input
+gradient, and ``_loss_pullback`` returns the class probabilities with the
+map from checked labels to the loss input gradient, so an attack that
+judges a point can take its gradient without a second forward.  The six
+public prediction and input-gradient methods are written once, in
+:class:`MlpClassifier`, over these two entries; the hardened model and the
+ensemble bind them.  Each public method checks its input and labels once,
+so the entries check nothing.  The label rule is the one of
+:mod:`malrobust.data`, which also applies it to every ``Dataset``;
+training checks its dataset's features once per call.
 
 Checkpoints (``format_version`` 2) are one JSON record per model: sizes
 and settings as plain JSON, and each weight and bias as ``{"shape",
@@ -262,11 +263,18 @@ class MlpClassifier:
 
     _pullback = _stack_pullback  # logits stay linear
 
+    def _loss_pullback(self, X2):
+        """Class probabilities of the checked batch X2, and the map from
+        checked labels to the input gradient of the loss over this forward."""
+        z, pull = self._pullback(X2)
+        p = softmax(z)
+        return p, lambda y2: pull(_ce_logit_cotangent(p, y2))
+
     def logits(self, X):
         return _like_input(X, self._pullback(_check_input(X, self.input_dim))[0])
 
     def predict_proba(self, X):
-        return softmax(self.logits(X))
+        return _like_input(X, self._loss_pullback(_check_input(X, self.input_dim))[0])
 
     def predict(self, X):
         p = self.predict_proba(X)
@@ -275,18 +283,11 @@ class MlpClassifier:
     def loss(self, X, y):
         return cross_entropy(self.predict_proba(X), y)
 
-    def _loss_pullback(self, X2, y2):
-        """Class probabilities of the checked batch X2, and a thunk for the
-        input gradient of the loss at the checked labels y2 over this forward."""
-        z, pull = self._pullback(X2)
-        p = softmax(z)
-        return p, lambda: pull(_ce_logit_cotangent(p, y2))
-
     def input_gradients(self, X, y):
         """Per-example gradient of the cross-entropy loss w.r.t. the input."""
         X2 = _check_input(X, self.input_dim)
         y2 = _check_labels(y, len(X2), self.class_count)
-        return _like_input(X, self._loss_pullback(X2, y2)[1]())
+        return _like_input(X, self._loss_pullback(X2)[1](y2))
 
     def logit_cot_input_gradients(self, X, cot):
         """Per-example input gradient of sum(cot * logits)."""
@@ -460,7 +461,9 @@ def _decode_array(record) -> np.ndarray:
 
 def _model_record(model) -> dict:
     """Layer sizes and settings of an MLP or a dense stack, with each
-    parameter array encoded by :func:`_encode_array`."""
+    parameter array encoded by :func:`_encode_array`; parameters a load
+    would reject (non-finite ones, say, after a diverged training) raise."""
+    _check_layers(model.weights, model.biases, model.activation)
     return {"layer_sizes": model.layer_sizes,
             **{f.name: getattr(model, f.name) for f in fields(model)
                if f.name not in ("weights", "biases")},

@@ -424,12 +424,21 @@ class TestBadValues:
         ({"step_size": "0.1"}, "step_size"), ({"epsilon_ball": "1"}, "epsilon_ball"),
         ({"ead_c": True}, "ead_c"), ({"ead_beta": float("nan")}, "ead_beta"),
         ({"ead_kappa": None}, "ead_kappa"),
+        ({"step_size": float("inf")}, "step_size"), ({"ead_c": float("inf")}, "ead_c"),
+        ({"ead_kappa": float("inf")}, "ead_kappa"),
+        ({"epsilon_ball": float("inf")}, "epsilon_ball"),
+        ({"ead_beta": -0.1}, "ead_beta"), ({"ead_kappa": -1.0}, "ead_kappa"),
+        ({"ead_c": 0.0}, "ead_c"), ({"ead_c": -1.0}, "ead_c"),
         ({"seed": 1.5}, "seed"), ({"seed": True}, "seed"), ({"seed": -1}, "seed"),
         ({"seed": None}, "seed"), ({"seed": "3"}, "seed"), ({"seed": [1, -2]}, "seed"),
     ])
     def test_config_rejects(self, overrides, message):
         with pytest.raises(ValueError, match=message):
             AttackConfig.for_attack("mimicry", **overrides)
+
+    def test_config_accepts_zero_ead_beta_and_kappa(self):
+        cfg = AttackConfig("ead", ead_beta=0.0, ead_kappa=0)
+        assert (cfg.ead_beta, cfg.ead_kappa) == (0.0, 0)
 
     def test_config_accepts_numpy_numbers(self):
         cfg = AttackConfig("pgd_l2", max_steps=np.int64(3), step_size=np.float32(0.5))
@@ -497,9 +506,11 @@ class TestJudgeCounts:
     @staticmethod
     def count(monkeypatch, model):
         """Record each point attacks._misclassified judges and the row count
-        of each forward the model runs."""
+        of each forward the model runs: its ``_pullback``, or an ensemble's
+        member loop, which both of the ensemble's entries run."""
         judged, forwards = [], []
-        judge, pullback = attacks._misclassified, model._pullback
+        forward = "_vote" if isinstance(model, EnsembleClassifier) else "_pullback"
+        judge, pullback = attacks._misclassified, getattr(model, forward)
 
         def counted_judge(m, x, y):
             judged.append(np.array(x))
@@ -509,7 +520,7 @@ class TestJudgeCounts:
             forwards.append(len(X2))
             return pullback(X2)
         monkeypatch.setattr(attacks, "_misclassified", counted_judge)
-        monkeypatch.setattr(model, "_pullback", counted_pullback)
+        monkeypatch.setattr(model, forward, counted_pullback)
         return judged, forwards
 
     @pytest.mark.parametrize("kind", ["mlp", "hardened", "ensemble"])
@@ -523,6 +534,21 @@ class TestJudgeCounts:
         assert out.steps_used == out.flips == k and not out.success
         assert forwards == [1] * (k + 1)
         assert len(judged) == k + 1
+
+    @pytest.mark.parametrize("kind", ["mlp", "hardened", "ensemble"])
+    @pytest.mark.parametrize("k", [1, 10])
+    def test_ead_step_runs_one_forward(self, monkeypatch, kind, k):
+        """An ead step takes the logit margin and its gradient from one
+        forward; the search adds one forward per judged point."""
+        model = never_evaded(kind)
+        judged, forwards = self.count(monkeypatch, model)
+        out = run_single(model, np.zeros(12), 1, allow_all(12),
+                         AttackConfig("ead", max_steps=k, step_size=0.1, ead_c=20.0))
+        assert out.steps_used == k and not out.success
+        # the rounding changes once in 10 steps here, and twice on the
+        # ensemble, whose members pull at different slopes
+        assert len(judged) == 1 + (k == 10) * (2 if kind == "ensemble" else 1)
+        assert forwards == [1] * (k + len(judged))
 
     def test_pgd_linf_judges_only_changed_proposals(self, monkeypatch):
         """A 0.01 step changes the rounding at steps 50, 63 and 91 of 100

@@ -343,7 +343,9 @@ class TestBadValues:
                                             ("epochs", 1.5), ("batch_size", "8"),
                                             ("hidden", [4.5]), ("hidden", 5), ("lr", None),
                                             ("hidden", [0]), ("latent_dim", 0),
-                                            ("activation", "tanh")])
+                                            ("activation", "tanh"), ("lr", float("inf")),
+                                            ("oversample_ratio", 2.0),
+                                            ("oversample_ratio", -0.5)])
     def test_bad_defense_value_reported(self, pipeline, capsys, key, value):
         tmp_path, cfg_path, cfg = pipeline
         cfg["defenses"] = [{"label": "at", "kind": "hardened", "config": {key: value}}]
@@ -395,6 +397,7 @@ class TestBadValues:
         {"name": "pgd_linf", "epsilon_ball": 0.0},
         {"name": "mimicry", "mimicry_candidates": 2.5},
         {"name": "bga", "max_steps": "3"},
+        {"name": "ead", "ead_kappa": float("inf")},
     ])
     def test_bad_attack_value_reported(self, pipeline, capsys, entry):
         tmp_path, cfg_path, cfg = pipeline
@@ -414,6 +417,7 @@ class TestBadValues:
         ("dim", 20.5), ("classes", 2.5), ("flip_noise", "0.1"),
         ("per_class", 2.5), ("per_class", [40]), ("per_class", -1),
         ("class_densities", [0.5]), ("class_densities", [0.5, "x"]),
+        ("flip_noise", 1.5), ("flip_noise", float("inf")), ("class_densities", [1.5, 0.5]),
     ])
     def test_bad_synthetic_value_reported(self, tmp_path, capsys, key, value):
         cfg_path = tmp_path / "cfg.json"

@@ -204,6 +204,23 @@ class TestGenerateSynthetic:
         with pytest.raises(ValueError):
             generate_synthetic(1, 2, 3, 0.0)
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"flip_noise": 1.5}, "flip_noise must be in"),
+        ({"flip_noise": -0.2}, "flip_noise must be in"),
+        ({"flip_noise": float("inf")}, "flip_noise must be a real number, got inf"),
+        ({"class_densities": [1.5, 0.5]}, r"class_densities\[0\] must be in \[0, 1\], got 1.5"),
+        ({"class_densities": [0.5, -1.0]}, r"class_densities\[1\] must be in"),
+        ({"class_densities": [0.5, float("-inf")]}, r"class_densities\[1\] must be a real"),
+    ])
+    def test_rate_outside_the_unit_interval_rejected(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            generate_synthetic(**{"dim": 10, "classes": 2, "per_class": 3,
+                                  "flip_noise": 0.1, **overrides})
+
+    def test_unit_interval_ends_accepted(self):
+        ds, _ = generate_synthetic(10, 2, 3, 1.0, class_densities=[0.0, 1.0])
+        assert np.array_equal(ds.X[ds.y == 0], np.ones((3, 10)))
+
     def test_numpy_values_accepted(self):
         a, _ = generate_synthetic(np.int64(30), 2, np.int64(4), np.float64(0.1), seed=6,
                                   class_densities=np.array([0.9, 0.1]))

@@ -274,6 +274,8 @@ class TestBadValues:
         {"activation": "tanh"}, {"activation": 5}, {"hidden": (0,)}, {"hidden": (8, 0)},
         {"latent_dim": 0}, {"seed": 1.5}, {"seed": "abc"}, {"seed": True}, {"seed": None},
         {"seed": [1, 2.5]}, {"seed": -1}, {"seed": [1, -2]}, {"seed": (1, 2.0)},
+        {"lr": float("inf")}, {"inner_lr": float("inf")}, {"oversample_ratio": 2.0},
+        {"oversample_ratio": -0.5}, {"oversample_ratio": float("inf")},
     ])
     def test_config_rejects(self, overrides):
         with pytest.raises(ValueError, match=next(iter(overrides))):
@@ -560,6 +562,8 @@ class TestCheckpointChecks:
         (lambda r: r.update(input_dim=None), "input_dim"),
         (lambda r: r.update(input_dim=4), "within"),
         (lambda r: r.update(thresholds=[0.5] * 5), "5 thresholds"),
+        (lambda r: r.update(thresholds=[0.5] * 5 + [float("nan")]), "non-finite thresholds"),
+        (lambda r: r.update(thresholds=[float("-inf")] + [0.5] * 5), "non-finite thresholds"),
         (lambda r: r["encoder"].update(layer_sizes=[999, 999]), "layer_sizes disagree"),
         (lambda r: r["decoder"].update(layer_sizes=[4, 7]), "layer_sizes disagree"),
         (lambda r: edit_array(r["encoder"], "biases", 0, lambda b: np.append(b, 0.0)),
@@ -574,6 +578,46 @@ class TestCheckpointChecks:
     def test_tampered_checkpoint_rejected(self, tmp_path, edit, message):
         with pytest.raises(ValueError, match=message):
             load_hardened(tampered(tmp_path, dae_hardened(), edit))
+
+    def test_hardened_model_checks_its_thresholds(self):
+        with pytest.raises(ValueError, match="non-finite thresholds"):
+            HardenedClassifier(MlpClassifier.init([4, 2]),
+                               thresholds=np.array([0.5, np.nan, 0.5, 0.5]))
+
+    @pytest.mark.parametrize("kind", ["mlp", "hardened", "ensemble"])
+    def test_save_refuses_what_load_rejects(self, tmp_path, kind):
+        """A model whose parameters went non-finite after construction (a
+        diverged training, say) raises on save and leaves no file."""
+        clf = dae_hardened()
+        model, save, stack = {
+            "mlp": (clf.mlp, nn.save_model, clf.mlp),
+            "hardened": (clf, save_hardened, clf.dae.encoder),
+            "ensemble": (EnsembleClassifier([dae_hardened(seed=1), clf]), save_ensemble, clf.mlp),
+        }[kind]
+        stack.biases[0][0] = np.nan
+        with pytest.raises(ValueError, match="non-finite parameters"):
+            save(tmp_path / "model.json", model)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda clf: clf.thresholds.__setitem__(1, np.nan), "non-finite thresholds"),
+        (lambda clf: clf.subset.__setitem__(0, 99), "within"),
+    ])
+    @pytest.mark.parametrize("save", [save_hardened, lambda path, clf: save_ensemble(
+        path, EnsembleClassifier([dae_hardened(seed=1), clf]))])
+    def test_save_refuses_a_view_that_load_rejects(self, tmp_path, edit, message, save):
+        clf = dae_hardened()
+        edit(clf)
+        with pytest.raises(ValueError, match=message):
+            save(tmp_path / "model.json", clf)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_save_refuses_an_unknown_activation(self, tmp_path):
+        model = MlpClassifier.init([3, 2], seed=1)
+        model.activation = "tanh"  # set past the constructor's check
+        with pytest.raises(ValueError, match="unknown activation 'tanh'"):
+            nn.save_model(tmp_path / "model.json", model)
+        assert list(tmp_path.iterdir()) == []
 
     def test_dense_stack_checks_its_parameters(self):
         with pytest.raises(ValueError, match="inconsistent layer shapes"):

@@ -7,9 +7,13 @@ of the plain, hardened and ensemble classifiers on top of it;
 ``old_scatter`` is the earlier ``HardenedClassifier._scatter`` verbatim and
 ``old_input_backward`` the earlier ``DenseStack.input_backward`` (now with
 the first layer's product that ``_stack_backward`` leaves to its callers),
-which each model's ``_pullback`` replaced.  Every
-comparison is bitwise (``np.array_equal``): attack outcome tables, trained
-models and reports depend on the exact floating-point values.
+which each model's ``_pullback`` replaced.  ``old_predict_proba`` is the
+earlier ``predict_proba`` (the plain and hardened models' softmax of their
+logits, the ensemble's hand-written vote) and ``old_ensemble_logits`` the
+ensemble's hand-written log vote, both of which the ensemble's two private
+entries replaced.  Every comparison is bitwise (``np.array_equal``):
+attack outcome tables, trained models and reports depend on the exact
+floating-point values.
 """
 
 import numpy as np
@@ -17,10 +21,10 @@ import pytest
 
 from malrobust.defenses import (DenoisingAutoencoder, EnsembleClassifier,
                                 HardenedClassifier)
-from malrobust.nn import (DenseStack, MlpClassifier, _act, _act_grad,
-                          _batch_param_gradients, _ce_logit_cotangent,
-                          _stack_backward, _stack_forward, backward, cross_entropy,
-                          softmax)
+from malrobust.nn import (PROB_FLOOR, DenseStack, MlpClassifier, _act, _act_grad,
+                          _batch_param_gradients, _ce_logit_cotangent, _check_input,
+                          _like_input, _stack_backward, _stack_forward, backward,
+                          cross_entropy, softmax)
 
 DIM = 40
 HIDDEN = 24
@@ -92,8 +96,25 @@ def old_hardened(clf, X2, head_grad):
     return old_scatter(clf, X2, v_cot)
 
 
+def old_predict_proba(model, X):
+    if not isinstance(model, EnsembleClassifier):  # the earlier MlpClassifier.predict_proba
+        return softmax(model.logits(X))
+    # the earlier EnsembleClassifier.predict_proba over its member loop
+    X2 = _check_input(X, model.input_dim)
+    members = [m._pullback(X2) for m in model.members]
+    qs = [softmax(z) for z, _ in members]
+    return _like_input(X, sum(qs) / model.l)
+
+
+def old_ensemble_logits(ens, X):
+    # mean-probability voting has no single pre-softmax layer; the log
+    # of the vote is the monotone stand-in used by margin attacks
+    p = old_predict_proba(ens, X)
+    return np.log(np.maximum(p, PROB_FLOOR))
+
+
 def old_ensemble(ens, X2, v_of_p):
-    p = np.atleast_2d(ens.predict_proba(X2))
+    p = np.atleast_2d(old_predict_proba(ens, X2))
     v2 = v_of_p(p)
     total = np.zeros_like(X2)
     for m in ens.members:
@@ -175,6 +196,18 @@ class TestInputGradients:
         cot = rng.normal(size=(n, CLASSES))
         assert np.array_equal(model.logit_cot_input_gradients(X, cot),
                               old_logit_cot_input_gradients(model, X, cot))
+
+
+@pytest.mark.parametrize("kind", ["mlp", "hardened", "ensemble"])
+@GRID
+def test_predict_proba_and_logits(kind, activation, n, depth):
+    rng = np.random.default_rng([depth, n, 5])
+    model = make_model(kind, activation, depth, rng)
+    X, _ = batch(n, rng)
+    for x in (X, X[0]):
+        assert np.array_equal(model.predict_proba(x), old_predict_proba(model, x))
+        if kind == "ensemble":
+            assert np.array_equal(model.logits(x), old_ensemble_logits(model, x))
 
 
 def assert_lists_equal(got, want):

@@ -338,14 +338,16 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=r"model\.json: missing key 'weights'"):
             nn.load_model(path)
 
-    def test_failed_save_keeps_previous_checkpoint(self, tmp_path):
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
         path = tmp_path / "model.json"
         nn.save_model(path, MlpClassifier.init([3, 2], seed=0))
         before = path.read_bytes()
-        unwritable = MlpClassifier.init([3, 2], seed=1)
-        unwritable.activation = object()  # set past the constructor's check
+
+        def unserializable(*args, **kwargs):
+            raise TypeError("not JSON serializable")
+        monkeypatch.setattr(nn.json, "dumps", unserializable)  # fails inside the atomic write
         with pytest.raises(TypeError):
-            nn.save_model(path, unwritable)
+            nn.save_model(path, MlpClassifier.init([3, 2], seed=1))
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
 
