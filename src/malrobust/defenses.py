@@ -21,8 +21,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import (Dataset, ManipulationPolicy, _check_config_types, _check_policy,
-                   _check_seed, binarize, oversample, project_to_m)
+from .data import (Dataset, ManipulationPolicy, _check_config_types, _check_labels,
+                   _check_policy, _check_seed, binarize, oversample, project_to_m)
 from .nn import (MAXIMIZE, PROB_FLOOR, AdamState, DenseStack, MlpClassifier, _ACTIVATIONS,
                  _adam_states, _adam_update, _batch_param_gradients, _check_input, _field,
                  _like_input, _model_from_record, _model_record, _read_checkpoint,
@@ -244,7 +244,8 @@ def inner_maximize(model, X, y, policy, config: DefenseConfig, rng=None):
     the input (a single vector yields single vectors).
     """
     rng = np.random.default_rng(config.seed if rng is None else rng)
-    X2 = np.atleast_2d(np.asarray(X, dtype=float))
+    X2 = _check_input(X, model.input_dim)
+    y2 = _check_labels(y, len(X2), model.class_count)
     if policy is None:  # box-only: every flip is allowed
         allowed = np.ones(X2.shape[1], dtype=bool)
         policy = ManipulationPolicy(allowed, allowed)
@@ -252,6 +253,7 @@ def inner_maximize(model, X, y, policy, config: DefenseConfig, rng=None):
     best_loss = np.full(len(X2), -np.inf)
     best_x = X2.copy()
     best_delta = np.zeros_like(X2)
+    x_cur = np.empty_like(X2)  # X2 + delta, the point each gradient is taken at
     for trial in range(config.restarts + 1):
         if trial == 0:
             delta = np.zeros_like(X2)
@@ -260,11 +262,13 @@ def inner_maximize(model, X, y, policy, config: DefenseConfig, rng=None):
             delta = _salt_pepper_batch(X2, ratio, rng) - X2
         adam = AdamState.zeros(X2.shape, learning_rate=config.inner_lr)
         for _ in range(config.inner_steps):
-            g = model.input_gradients(X2 + delta, y)
-            delta = adam_step(adam, delta, g, MAXIMIZE)
-            delta = np.clip(X2 + delta, 0.0, 1.0) - X2
+            g = model.input_gradients(np.add(X2, delta, out=x_cur), y2)
+            delta = adam_step(adam, delta, g, MAXIMIZE)  # a new array, so clip in place
+            np.add(X2, delta, out=delta)
+            np.clip(delta, 0.0, 1.0, out=delta)
+            delta -= X2
         rounded = project_to_m(X2, X2 + delta, policy)
-        losses = np.atleast_1d(model.loss(rounded, y))
+        losses = np.atleast_1d(model.loss(rounded, y2))
         better = losses > best_loss
         best_loss = np.where(better, losses, best_loss)
         best_x[better] = rounded[better]

@@ -35,7 +35,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .data import _check_labels, atomic_write
+from .data import _check_config_types, _check_labels, atomic_write
 
 PROB_FLOOR = 1e-12  # inside log, so a saturated softmax never yields -inf
 MINIMIZE = "minimize"
@@ -85,7 +85,8 @@ def _stack_forward(weights, biases, activation, X, activate_last):
     a = X
     last = len(weights) - 1
     for i, (W, b) in enumerate(zip(weights, biases)):
-        z = a @ W + b
+        z = a @ W
+        z += b
         zs.append(z)
         if i < last or activate_last:
             a = _act(activation, z)
@@ -109,7 +110,8 @@ def _stack_backward(weights, activation, zs, out_cot, activate_last):
     deltas = [None] * len(weights)
     deltas[last] = delta
     for i in range(last, 0, -1):
-        delta = (delta @ weights[i].T) * _act_grad(activation, zs[i - 1])
+        delta = delta @ weights[i].T  # a new array, so out_cot is never written
+        delta *= _act_grad(activation, zs[i - 1])
         deltas[i - 1] = delta
     return deltas
 
@@ -362,12 +364,28 @@ def _batch_param_gradients(model: MlpClassifier, X2, y2):
 
 @dataclass
 class AdamState:
-    """Adam moments for one variable array."""
+    """Adam moments for one variable array.
+
+    The state owns its moments: both are copied to float arrays here, since
+    :func:`adam_step` updates them in place.
+    """
 
     first_moment: np.ndarray
     second_moment: np.ndarray
     learning_rate: float = 0.001
     step: int = 0
+
+    def __post_init__(self):
+        self.first_moment = np.array(self.first_moment, dtype=float)
+        self.second_moment = np.array(self.second_moment, dtype=float)
+        if self.first_moment.shape != self.second_moment.shape:
+            raise ValueError(f"moments of shapes {self.first_moment.shape} and "
+                             f"{self.second_moment.shape}")
+        _check_config_types({"step": self.step}, {"learning_rate": self.learning_rate})
+        if self.learning_rate <= 0:
+            raise ValueError(f"learning_rate must be positive, got {self.learning_rate!r}")
+        if self.step < 0:
+            raise ValueError(f"step must be >= 0, got {self.step!r}")
 
     @classmethod
     def zeros(cls, shape, learning_rate=0.001):
@@ -376,23 +394,43 @@ class AdamState:
 
 def adam_step(state: AdamState, variables: np.ndarray, grads: np.ndarray,
               direction: str = MINIMIZE) -> np.ndarray:
-    """One bias-corrected Adam update; MAXIMIZE negates the gradient.
+    """One bias-corrected Adam update; MAXIMIZE ascends the gradient.
 
-    Mutates ``state`` and returns the updated variables.
+    Updates ``state``'s step and moments in place and returns the updated
+    variables as a new array; ``variables`` and ``grads`` are not written.
+    Each operation is the textbook one in the textbook order, built in two
+    scratch arrays.  MAXIMIZE subtracts where MINIMIZE adds: (1-b1)*(-g) is
+    exactly -((1-b1)*g) and (-g)*(-g) exactly g*g, so this equals stepping
+    on a negated gradient, bit for bit.
     """
     g = np.asarray(grads, dtype=float)
     if g.shape != np.shape(variables):
         raise ValueError("gradient shape mismatch")
-    if direction == MAXIMIZE:
-        g = -g
-    elif direction != MINIMIZE:
+    if g.shape != state.first_moment.shape:
+        raise ValueError(f"variables of shape {g.shape} for Adam moments of shape "
+                         f"{state.first_moment.shape}")
+    if direction not in (MINIMIZE, MAXIMIZE):
         raise ValueError(f"unknown direction {direction!r}")
     state.step += 1
-    state.first_moment = ADAM_BETA1 * state.first_moment + (1 - ADAM_BETA1) * g
-    state.second_moment = ADAM_BETA2 * state.second_moment + (1 - ADAM_BETA2) * g * g
-    m_hat = state.first_moment / (1 - ADAM_BETA1 ** state.step)
-    v_hat = state.second_moment / (1 - ADAM_BETA2 ** state.step)
-    return variables - state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
+    m, v = state.first_moment, state.second_moment
+    a, b = np.empty(g.shape), np.empty(g.shape)
+    np.multiply(1 - ADAM_BETA1, g, out=a)
+    m *= ADAM_BETA1
+    if direction == MAXIMIZE:
+        m -= a
+    else:
+        m += a
+    np.multiply(1 - ADAM_BETA2, g, out=a)
+    a *= g
+    v *= ADAM_BETA2
+    v += a
+    np.divide(m, 1 - ADAM_BETA1 ** state.step, out=a)  # m_hat
+    np.divide(v, 1 - ADAM_BETA2 ** state.step, out=b)  # v_hat
+    np.sqrt(b, out=b)
+    b += ADAM_EPSILON
+    a *= state.learning_rate
+    a /= b
+    return np.subtract(variables, a, out=a)
 
 
 def _adam_states(model, learning_rate):

@@ -535,6 +535,16 @@ class TestNonFiniteInput:
                 call(X)
 
     @pytest.mark.parametrize("inner_steps", [0, 1])
+    def test_inner_maximize_rejects_a_nan_batch(self, inner_steps):
+        # with inner_steps=0 no gradient call sees the batch
+        X = np.zeros((3, 6))
+        X[1, 2] = np.nan
+        cfg = DefenseConfig(inner_steps=inner_steps, restarts=0)
+        with pytest.raises(ValueError, match="non-finite input"):
+            inner_maximize(MlpClassifier.init([6, 4, 2], seed=0), X, [0, 1, 0],
+                           ManipulationPolicy.additions_only(6), cfg)
+
+    @pytest.mark.parametrize("inner_steps", [0, 1])
     def test_train_hardened_rejects_a_nan_training_set(self, inner_steps):
         # with inner_steps=0 no model call sees the raw batch
         X = np.zeros((4, 6))

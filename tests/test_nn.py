@@ -227,6 +227,51 @@ class TestAdam:
             prev = w[0]
 
 
+class TestAdamStateChecks:
+    """adam_step updates the moments in place, so a state owns float copies
+    of them and rejects settings that would step silently wrong."""
+
+    def test_moments_of_different_shapes_rejected(self):
+        with pytest.raises(ValueError, match=r"moments of shapes \(3,\) and \(2,\)"):
+            AdamState(np.zeros(3), np.zeros(2))
+
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), 0.0, -1.0, True, "0.1", None])
+    def test_bad_learning_rate_rejected(self, lr):
+        with pytest.raises(ValueError, match="learning_rate must be (positive|a real number)"):
+            AdamState.zeros((2,), learning_rate=lr)
+
+    @pytest.mark.parametrize("step", [-1, 1.0, True, "0"])
+    def test_bad_step_rejected(self, step):
+        with pytest.raises(ValueError, match="step must be (>= 0|an integer)"):
+            AdamState(np.zeros(2), np.zeros(2), 0.1, step)
+
+    def test_variables_of_another_shape_rejected(self):
+        # a (1,) state once broadcast a (3,) step silently
+        state = AdamState.zeros((1,), learning_rate=0.1)
+        with pytest.raises(ValueError, match=r"variables of shape \(3,\) for Adam moments"):
+            adam_step(state, np.zeros(3), np.ones(3))
+        assert state.step == 0 and state.first_moment.tolist() == [0.0]
+
+    def test_aliased_moments_step_like_zeros(self):
+        z = np.zeros(3)
+        shared, fresh = AdamState(z, z, 0.1), AdamState.zeros((3,), 0.1)
+        assert shared.first_moment is not shared.second_moment
+        w_shared = w_fresh = np.array([0.5, -1.0, 2.0])
+        for g in ([1.0, -2.0, 0.0], [0.5, 3.0, -1.0], [-4.0, 0.0, 2.0]):
+            w_shared = adam_step(shared, w_shared, np.array(g))
+            w_fresh = adam_step(fresh, w_fresh, np.array(g))
+            assert np.array_equal(w_shared, w_fresh)
+        assert np.array_equal(shared.second_moment, fresh.second_moment)
+        assert not z.any()  # the caller's array is not the state's
+
+    def test_integer_moments_become_float_copies(self):
+        m = np.zeros(2, dtype=int)
+        state = AdamState(m, [0, 0], 1, np.int64(0))
+        w = adam_step(state, np.zeros(2), np.array([0.25, -0.5]))
+        assert state.first_moment.dtype == float and not m.any()
+        assert np.allclose(w, [-1.0, 1.0])
+
+
 def separable_dataset(n=60, seed=0):
     rng = np.random.default_rng(seed)
     X0 = rng.normal(loc=(-1.5, -1.5), scale=0.3, size=(n // 2, 2))

@@ -1,7 +1,9 @@
 """The shared training code against the training loops it replaced.
 
 The oracle below keeps, verbatim, the former ``AdamState``/``adam_step``
-(with their beta and epsilon fields), the former ``train_supervised`` and
+(with their beta and epsilon fields, out of place), the former
+``inner_maximize`` with its out-of-place clip (the oracle's
+``train_hardened`` calls it), the former ``train_supervised`` and
 ``train_hardened`` bodies, each with its own per-layer update loop and its
 own subset-and-binarize view, the former ``_dae_param_grads`` with its
 zero-filled accumulators, and the former ``_train_mlp`` that trained plain
@@ -15,11 +17,13 @@ import numpy as np
 import pytest
 
 from malrobust import defenses, evaluation, nn
-from malrobust.data import Dataset, ManipulationPolicy, binarize, generate_synthetic, oversample
-from malrobust.defenses import (DefenseConfig, DenoisingAutoencoder, HardenedClassifier,
-                                _salt_pepper_batch, inner_maximize)
+from malrobust.data import (Dataset, ManipulationPolicy, _check_policy, binarize,
+                            generate_synthetic, oversample, project_to_m)
+from malrobust.defenses import (DefenseConfig, DenoisingAutoencoder, EnsembleClassifier,
+                                HardenedClassifier, _salt_pepper_batch)
 from malrobust.evaluation import SURROGATE_PROFILE, DefenseSpec
-from malrobust.nn import MAXIMIZE, MINIMIZE, MlpClassifier, _batch_param_gradients, child_seed
+from malrobust.nn import (MAXIMIZE, MINIMIZE, MlpClassifier, _batch_param_gradients,
+                          _like_input, _stack_backward, _stack_forward, child_seed)
 
 
 # ---------------------------------------------------------------- oracle
@@ -63,6 +67,50 @@ def adam_step(state: AdamState, variables: np.ndarray, grads: np.ndarray,
     v_hat = state.second_moment / (1 - state.beta2 ** state.step)
     return variables - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon_stab)
 
+
+
+def inner_maximize(model, X, y, policy, config: DefenseConfig, rng=None):
+    """Multi-start Adam ascent on the loss over a continuous perturbation.
+
+    Runs restarts+1 trials: one from delta = 0 and the rest from
+    salt-and-pepper starting points whose noise ratio is drawn uniformly
+    in [0, noise_ratio_max].  Every trial takes inner_steps Adam steps in
+    maximization mode, clipping x+delta into the unit box after each step.
+    Trial endpoints are rounded through the policy (one that allows every
+    flip when policy is None, the box-only mode used by adversarial
+    regularization); the trial with the largest rounded-point
+    cross-entropy wins, per example.
+
+    Returns (rounded binary batch, continuous delta batch); shapes follow
+    the input (a single vector yields single vectors).
+    """
+    rng = np.random.default_rng(config.seed if rng is None else rng)
+    X2 = np.atleast_2d(np.asarray(X, dtype=float))
+    if policy is None:  # box-only: every flip is allowed
+        allowed = np.ones(X2.shape[1], dtype=bool)
+        policy = ManipulationPolicy(allowed, allowed)
+    _check_policy(policy, X2)
+    best_loss = np.full(len(X2), -np.inf)
+    best_x = X2.copy()
+    best_delta = np.zeros_like(X2)
+    for trial in range(config.restarts + 1):
+        if trial == 0:
+            delta = np.zeros_like(X2)
+        else:
+            ratio = rng.uniform(0.0, config.noise_ratio_max)
+            delta = _salt_pepper_batch(X2, ratio, rng) - X2
+        adam = AdamState.zeros(X2.shape, learning_rate=config.inner_lr)
+        for _ in range(config.inner_steps):
+            g = model.input_gradients(X2 + delta, y)
+            delta = adam_step(adam, delta, g, MAXIMIZE)
+            delta = np.clip(X2 + delta, 0.0, 1.0) - X2
+        rounded = project_to_m(X2, X2 + delta, policy)
+        losses = np.atleast_1d(model.loss(rounded, y))
+        better = losses > best_loss
+        best_loss = np.where(better, losses, best_loss)
+        best_x[better] = rounded[better]
+        best_delta[better] = delta[better]
+    return _like_input(X, best_x), _like_input(X, best_delta)
 
 
 def train_supervised(model: MlpClassifier, dataset, epochs: int,
@@ -241,13 +289,97 @@ def assert_same_stack(a, b):
 def test_adam_step_matches_oracle(direction):
     rng = np.random.default_rng(4)
     new, old = nn.AdamState.zeros((5, 3), 0.02), AdamState.zeros((5, 3), 0.02)
+    moments = new.first_moment, new.second_moment
     v_new = v_old = rng.random((5, 3))
     for _ in range(30):
         g = rng.normal(size=(5, 3)) * rng.choice([0.0, 1e-6, 1.0, 1e3], size=(5, 3))
-        v_new = nn.adam_step(new, v_new, g, direction)
-        v_old = adam_step(old, v_old, g, direction)
+        g_before, v_before = g.copy(), v_new.copy()
+        stepped = nn.adam_step(new, v_new, g, direction)
+        # the moments are updated in place; the inputs are not written
+        assert new.first_moment is moments[0] and new.second_moment is moments[1]
+        assert stepped is not v_new and stepped is not g
+        assert np.array_equal(g, g_before) and np.array_equal(v_new, v_before)
+        v_new, v_old = stepped, adam_step(old, v_old, g, direction)
         assert np.array_equal(v_new, v_old)
+        assert np.array_equal(new.first_moment, old.first_moment)
+        assert np.array_equal(new.second_moment, old.second_moment)
     assert new.step == old.step == 30
+
+
+@pytest.mark.parametrize("direction", [MINIMIZE, MAXIMIZE])
+def test_adam_step_on_zero_gradients_keeps_signed_zeros(direction):
+    # all-zero gradients of both signs on moments and variables of both signs
+    new, old = nn.AdamState.zeros((4,), 0.1), AdamState.zeros((4,), 0.1)
+    v_new = v_old = np.array([0.0, -0.0, 1.0, -2.0])
+    for g in ([0.0, -0.0, -0.0, 0.0], [-0.0, 0.0, 0.0, -0.0], [0.0, 0.0, -0.0, -0.0]):
+        v_new = nn.adam_step(new, v_new, np.array(g), direction)
+        v_old = adam_step(old, v_old, np.array(g), direction)
+        for a, b in ((v_new, v_old), (new.first_moment, old.first_moment),
+                     (new.second_moment, old.second_moment)):
+            assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("activate_last", [False, True])
+@pytest.mark.parametrize("activation", ["relu", "elu"])
+def test_stack_backward_never_writes_its_cotangent(activation, activate_last):
+    rng = np.random.default_rng(12)
+    stack = nn.DenseStack.init([6, 5, 4, 3], activation, seed=13)
+    X = rng.normal(size=(7, 6))
+    _, zs = _stack_forward(stack.weights, stack.biases, activation, X, activate_last)
+    cot = rng.normal(size=(7, 3))
+    before = cot.copy()
+    deltas = _stack_backward(stack.weights, activation, zs, cot, activate_last)
+    assert np.array_equal(cot, before)
+    assert all(d is not cot for d in deltas[:-1])
+
+
+def im_model(kind):
+    """A model of width 24 for the inner-maximizer cases."""
+    if kind == "mlp":
+        return MlpClassifier.init([24, 8, 2], seed=21)
+    if kind == "mlp_elu":
+        return MlpClassifier.init([24, 10, 6, 2], "elu", seed=22)
+    rng = np.random.default_rng(23)
+
+    def dae_member():
+        subset = np.sort(rng.choice(24, size=12, replace=False))
+        dae = DenoisingAutoencoder.init(12, 6, seed=rng)
+        return HardenedClassifier(MlpClassifier.init([6, 5, 2], seed=rng), dae, subset,
+                                  np.full(12, 0.5), 24)
+    return dae_member() if kind == "dae" else EnsembleClassifier([dae_member(), dae_member()])
+
+
+@pytest.mark.parametrize("kind", ["mlp", "mlp_elu", "dae", "ensemble"])
+@pytest.mark.parametrize("restarts", [0, 1, 3])
+@pytest.mark.parametrize("known", [True, False])
+def test_inner_maximize_matches_oracle(kind, restarts, known):
+    ds, policy = small_task(14)
+    model = im_model(kind)
+    cfg = DefenseConfig(inner_steps=6, restarts=restarts, noise_ratio_max=0.3, inner_lr=0.1,
+                        seed=15)
+    X, y, pol = ds.X[:10], ds.y[:10], policy if known else None
+    X_before = X.copy()
+    new = defenses.inner_maximize(model, X, y, pol, cfg)
+    old = inner_maximize(model, X, y, pol, cfg)
+    assert all(np.array_equal(a, b) for a, b in zip(new, old))
+    assert np.array_equal(X, X_before)
+    # a shared generator advances the same way in both
+    rngs = np.random.default_rng(16), np.random.default_rng(16)
+    new = defenses.inner_maximize(model, X, y, pol, cfg, rng=rngs[0])
+    old = inner_maximize(model, X, y, pol, cfg, rng=rngs[1])
+    assert all(np.array_equal(a, b) for a, b in zip(new, old))
+    assert rngs[0].random() == rngs[1].random()
+
+
+@pytest.mark.parametrize("restarts", [0, 3])
+def test_inner_maximize_matches_oracle_on_a_single_vector(restarts):
+    ds, policy = small_task(17)
+    model = im_model("mlp")
+    cfg = DefenseConfig(inner_steps=8, restarts=restarts, noise_ratio_max=0.3, seed=18)
+    new = defenses.inner_maximize(model, ds.X[3], int(ds.y[3]), policy, cfg)
+    old = inner_maximize(model, ds.X[3], int(ds.y[3]), policy, cfg)
+    assert new[0].shape == new[1].shape == (24,)
+    assert all(np.array_equal(a, b) for a, b in zip(new, old))
 
 
 @pytest.mark.parametrize("sizes, activation", [([24, 2], "relu"), ([24, 10, 8, 2], "relu"),
