@@ -3,6 +3,12 @@
 # generate data, train defenses, attack, evaluate, render the report.
 set -euo pipefail
 
+# the installed console script, or the package in this checkout's src/
+if ! command -v malrobust >/dev/null; then
+  export PYTHONPATH="$(cd "$(dirname "$0")/.." && pwd)/src${PYTHONPATH:+:$PYTHONPATH}"
+  malrobust() { python -m malrobust.cli "$@"; }
+fi
+
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 cd "$work"

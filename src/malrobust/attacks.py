@@ -14,8 +14,9 @@ budget, or when nothing is left to propose.  Each family only proposes
 points: random flips one admissible feature at a time; grosse, bca and
 bga set to 1 the features a selection rule picks, from the gradient over
 the forward that judged the current point; the four PGD variants and ead
-round a continuous step through the policy.  run_single dispatches on the
-attack name through a table.
+round a continuous step through the example's flip mask, built once per
+run.  Every attack starts from a binary example (run_single rejects any
+other).  run_single dispatches on the attack name through a table.
 
 An attack succeeds when the model it runs against no longer predicts the
 true label.  Under the grey-box threat model the suite runs each attack
@@ -32,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .data import (_check_binary, _check_config_types, _check_labels, _check_policy,
-                   _check_seed, project_to_m)
+                   _check_seed, _flippable, _round_flips, project_to_m)
 from .nn import MAXIMIZE, AdamState, _check_input, adam_step
 
 WHITE_BOX = "white_box"
@@ -159,7 +160,7 @@ def mimicry_attack(model, x, y, policy, config, benign_pool, rng) -> AttackOutco
     else:
         dists = np.abs(pool - x).sum(axis=1)
         guide_idx = np.argsort(dists, kind="stable")[:k]
-    flip_ok = np.where(x == 0.0, policy.addition_allowed, policy.removal_allowed)
+    flip_ok = _flippable(x, policy)
     best = None  # (success_rank, l1, order, candidate)
     for order, gi in enumerate(guide_idx):
         cand = np.where(flip_ok, pool[gi], x)
@@ -194,7 +195,7 @@ def _search(propose, model, x, y, policy, config, benign_pool, rng) -> AttackOut
         # the lambda looks grad up when called, so it follows each judge
         for steps, x_adv in enumerate(islice(propose(model, x, y, policy, config, rng,
                                                      lambda: grad()), config.max_steps), 1):
-            if not np.array_equal(x_adv, judged):
+            if not (x_adv == judged).all():
                 judged, (success, grad) = x_adv, _misclassified(model, x_adv, y)
                 if success:
                     break
@@ -205,8 +206,7 @@ def _random_flips(model, x, y, policy, config, rng, grad):
     """random: flip one uniformly chosen admissible feature per step, each
     feature at most once."""
     rng = np.random.default_rng(config.seed if rng is None else rng)
-    allowed = np.where(x == 0.0, policy.addition_allowed, policy.removal_allowed)
-    candidates = list(np.flatnonzero(allowed))
+    candidates = list(np.flatnonzero(_flippable(x, policy)))
     cur = x
     while candidates:
         j = candidates.pop(int(rng.integers(len(candidates))))
@@ -220,14 +220,14 @@ def _greedy_flips(select, model, x, y, policy, config, rng, grad):
     addition-allowed zero features with a positive loss gradient, until
     nothing is picked; never removes a feature.  Each proposal differs
     from the point before, so ``grad()`` is always the gradient at cur."""
-    cur = x
+    cur, open_ = x, (x == 0.0) & policy.addition_allowed  # open_: addition-allowed zeros of cur
     while True:
         g = grad()
-        picked = select(g, (cur == 0.0) & policy.addition_allowed & (g > 0.0))
+        picked = select(g, open_ & (g > 0.0))
         if len(picked) == 0:
             return
         cur = cur.copy()
-        cur[picked] = 1.0
+        cur[picked], open_[picked] = 1.0, False
         yield cur
 
 
@@ -258,13 +258,14 @@ def _project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
 def _projected_steps(direction, model, x, y, policy, config, rng, grad):
     """The pgd variants and ead, on a continuous perturbation delta that
     starts at 0: `direction` returns the next delta, x + delta is clipped
-    into the unit box, and each proposed point is its rounding through the
-    policy."""
+    into the unit box, and each proposed point is its rounding through x's
+    flip mask, built once (run_single checked x binary)."""
     delta = np.zeros_like(x)
     adam = AdamState.zeros(x.shape, learning_rate=config.step_size)
+    flippable = _flippable(x, policy)
     while True:
         delta = np.clip(x + direction(model, x, y, delta, config, adam), 0.0, 1.0) - x
-        yield project_to_m(x, x + delta, policy)
+        yield _round_flips(flippable, x, x + delta)
 
 
 # Directions of the projected steps.  A finite epsilon_ball projects
@@ -278,9 +279,8 @@ def _l1_direction(model, x, y, delta, config, adam):
     feasible = ((g > 0.0) & (cur < 1.0)) | ((g < 0.0) & (cur > 0.0))
     if feasible.any():
         j = int(np.argmax(np.where(feasible, np.abs(g), -np.inf)))
-        step = np.zeros_like(delta)
-        step[j] = config.step_size * np.sign(g[j])
-        delta = delta + step
+        delta = delta.copy()  # a -0.0 kept here is made +0.0 by the box clip
+        delta[j] += config.step_size * np.sign(g[j])
     return delta if config.epsilon_ball is None else _project_l1_ball(delta, config.epsilon_ball)
 
 

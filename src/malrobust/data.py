@@ -3,8 +3,10 @@
 Feature vectors are plain numpy float arrays with entries in [0, 1]
 (binary after thresholding).  A manipulation policy records, per feature,
 whether the attacker may add it (flip 0 to 1) or remove it (flip 1 to 0);
-the set of vectors reachable from x under a policy is the discrete domain
-all attacks must land in.  Every file the package writes goes through
+the set of vectors reachable from a binary origin x under a policy is the
+discrete domain all attacks must land in.  Projection rounds a continuous
+point at 0.5 through x's flip mask, the features the policy lets x change;
+a non-binary origin is rejected.  Every file the package writes goes through
 :func:`atomic_write`, so a crashed writer never leaves a partial file.
 """
 
@@ -144,28 +146,31 @@ def admissible(x: np.ndarray, x_adv: np.ndarray, policy: ManipulationPolicy) -> 
     _check_policy(policy, x)
     _check_binary(x, "x")
     _check_binary(x_adv, "x_adv")
-    added = (x == 0.0) & (x_adv == 1.0)
-    removed = (x == 1.0) & (x_adv == 0.0)
-    ok_add = np.all(~added | policy.addition_allowed)
-    ok_rem = np.all(~removed | policy.removal_allowed)
-    return bool(ok_add and ok_rem)
+    return bool(np.all(_flippable(x, policy) | (x == x_adv)))
+
+
+def _flippable(x: np.ndarray, policy: ManipulationPolicy) -> np.ndarray:
+    """The one flip rule: where the policy lets binary x change (add a 0, remove a 1)."""
+    return np.where(x == 0.0, policy.addition_allowed, policy.removal_allowed)
+
+
+def _round_flips(flippable: np.ndarray, x: np.ndarray, x_cont: np.ndarray) -> np.ndarray:
+    """x_cont rounded at 0.5 (ties up) where x may flip, x elsewhere."""
+    return np.where(flippable, x_cont >= 0.5, x)
 
 
 def project_to_m(x: np.ndarray, x_cont: np.ndarray, policy: ManipulationPolicy) -> np.ndarray:
-    """Round a continuous vector at 0.5 (ties up) and revert policy-violating flips.
+    """Round a continuous vector at 0.5 (ties up) through the policy.
 
-    x is the binary origin point; the result is always admissible relative
-    to x.  Works on single vectors or (n, dim) batches.
+    x is the binary origin point (a non-binary one is rejected); each
+    feature x may flip takes the rounding, every other keeps x's value, so
+    the result is always admissible relative to x.  Works on single
+    vectors or (n, dim) batches.
     """
     x = np.asarray(x, dtype=float)
     _check_policy(policy, x)
-    x_cont = np.asarray(x_cont, dtype=float)
-    rounded = (x_cont >= 0.5).astype(float)
-    added = (x == 0.0) & (rounded == 1.0)
-    removed = (x == 1.0) & (rounded == 0.0)
-    revert = (added & ~policy.addition_allowed) | (removed & ~policy.removal_allowed)
-    out = np.where(revert, x, rounded)
-    return out
+    _check_binary(x, "x")
+    return _round_flips(_flippable(x, policy), x, np.asarray(x_cont, dtype=float))
 
 
 def oversample(dataset: Dataset, ratio: float, seed=0) -> Dataset:
@@ -309,7 +314,11 @@ def _format_value(v: float) -> str:
 
 def write_sparse(path, dataset: Dataset) -> None:
     """Write `label idx:val ...` lines (ascending indices) with a header
-    comment recording dim and class count."""
+    comment recording dim and class count.  A non-finite value, which
+    read_sparse rejects, is refused before any file is touched."""
+    bad = np.flatnonzero(~np.isfinite(dataset.X).all(axis=1))
+    if len(bad):
+        raise ValueError(f"row {bad[0]}: non-finite value")
     with atomic_write(path) as fh:
         fh.write(f"# dim={dataset.dim} classes={dataset.class_count}\n")
         for x, label in zip(dataset.X, dataset.y):

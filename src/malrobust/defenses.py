@@ -21,8 +21,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import (Dataset, ManipulationPolicy, _check_config_types, _check_labels,
-                   _check_policy, _check_seed, binarize, oversample, project_to_m)
+from .data import (Dataset, ManipulationPolicy, _check_binary, _check_config_types,
+                   _check_labels, _check_policy, _check_seed, binarize, oversample,
+                   project_to_m)
 from .nn import (MAXIMIZE, PROB_FLOOR, AdamState, DenseStack, MlpClassifier, _ACTIVATIONS,
                  _adam_states, _adam_update, _batch_param_gradients, _check_input, _field,
                  _like_input, _model_from_record, _model_record, _read_checkpoint,
@@ -229,7 +230,8 @@ class HardenedClassifier:
 
 
 def inner_maximize(model, X, y, policy, config: DefenseConfig, rng=None):
-    """Multi-start Adam ascent on the loss over a continuous perturbation.
+    """Multi-start Adam ascent on the loss over a continuous perturbation
+    of a binary batch X (any other is rejected).
 
     Runs restarts+1 trials: one from delta = 0 and the rest from
     salt-and-pepper starting points whose noise ratio is drawn uniformly
@@ -245,6 +247,7 @@ def inner_maximize(model, X, y, policy, config: DefenseConfig, rng=None):
     """
     rng = np.random.default_rng(config.seed if rng is None else rng)
     X2 = _check_input(X, model.input_dim)
+    _check_binary(X2, "X")  # the rounding keeps the origin where no flip is allowed
     y2 = _check_labels(y, len(X2), model.class_count)
     if policy is None:  # box-only: every flip is allowed
         allowed = np.ones(X2.shape[1], dtype=bool)
@@ -319,6 +322,7 @@ def train_hardened(dataset: Dataset, policy, config: DefenseConfig, *,
     clf = HardenedClassifier(head, dae, subset,
                              np.full(view_dim, 0.5) if use_binarization else None, dim)
     X, y = clf._view(ds.X), ds.y  # the head trains on the view the model predicts from
+    _check_binary(X, "training set")  # each batch is an inner-maximizer origin
     view_model = HardenedClassifier(head, dae, None, None)
 
     head_states = _adam_states(head, config.lr)

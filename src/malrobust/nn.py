@@ -70,9 +70,10 @@ def _act_grad(name: str, z: np.ndarray) -> np.ndarray:
 
 def softmax(z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=float)
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = z - np.maximum.reduce(z, axis=-1, keepdims=True)  # what .max and .sum call
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e
 
 
 def _stack_forward(weights, biases, activation, X, activate_last):
@@ -147,7 +148,8 @@ def _check_layers(weights, biases, activation) -> None:
 
 def _check_input(X, dim: int) -> np.ndarray:
     """X as a float batch, checked to be ``dim`` wide and finite."""
-    X2 = np.atleast_2d(np.asarray(X, dtype=float))
+    X2 = np.asarray(X, dtype=float)
+    X2 = X2 if X2.ndim > 1 else X2.reshape(1, -1)  # np.atleast_2d without its dispatch
     if X2.shape[1] != dim:
         raise ValueError(f"input dimension {X2.shape[1]} != model dimension {dim}")
     if not np.isfinite(X2).all():
@@ -303,10 +305,9 @@ def _ce_logit_cotangent(p: np.ndarray, y: np.ndarray) -> np.ndarray:
     # dL/dlogits for L = -log(max(p_y, floor)); zero where the floor is active
     delta = p.copy()
     rows = np.arange(len(y))
-    delta[rows, y] -= 1.0
-    floored = p[rows, y] <= PROB_FLOOR
-    if np.any(floored):
-        delta[floored] = 0.0
+    p_y = p[rows, y]
+    delta[rows, y] = p_y - 1.0
+    delta[p_y <= PROB_FLOOR] = 0.0
     return delta
 
 

@@ -7,20 +7,44 @@ point judged by its own ``predict`` and each gradient taken by its own
 grey-box ``run_attack_suite``) to it with exact equality on the
 adversarial point, the success flag, the flip count and the steps used,
 against a plain MLP, a hardened model with a feature subset, a DAE and
-thresholds, and an ensemble of such models.
+thresholds, and an ensemble of such models.  The oracle's ``project_to_m``
+is the earlier revert formula verbatim, which the rounding through each
+example's flip mask replaced; a property checks the two agree on every
+binary origin.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from malrobust import attacks, data
 from malrobust.attacks import (GREY_BOX, AttackConfig, AttackOutcome, _outcome,
                                _project_l1_ball, run_attack_suite, run_single)
-from malrobust.data import ManipulationPolicy, project_to_m
+from malrobust.data import ManipulationPolicy, _check_policy
 from malrobust.defenses import DenoisingAutoencoder, EnsembleClassifier, HardenedClassifier
 from malrobust.nn import MAXIMIZE, AdamState, MlpClassifier, adam_step
 
 
 # ---------------------------------------------------------------- oracle
+
+def project_to_m(x: np.ndarray, x_cont: np.ndarray, policy: ManipulationPolicy) -> np.ndarray:
+    """Round a continuous vector at 0.5 (ties up) and revert policy-violating flips.
+
+    x is the binary origin point; the result is always admissible relative
+    to x.  Works on single vectors or (n, dim) batches.
+    """
+    x = np.asarray(x, dtype=float)
+    _check_policy(policy, x)
+    x_cont = np.asarray(x_cont, dtype=float)
+    rounded = (x_cont >= 0.5).astype(float)
+    added = (x == 0.0) & (rounded == 1.0)
+    removed = (x == 1.0) & (rounded == 0.0)
+    revert = (added & ~policy.addition_allowed) | (removed & ~policy.removal_allowed)
+    out = np.where(revert, x, rounded)
+    return out
+
 
 def _misclassified(model, x, y) -> bool:
     return int(model.predict(x)) != int(y)
@@ -345,3 +369,50 @@ def test_grey_box_suite_matches_oracle(classes):
         for name in got:
             for out, expected in zip(got[name], ref[name], strict=True):
                 assert_same(out, expected)
+
+
+# ---------------------------------------------------------------- rounding
+
+# continuous coordinates as the projected steps meet them, with ties at the
+# rounding threshold, both signed zeros and points outside the unit box
+coords = st.one_of(st.sampled_from([0.5, 0.0, -0.0, 1.0, np.nextafter(0.5, 0.0)]),
+                   st.floats(-2.0, 3.0))
+
+
+@st.composite
+def rounding_cases(draw):
+    """(x, x_cont, policy): a binary origin (its zeros of either sign), a
+    batch of continuous points and a random policy over one dimension."""
+    dim = draw(st.integers(1, 30))
+    x = np.where(draw(arrays(bool, dim)), 1.0, np.where(draw(arrays(bool, dim)), -0.0, 0.0))
+    x_cont = draw(arrays(float, (draw(st.integers(1, 3)), dim), elements=coords))
+    return x, x_cont, ManipulationPolicy(draw(arrays(bool, dim)), draw(arrays(bool, dim)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(rounding_cases())
+def test_mask_rounding_matches_revert_formula(case):
+    """On a binary origin, rounding through the flip mask equals the
+    earlier revert formula, one vector or a batch at a time."""
+    x, x_cont, policy = case
+    for cont in (x_cont[0], x_cont):
+        want = project_to_m(x, cont, policy)
+        for got in (data.project_to_m(x, cont, policy),
+                    data._round_flips(data._flippable(x, policy), x, cont)):
+            assert got.dtype == want.dtype == np.float64
+            assert got.shape == want.shape and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", ["pgd_l1", "pgd_l2", "pgd_linf", "pgd_adam", "ead"])
+def test_projected_run_builds_the_flip_mask_once(name, monkeypatch):
+    calls, flippable = [], data._flippable
+
+    def counting(x, policy):
+        calls.append(x)
+        return flippable(x, policy)
+    for module in (attacks, data):  # project_to_m builds its mask through data's
+        monkeypatch.setattr(module, "_flippable", counting)
+    model, x, y, policy = random_case(0, 2)
+    y = int(model.predict(x))  # correctly classified, so the loop runs
+    out = run_single(model, x, y, policy, AttackConfig.for_attack(name, max_steps=7))
+    assert out.steps_used > 1 and len(calls) == 1

@@ -83,6 +83,13 @@ class TestProjectToM:
         out = project_to_m(np.array([0.0, 1.0]), np.array([0.9, 0.1]), pol)
         assert np.array_equal(out, [1.0, 1.0])
 
+    @pytest.mark.parametrize("x", [[0.5, 0.0, 1.0], [[0.0, 1.0, 0.0], [0.0, 0.2, 1.0]]])
+    def test_non_binary_origin_rejected(self, x):
+        # the rounding keeps x where no flip is allowed, so a 0.5 origin
+        # feature would come out as a feature no policy lets the attacker set
+        with pytest.raises(ValueError, match="x is not binary"):
+            project_to_m(np.array(x), np.full(3, 0.7), ManipulationPolicy.additions_only(3))
+
     def test_output_always_admissible(self, rng):
         for _ in range(500):
             dim = 15
@@ -368,6 +375,19 @@ class TestAtomicWrite:
         monkeypatch.setattr(data, "_format_value", broken)
         with pytest.raises(RuntimeError):
             write_sparse(path, toy_dataset([4, 4], dim=5, seed=1))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["ds.txt"]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_write_sparse_refuses_a_non_finite_value(self, tmp_path, bad):
+        # read_sparse rejects such a file, so none is written
+        path = tmp_path / "ds.txt"
+        write_sparse(path, toy_dataset([3, 3], dim=5))
+        before = path.read_bytes()
+        ds = toy_dataset([4, 4], dim=5, seed=1)
+        ds.X[5, 2] = bad
+        with pytest.raises(ValueError, match="row 5: non-finite value"):
+            write_sparse(path, ds)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["ds.txt"]
 

@@ -177,6 +177,17 @@ class TestInnerMaximize:
         x_adv, _ = inner_maximize(model, X, y, policy, cfg)
         assert np.all(model.loss(x_adv, y) >= model.loss(X, y) - 1e-12)
 
+    @pytest.mark.parametrize("inner_steps", [0, 1])
+    @pytest.mark.parametrize("policy", [ManipulationPolicy.additions_only(6), None])
+    def test_non_binary_batch_rejected(self, inner_steps, policy):
+        # its rounding keeps a feature where no flip is allowed, so a 0.5
+        # would leave a batch that no manipulation of X reaches
+        X = (np.random.default_rng(0).random((3, 6)) < 0.5).astype(float)
+        cfg = DefenseConfig(inner_steps=inner_steps, restarts=0)
+        with pytest.raises(ValueError, match="X is not binary"):
+            inner_maximize(MlpClassifier.init([6, 4, 2], seed=0), 0.5 * X, [0, 1, 0],
+                           policy, cfg)
+
 
 class TestTrainHardened:
     def test_degenerate_gradient_is_doubled_supervised(self, rng):
@@ -261,6 +272,16 @@ class TestTrainHardened:
                             hidden=(4,), oversample_ratio=0.5, seed=16)
         clf, _ = train_hardened(ds, policy, cfg)  # just exercises the path
         assert clf.predict(X).shape == (34,)
+
+    @pytest.mark.parametrize("inner_steps", [0, 1])
+    def test_non_binary_training_set_rejected(self, inner_steps):
+        # binarization makes the view binary, so that model trains
+        X = np.full((4, 6), 0.7)
+        cfg = DefenseConfig(inner_steps=inner_steps, epochs=1, batch_size=4, hidden=(4,))
+        ds, policy = Dataset(X, [0, 1, 0, 1], 2), ManipulationPolicy.additions_only(6)
+        with pytest.raises(ValueError, match="training set is not binary"):
+            train_hardened(ds, policy, cfg)
+        train_hardened(ds, policy, cfg, use_binarization=True)
 
 
 class TestBadValues:

@@ -11,7 +11,9 @@ which each model's ``_pullback`` replaced.  ``old_predict_proba`` is the
 earlier ``predict_proba`` (the plain and hardened models' softmax of their
 logits, the ensemble's hand-written vote) and ``old_ensemble_logits`` the
 ensemble's hand-written log vote, both of which the ensemble's two private
-entries replaced.  Every comparison is bitwise (``np.array_equal``):
+entries replaced.  ``old_softmax`` and ``old_ce_logit_cotangent`` are the
+earlier ``softmax`` and ``_ce_logit_cotangent`` verbatim, so the oracle
+shares no arithmetic with the code it checks.  Every comparison is bitwise (``np.array_equal``):
 attack outcome tables, trained models and reports depend on the exact
 floating-point values.
 """
@@ -30,6 +32,24 @@ DIM = 40
 HIDDEN = 24
 LATENT = 16
 CLASSES = 2
+
+
+def old_softmax(z: np.ndarray) -> np.ndarray:
+    z = np.asarray(z, dtype=float)
+    shifted = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def old_ce_logit_cotangent(p: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # dL/dlogits for L = -log(max(p_y, floor)); zero where the floor is active
+    delta = p.copy()
+    rows = np.arange(len(y))
+    delta[rows, y] -= 1.0
+    floored = p[rows, y] <= PROB_FLOOR
+    if np.any(floored):
+        delta[floored] = 0.0
+    return delta
 
 
 def old_stack_backward(weights, biases, activation, X, zs, out_cot, activate_last):
@@ -82,7 +102,7 @@ def old_mlp_backward(model, X2, out_cot):
 
 def old_mlp_ce_cotangent(model, X2, y2):
     logits, _ = _stack_forward(model.weights, model.biases, model.activation, X2, False)
-    return _ce_logit_cotangent(softmax(logits), y2)
+    return old_ce_logit_cotangent(old_softmax(logits), y2)
 
 
 def old_hardened(clf, X2, head_grad):
@@ -98,11 +118,11 @@ def old_hardened(clf, X2, head_grad):
 
 def old_predict_proba(model, X):
     if not isinstance(model, EnsembleClassifier):  # the earlier MlpClassifier.predict_proba
-        return softmax(model.logits(X))
+        return old_softmax(model.logits(X))
     # the earlier EnsembleClassifier.predict_proba over its member loop
     X2 = _check_input(X, model.input_dim)
     members = [m._pullback(X2) for m in model.members]
-    qs = [softmax(z) for z, _ in members]
+    qs = [old_softmax(z) for z, _ in members]
     return _like_input(X, sum(qs) / model.l)
 
 
@@ -262,3 +282,42 @@ def test_dense_stack_backward(activation, n, depth, activate_last):
     assert np.array_equal(old_input_backward(stack, zs, cot), old[2])
     out, pull = stack._pullback(X)
     assert np.array_equal(out, stack.forward(X)) and np.array_equal(pull(cot), old[2])
+
+
+@pytest.mark.parametrize("shape", [(2,), (1, 2), (3, 5), (128, 2), (7, 1)])
+def test_softmax(shape):
+    rng = np.random.default_rng(len(shape) + shape[-1])
+    for scale in (1e-3, 1.0, 30.0, 800.0):  # the last saturates exp
+        z = scale * rng.normal(size=shape)
+        for view in (z, z[..., ::-1]):  # also a strided view, left unwritten
+            before = view.copy()
+            got = softmax(view)
+            assert got.dtype == np.float64 and np.array_equal(got, old_softmax(view))
+            assert np.array_equal(view, before)
+
+
+def test_ce_logit_cotangent_at_the_floor():
+    """Rows whose p_y is 0, exactly PROB_FLOOR or the next double above it,
+    with labels that repeat and differ across rows."""
+    above = np.nextafter(PROB_FLOOR, 1.0)
+    p = np.array([[0.0, 1.0], [PROB_FLOOR, 1.0 - PROB_FLOOR], [above, 1.0 - above],
+                  [1.0 - above, above], [0.25, 0.75], [1.0 - PROB_FLOOR, PROB_FLOOR]])
+    y = np.array([0, 0, 0, 1, 1, 1])
+    before = p.copy()
+    got = _ce_logit_cotangent(p, y)
+    assert np.array_equal(got, old_ce_logit_cotangent(p, y))
+    assert np.array_equal(p, before)
+    assert np.array_equal(got[[0, 1, 5]], np.zeros((3, 2)))  # the floor's rows
+    assert got[2, 0] == above - 1.0 and got[3, 1] == above - 1.0
+    rng = np.random.default_rng(7)
+    for n, k in ((1, 2), (64, 3)):
+        p = old_softmax(rng.normal(scale=40.0, size=(n, k)))
+        y = rng.integers(0, k, size=n)
+        assert np.array_equal(_ce_logit_cotangent(p, y), old_ce_logit_cotangent(p, y))
+
+
+@pytest.mark.parametrize("X", [0.0, [0.0, 1.0, 0.5], [[0.0, 1.0, 0.5]], np.ones((4, 3))[:, ::-1]])
+def test_check_input_shapes_as_atleast_2d(X):
+    want = np.atleast_2d(np.asarray(X, dtype=float))
+    got = _check_input(X, want.shape[1])
+    assert got.shape == want.shape and np.array_equal(got, want)
