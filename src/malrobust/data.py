@@ -8,6 +8,19 @@ discrete domain all attacks must land in.  Projection rounds a continuous
 point at 0.5 through x's flip mask, the features the policy lets x change;
 a non-binary origin is rejected.  Every file the package writes goes through
 :func:`atomic_write`, so a crashed writer never leaves a partial file.
+
+Datasets are stored as sparse text, `label idx:val ...` lines under a
+`# dim=.. classes=..` header, and policies as `idx add remove` lines.  The
+readers take any whitespace between fields, `\n`, `\r\n` or `\r` line ends,
+`#` comment and blank lines anywhere, labels, indices and flags as int()
+reads them and values as float() reads them.  Each reads the whole file and
+converts a file in the strict form (ASCII digits, `.eE+-` in values, spaces
+and tabs) with array operations; any other file, valid or not, is read
+again line by line, and that loop raises at the first fault in file order,
+naming its line.  A label, cell or header value that does not parse, a
+non-finite value, a negative, repeated or out-of-range index, a label out
+of range, a policy line without three integer fields and a flag other than
+0 or 1 are faults; a policy that skips a feature names the first it skips.
 """
 
 from __future__ import annotations
@@ -16,6 +29,7 @@ import contextlib
 import math
 import numbers
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -319,12 +333,164 @@ def write_sparse(path, dataset: Dataset) -> None:
     bad = np.flatnonzero(~np.isfinite(dataset.X).all(axis=1))
     if len(bad):
         raise ValueError(f"row {bad[0]}: non-finite value")
+    X = dataset.X
+    flat = np.flatnonzero(X != 0.0)
+    rows, cols = np.divmod(flat, X.shape[1])
+    ends = np.cumsum(np.bincount(rows, minlength=len(X))).tolist()
     with atomic_write(path) as fh:
-        fh.write(f"# dim={dataset.dim} classes={dataset.class_count}\n")
-        for x, label in zip(dataset.X, dataset.y):
-            nz = np.flatnonzero(x != 0.0)
-            cells = " ".join(f"{j}:{_format_value(x[j])}" for j in nz)
-            fh.write(f"{label} {cells}".rstrip() + "\n")
+        # each distinct value, then each distinct (index, value) pair, is formatted once
+        values, value_of = np.unique(X.reshape(-1)[flat], return_inverse=True)
+        value_text = [_format_value(v) for v in values.tolist()]
+        n = len(values)
+        pairs, pair_of = np.unique(cols * n + value_of, return_inverse=True)
+        pair_text = [f" {p // n}:{value_text[p % n]}" for p in pairs.tolist()]
+        cells = np.array(pair_text, dtype=object)[pair_of].tolist()
+        lines, start = [f"# dim={dataset.dim} classes={dataset.class_count}\n"], 0
+        for label, end in zip(dataset.y.tolist(), ends):
+            lines.append(f"{label}{''.join(cells[start:end])}\n")
+            start = end
+        fh.write("".join(lines))
+
+
+def write_policy(path, policy: ManipulationPolicy) -> None:
+    """One line per feature: `idx add_flag remove_flag` with 0/1 flags."""
+    features = np.arange(policy.dim)  # a flag array shorter than dim is an IndexError
+    add = np.asarray(policy.addition_allowed)[features].astype(int).tolist()
+    remove = np.asarray(policy.removal_allowed)[features].astype(int).tolist()
+    with atomic_write(path) as fh:
+        fh.write("".join([f"{i} {a} {r}\n" for i, a, r in zip(range(policy.dim), add, remove)]))
+
+
+# The readers take a whole file at once: a bulk pass converts a file in the
+# strict form (ASCII digits, `idx:value` cells, spaces and tabs) with array
+# operations and raises _Irregular at anything else, valid or not.  The line
+# loop then reads the file again, one line at a time: it accepts every file
+# the bulk pass does, with the same result, and more (a label `+1`, digits of
+# other scripts, `1_0`, other whitespace), and names the first fault in file
+# order.  So every file the writers produce is read without the line loop.
+
+class _Irregular(Exception):
+    """A file the bulk pass leaves to the line loop."""
+
+
+_FLOAT_MARKS = b".eE+-"
+
+
+def _read_text(path) -> str:
+    # text mode reads `\r\n` and `\r` as `\n`, as iterating the file did
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
+
+
+def _blank_comments(text: str) -> tuple[str, list]:
+    """text with each comment line (`#` first after whitespace) emptied, and
+    the (file line, text after the `#`) of each comment line in order."""
+    lines, comments = text.split("\n"), []
+    for i, line in enumerate(lines):
+        line = line.strip()
+        if line.startswith("#"):
+            comments.append((i + 1, line[1:]))
+            lines[i] = ""
+    return "\n".join(lines), comments
+
+
+def _tokens(text: str):
+    """The bytes of text framed by newlines; the start and end (exclusive)
+    of each token, a run of bytes other than space, tab and newline; which
+    tokens are the first on their line; and whether any byte is a float
+    mark (one of `.eE+-`).  Any byte but these, digits and colons is
+    irregular."""
+    if not text.isascii():
+        raise _Irregular
+    data = f"\n{text}\n".encode("ascii")
+    marks = data.translate(None, b"0123456789: \t\n")
+    if marks.translate(None, _FLOAT_MARKS):
+        raise _Irregular
+    raw = np.frombuffer(data, dtype=np.uint8)
+    word = raw > ord(" ")  # the blanks left are the only bytes at or below a space
+    edges = np.flatnonzero(word[1:] != word[:-1]) + 1
+    starts, ends = edges[0::2], edges[1::2]
+    # the token after a newline is the first on its line (the last newline has none)
+    first = np.zeros(len(starts) + 1, dtype=bool)
+    first[np.searchsorted(starts, np.flatnonzero(raw == ord("\n")))] = True
+    return raw, starts, ends, first[:-1], bool(marks)
+
+
+def _uints(raw, starts, ends) -> np.ndarray:
+    """The integers the ASCII digit runs raw[starts:ends] spell, of 1 to 18 digits."""
+    lengths = ends - starts
+    width = lengths.max(initial=0)
+    if width > 18:
+        raise _Irregular
+    out = np.zeros(len(starts), dtype=np.int64)
+    for k in range(width):  # the k-th digit from the right, where a run has one
+        digit = raw[ends - 1 - k].astype(np.int64) - ord("0")
+        out += np.where(lengths > k, digit, 0) * 10 ** k
+    return out
+
+
+def _floats(raw, starts, ends) -> np.ndarray:
+    """The numbers float() reads from the runs raw[starts:ends]; over digits
+    and `.eE+-` numpy's parser takes exactly float()'s syntax and rounds alike."""
+    data = raw.tobytes()
+    data = b" ".join([data[s:e] for s, e in zip(starts.tolist(), ends.tolist())])
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy 1.x warns at a run it cannot read
+            out = np.fromstring(data, sep=" ")
+    except (ValueError, DeprecationWarning):
+        raise _Irregular from None
+    if len(out) != len(starts):
+        raise _Irregular
+    return out
+
+
+def _sparse_bulk(text: str, dim, class_count):
+    """(X, labels, class_count) of a valid sparse file in the strict form."""
+    if "#" in text:
+        text, comments = _blank_comments(text)
+        try:
+            for lineno, comment in comments:
+                dim, class_count = _apply_header(comment, lineno, dim, class_count)
+        except ValueError:  # the line loop tells whether an earlier line fails first
+            raise _Irregular from None
+    raw, starts, ends, first, has_marks = _tokens(text)
+    colon = np.flatnonzero(raw == ord(":"))
+    c0, c1 = starts[~first], ends[~first]
+    # the k-th colon splits the k-th cell in two non-empty parts, so no label has one
+    if len(colon) != len(c0) or np.any((colon <= c0) | (colon >= c1 - 1)):
+        raise _Irregular
+    plain = c1 - colon <= 16  # values of at most 15 digits, read as integers
+    if has_marks:  # a float mark may sit only in a value, which float() then reads
+        mark = np.flatnonzero(np.isin(raw, list(_FLOAT_MARKS)))
+        cell = np.searchsorted(colon, mark) - 1  # the cell of the last colon before it
+        if np.any(cell < 0) or np.any(mark >= c1[cell]):
+            raise _Irregular
+        plain[cell] = False
+    labels, idx = _uints(raw, starts[first], ends[first]), _uints(raw, c0, colon)
+    values = np.empty(len(c0))
+    values[plain] = _uints(raw, colon[plain] + 1, c1[plain])
+    if not plain.all():
+        values[~plain] = _floats(raw, colon[~plain] + 1, c1[~plain])
+        if not np.isfinite(values).all():
+            raise _Irregular
+    if class_count is None:
+        class_count = int(labels.max()) + 1 if len(labels) else 1
+    elif len(labels) and labels.max() >= class_count:
+        raise _Irregular
+    if dim is None:
+        dim = int(idx.max()) + 1 if len(idx) else 0
+    elif len(idx) and idx.max() >= dim:
+        raise _Irregular
+    X = np.zeros((len(labels), dim))  # first, as the line loop fails on a dim too large
+    label_at = np.flatnonzero(first)
+    rows = np.repeat(np.arange(len(labels)), np.diff(label_at, append=len(first)) - 1)
+    flat = rows * dim + idx
+    # flat increases unless a row repeats or reorders indices
+    if np.any(flat[1:] <= flat[:-1]) and len(np.unique(flat)) < len(flat):
+        raise _Irregular
+    X.reshape(-1)[flat] = values
+    return X, labels, class_count
 
 
 def _header_count(token: str, lineno: int) -> int:
@@ -336,54 +502,53 @@ def _header_count(token: str, lineno: int) -> int:
     return int(value)
 
 
-def read_sparse(path, dim: int | None = None, class_count: int | None = None) -> Dataset:
-    """Read the sparse text format written by :func:`write_sparse`.
+def _apply_header(comment: str, lineno: int, dim, class_count):
+    """dim and class_count after a comment line: the first `dim=` and
+    `classes=` tokens set what is still None."""
+    for token in comment.split():
+        if token.startswith("dim=") and dim is None:
+            dim = _header_count(token, lineno)
+        elif token.startswith("classes=") and class_count is None:
+            class_count = _header_count(token, lineno)
+    return dim, class_count
 
-    `#` lines are comments; a `# dim=.. classes=..` header, when present,
-    supplies the dimensions so the round trip is exact.  Errors name the
-    file line: header values that are no non-negative integer, bad cells,
-    non-finite values, negative or repeated indices, and indices or labels
-    out of range.
-    """
+
+def _sparse_by_line(text: str, dim, class_count):
+    """(X, labels, class_count) of a valid sparse file, or the first fault."""
     rows = []  # (file line, label, {index: value})
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                for token in line[1:].split():
-                    if token.startswith("dim=") and dim is None:
-                        dim = _header_count(token, lineno)
-                    elif token.startswith("classes=") and class_count is None:
-                        class_count = _header_count(token, lineno)
-                continue
-            parts = line.split()
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            dim, class_count = _apply_header(line[1:], lineno, dim, class_count)
+            continue
+        parts = line.split()
+        try:
+            label = int(parts[0])
+        except ValueError:
+            raise ValueError(f"line {lineno}: bad label {parts[0]!r}")
+        if label < 0:
+            raise ValueError(f"line {lineno}: label {label} out of range")
+        feats = {}
+        for cell in parts[1:]:
+            if ":" not in cell:
+                raise ValueError(f"line {lineno}: malformed cell {cell!r}")
+            idx_s, val_s = cell.split(":", 1)
             try:
-                label = int(parts[0])
+                idx, val = int(idx_s), float(val_s)
             except ValueError:
-                raise ValueError(f"line {lineno}: bad label {parts[0]!r}")
-            if label < 0:
-                raise ValueError(f"line {lineno}: label {label} out of range")
-            feats = {}
-            for cell in parts[1:]:
-                if ":" not in cell:
-                    raise ValueError(f"line {lineno}: malformed cell {cell!r}")
-                idx_s, val_s = cell.split(":", 1)
-                try:
-                    idx, val = int(idx_s), float(val_s)
-                except ValueError:
-                    raise ValueError(f"line {lineno}: malformed cell {cell!r}")
-                if not math.isfinite(val):
-                    raise ValueError(f"line {lineno}: non-finite value {val_s!r}")
-                if idx < 0:
-                    raise ValueError(f"line {lineno}: negative index {idx}")
-                if idx in feats:
-                    raise ValueError(f"line {lineno}: duplicate index {idx}")
-                if dim is not None and idx >= dim:
-                    raise ValueError(f"line {lineno}: index {idx} out of range (dim={dim})")
-                feats[idx] = val
-            rows.append((lineno, label, feats))
+                raise ValueError(f"line {lineno}: malformed cell {cell!r}")
+            if not math.isfinite(val):
+                raise ValueError(f"line {lineno}: non-finite value {val_s!r}")
+            if idx < 0:
+                raise ValueError(f"line {lineno}: negative index {idx}")
+            if idx in feats:
+                raise ValueError(f"line {lineno}: duplicate index {idx}")
+            if dim is not None and idx >= dim:
+                raise ValueError(f"line {lineno}: index {idx} out of range (dim={dim})")
+            feats[idx] = val
+        rows.append((lineno, label, feats))
     if dim is None:
         dim = 1 + max((idx for _, _, feats in rows for idx in feats), default=-1)
     if class_count is None:
@@ -397,39 +562,81 @@ def read_sparse(path, dim: int | None = None, class_count: int | None = None) ->
             if idx >= dim:
                 raise ValueError(f"line {lineno}: index {idx} out of range (dim={dim})")
             X[i, idx] = val
-    return Dataset(X, np.array([label for _, label, _ in rows], dtype=int), class_count)
+    return X, np.array([label for _, label, _ in rows], dtype=int), class_count
 
 
-def write_policy(path, policy: ManipulationPolicy) -> None:
-    """One line per feature: `idx add_flag remove_flag` with 0/1 flags."""
-    with atomic_write(path) as fh:
-        for i in range(policy.dim):
-            fh.write(f"{i} {int(policy.addition_allowed[i])} {int(policy.removal_allowed[i])}\n")
+def read_sparse(path, dim: int | None = None, class_count: int | None = None) -> Dataset:
+    """Read the sparse text format written by :func:`write_sparse`.
+
+    `#` lines are comments; a `# dim=.. classes=..` header, when present,
+    supplies the dimensions so the round trip is exact.  Errors name the
+    file line: header values that are no non-negative integer, bad cells,
+    non-finite values, negative or repeated indices, and indices or labels
+    out of range.
+    """
+    text = _read_text(path)
+    try:
+        X, y, class_count = _sparse_bulk(text, dim, class_count)
+    except _Irregular:
+        X, y, class_count = _sparse_by_line(text, dim, class_count)
+    return Dataset(X, y, class_count)
+
+
+def _policy_bulk(text: str):
+    """The (index, add, remove) columns of a valid policy file in the strict
+    form, sorted by index."""
+    if "#" in text:
+        text = _blank_comments(text)[0]
+    raw, starts, ends, first, has_marks = _tokens(text)
+    # three digit tokens a line
+    if has_marks or np.any(raw == ord(":")) or len(first) % 3 \
+            or not np.array_equal(first, np.arange(len(first)) % 3 == 0):
+        raise _Irregular
+    idx, add, remove = _uints(raw, starts, ends).reshape(-1, 3).T
+    order = np.argsort(idx, kind="stable")
+    if np.any(add > 1) or np.any(remove > 1) or np.any(np.diff(idx[order]) == 0):
+        raise _Irregular
+    return idx[order], add[order], remove[order]
+
+
+def _policy_by_line(text: str):
+    """The (index, add, remove) columns of the lines of a policy file, sorted
+    by index, or the first fault of a line."""
+    flags = {}  # feature index -> (add, remove)
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 3:
+            raise ValueError(f"line {lineno}: expected `idx add remove`")
+        try:
+            idx, a, r = int(parts[0]), int(parts[1]), int(parts[2])
+        except ValueError:
+            raise ValueError(f"line {lineno}: non-integer field")
+        if a not in (0, 1) or r not in (0, 1):
+            raise ValueError(f"line {lineno}: flags must be 0/1")
+        if idx < 0:
+            raise ValueError(f"line {lineno}: negative index {idx}")
+        if idx in flags:
+            raise ValueError(f"line {lineno}: duplicate index {idx}")
+        flags[idx] = (a, r)
+    idx = sorted(flags)
+    return (np.array(idx), np.array([flags[i][0] for i in idx], dtype=int),
+            np.array([flags[i][1] for i in idx], dtype=int))
 
 
 def read_policy(path) -> ManipulationPolicy:
-    flags = {}  # feature index -> (add, remove)
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ValueError(f"line {lineno}: expected `idx add remove`")
-            try:
-                idx, a, r = int(parts[0]), int(parts[1]), int(parts[2])
-            except ValueError:
-                raise ValueError(f"line {lineno}: non-integer field")
-            if a not in (0, 1) or r not in (0, 1):
-                raise ValueError(f"line {lineno}: flags must be 0/1")
-            if idx < 0:
-                raise ValueError(f"line {lineno}: negative index {idx}")
-            if idx in flags:
-                raise ValueError(f"line {lineno}: duplicate index {idx}")
-            flags[idx] = (a, r)
-    dim = 1 + max(flags, default=-1)
-    if len(flags) != dim:
-        raise ValueError(f"policy file missing feature {min(set(range(dim)) - set(flags))}")
-    pairs = np.array([flags[i] for i in range(dim)], dtype=bool).reshape(dim, 2)
-    return ManipulationPolicy(pairs[:, 0], pairs[:, 1])
+    """Read the `idx add_flag remove_flag` lines :func:`write_policy`
+    writes, in any order; `#` lines are comments.  Errors name the file
+    line, or the first feature no line names."""
+    text = _read_text(path)
+    try:
+        idx, add, remove = _policy_bulk(text)
+    except _Irregular:
+        idx, add, remove = _policy_by_line(text)
+    # idx is sorted and repeats no index, so the first gap is the first missing feature
+    gaps = np.flatnonzero(idx != np.arange(len(idx)))
+    if len(gaps):
+        raise ValueError(f"policy file missing feature {gaps[0]}")
+    return ManipulationPolicy(add == 1, remove == 1)

@@ -22,8 +22,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import (Dataset, ManipulationPolicy, _check_binary, _check_config_types,
-                   _check_labels, _check_policy, _check_seed, binarize, oversample,
-                   project_to_m)
+                   _check_labels, _check_policy, _check_seed, _flippable, _round_flips,
+                   binarize, oversample)
+from .data import project_to_m  # noqa: F401  (bench/spans.py traces it by module)
 from .nn import (MAXIMIZE, PROB_FLOOR, AdamState, DenseStack, MlpClassifier, _ACTIVATIONS,
                  _adam_states, _adam_update, _batch_param_gradients, _check_input, _field,
                  _like_input, _model_from_record, _model_record, _read_checkpoint,
@@ -253,6 +254,7 @@ def inner_maximize(model, X, y, policy, config: DefenseConfig, rng=None):
         allowed = np.ones(X2.shape[1], dtype=bool)
         policy = ManipulationPolicy(allowed, allowed)
     _check_policy(policy, X2)
+    flippable = _flippable(X2, policy)  # every trial rounds through X2's one flip mask
     best_loss = np.full(len(X2), -np.inf)
     best_x = X2.copy()
     best_delta = np.zeros_like(X2)
@@ -270,7 +272,7 @@ def inner_maximize(model, X, y, policy, config: DefenseConfig, rng=None):
             np.add(X2, delta, out=delta)
             np.clip(delta, 0.0, 1.0, out=delta)
             delta -= X2
-        rounded = project_to_m(X2, X2 + delta, policy)
+        rounded = _round_flips(flippable, X2, X2 + delta)
         losses = np.atleast_1d(model.loss(rounded, y2))
         better = losses > best_loss
         best_loss = np.where(better, losses, best_loss)

@@ -390,7 +390,9 @@ class AdamState:
 
     @classmethod
     def zeros(cls, shape, learning_rate=0.001):
-        return cls(np.zeros(shape), np.zeros(shape), learning_rate)
+        state = cls((), (), learning_rate)  # checks the settings; fresh moments need no copy
+        state.first_moment, state.second_moment = np.zeros(shape), np.zeros(shape)
+        return state
 
 
 def adam_step(state: AdamState, variables: np.ndarray, grads: np.ndarray,

@@ -1,3 +1,4 @@
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -362,6 +363,17 @@ class TestPolicyIO:
         path.write_text("0 1 0\n1 0 1\n0 1 1\n")
         with pytest.raises(ValueError, match="line 3: duplicate index 0"):
             read_policy(path)
+
+    @pytest.mark.parametrize("line", ["1000000000000 1 1", "+1000000000000 1 1"])
+    def test_missing_feature_named_without_listing_every_index(self, tmp_path, line):
+        # the first missing feature was once found by listing every index up
+        # to the largest; both the bulk pass and the line loop (the `+`) sort
+        path = tmp_path / "policy.txt"
+        path.write_text(line + "\n")
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="^policy file missing feature 0$"):
+            read_policy(path)
+        assert time.perf_counter() - start < 0.5
 
 
 class TestAtomicWrite:
