@@ -14,9 +14,11 @@ budget, or when nothing is left to propose.  Each family only proposes
 points: random flips one admissible feature at a time; grosse, bca and
 bga set to 1 the features a selection rule picks, from the gradient over
 the forward that judged the current point; the four PGD variants and ead
-round a continuous step through the example's flip mask, built once per
-run.  Every attack starts from a binary example (run_single rejects any
-other).  run_single dispatches on the attack name through a table.
+round each step of _box_steps, the one projected-step loop (the inner
+maximizer's too, which rounds once per trial), through the example's flip
+mask, built once per run.  Every attack starts from a binary example
+(run_single rejects any other).  run_single dispatches on the attack name
+through a table.
 
 An attack succeeds when the model it runs against no longer predicts the
 true label.  Under the grey-box threat model the suite runs each attack
@@ -255,28 +257,39 @@ def _project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
     return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
 
 
+def _box_steps(step, x, delta):
+    """The projected-step loop, for one example x or an (n, dim) batch:
+    yields each delta ``step(point, delta)`` returns (an array other than
+    point, one buffer reused for x + delta), clipped in place so that
+    x + delta lies in the unit box."""
+    point = np.empty_like(x)
+    while True:
+        delta = step(np.add(x, delta, out=point), delta)
+        np.add(x, delta, out=delta)
+        np.clip(delta, 0.0, 1.0, out=delta)
+        delta -= x
+        yield delta
+
+
 def _projected_steps(direction, model, x, y, policy, config, rng, grad):
-    """The pgd variants and ead, on a continuous perturbation delta that
-    starts at 0: `direction` returns the next delta, x + delta is clipped
-    into the unit box, and each proposed point is its rounding through x's
+    """The pgd variants and ead: `direction` takes each box step of a
+    delta that starts at 0, and each proposal rounds x + delta through x's
     flip mask, built once (run_single checked x binary)."""
-    delta = np.zeros_like(x)
     adam = AdamState.zeros(x.shape, learning_rate=config.step_size)
     flippable = _flippable(x, policy)
-    while True:
-        delta = np.clip(x + direction(model, x, y, delta, config, adam), 0.0, 1.0) - x
+    for delta in _box_steps(lambda point, delta: direction(model, point, y, delta, config, adam),
+                            x, np.zeros_like(x)):
         yield _round_flips(flippable, x, x + delta)
 
 
-# Directions of the projected steps.  A finite epsilon_ball projects
-# the l1 / l2 / linf steps into their norm ball; `adam` is the example's
-# Adam state, used by pgd_adam only.
+# Directions of the projected steps, each taken at point = x + delta.  A
+# finite epsilon_ball projects the l1 / l2 / linf steps into their norm
+# ball; `adam` is the example's Adam state, used by pgd_adam only.
 
-def _l1_direction(model, x, y, delta, config, adam):
+def _l1_direction(model, point, y, delta, config, adam):
     """Move the steepest coordinate whose move is not clipped away."""
-    cur = x + delta
-    g = model.input_gradients(cur, y)
-    feasible = ((g > 0.0) & (cur < 1.0)) | ((g < 0.0) & (cur > 0.0))
+    g = model.input_gradients(point, y)
+    feasible = ((g > 0.0) & (point < 1.0)) | ((g < 0.0) & (point > 0.0))
     if feasible.any():
         j = int(np.argmax(np.where(feasible, np.abs(g), -np.inf)))
         delta = delta.copy()  # a -0.0 kept here is made +0.0 by the box clip
@@ -284,9 +297,9 @@ def _l1_direction(model, x, y, delta, config, adam):
     return delta if config.epsilon_ball is None else _project_l1_ball(delta, config.epsilon_ball)
 
 
-def _l2_direction(model, x, y, delta, config, adam):
+def _l2_direction(model, point, y, delta, config, adam):
     """Step along the normalized gradient."""
-    g = model.input_gradients(x + delta, y)
+    g = model.input_gradients(point, y)
     n = float(np.linalg.norm(g))
     if n > 0.0:
         delta = delta + config.step_size * g / n
@@ -297,16 +310,16 @@ def _l2_direction(model, x, y, delta, config, adam):
     return delta if n <= radius else delta * (radius / n)
 
 
-def _linf_direction(model, x, y, delta, config, adam):
+def _linf_direction(model, point, y, delta, config, adam):
     """Step along the gradient sign."""
-    delta = delta + config.step_size * np.sign(model.input_gradients(x + delta, y))
+    delta = delta + config.step_size * np.sign(model.input_gradients(point, y))
     radius = config.epsilon_ball
     return delta if radius is None else np.clip(delta, -radius, radius)
 
 
-def _adam_direction(model, x, y, delta, config, adam):
+def _adam_direction(model, point, y, delta, config, adam):
     """Adam update in maximization mode, with no normalization."""
-    return adam_step(adam, delta, model.input_gradients(x + delta, y), MAXIMIZE)
+    return adam_step(adam, delta, model.input_gradients(point, y), MAXIMIZE)
 
 
 def _ead_margin_cotangent(z, y, kappa):
@@ -321,10 +334,10 @@ def _ead_margin_cotangent(z, y, kappa):
     return cot
 
 
-def _ead_direction(model, x, y, delta, config, adam):
+def _ead_direction(model, point, y, delta, config, adam):
     """Elastic net: gradient step on c*g + ||delta||_2^2, then an l1 proximal
     shrink of beta * step_size; g and its gradient come from one _pullback."""
-    logits, pull = model._pullback(_check_input(x + delta, model.input_dim))
+    logits, pull = model._pullback(_check_input(point, model.input_dim))
     cot = _ead_margin_cotangent(logits[0], y, config.ead_kappa)
     g = config.ead_c * pull(cot[None])[0] + 2.0 * delta
     z = delta - config.step_size * g

@@ -23,10 +23,6 @@ from . import data, defenses, evaluation, nn
 from .attacks import GREY_BOX, WHITE_BOX, AttackConfig, outcomes_to_rows, run_attack_suite
 
 
-class ConfigError(ValueError):
-    pass
-
-
 _TOP_KEYS = {"seed", "output_dir", "dataset", "model", "defenses", "attacks",
              "threat_model", "surrogate", "evaluation"}
 _DATASET_KEYS = {"synthetic", "paths", "split"}
@@ -44,35 +40,27 @@ _RESERVED_LABELS = {"surrogate", "trace"}
 
 def _check_keys(section, allowed, where):
     if not isinstance(section, dict):
-        raise ConfigError(f"{where} must be a JSON object, got {section!r}")
+        raise ValueError(f"{where} must be a JSON object, got {section!r}")
     unknown = set(section) - allowed
     if unknown:
-        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+        raise ValueError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
 def _check_label(label, where):
     if not isinstance(label, str) or label in ("", ".", "..") or \
             any(sep and sep in label for sep in ("/", os.sep, os.altsep)):
-        raise ConfigError(f"{where}: label {label!r} is not a plain file name")
+        raise ValueError(f"{where}: label {label!r} is not a plain file name")
     if label in _RESERVED_LABELS:
-        raise ConfigError(f"{where}: label {label!r} is reserved for the models "
-                          f"directory's {label}.json")
+        raise ValueError(f"{where}: label {label!r} is reserved for the models "
+                         f"directory's {label}.json")
 
 
 def _check_list(section, key, where):
     """section[key], a JSON list when present; [] when absent."""
     value = section.get(key, [])
     if not isinstance(value, list):
-        raise ConfigError(f"{where} must be a list, got {value!r}")
+        raise ValueError(f"{where} must be a list, got {value!r}")
     return value
-
-
-def _check_seed(section, where):
-    """The section's seed under the library's seed rule."""
-    try:
-        data._check_seed(section.get("seed", 0), where)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 def validate_config(cfg: dict) -> dict:
@@ -80,40 +68,40 @@ def validate_config(cfg: dict) -> dict:
     cfg.setdefault("seed", 0)
     cfg.setdefault("output_dir", "runs")
     cfg.setdefault("threat_model", WHITE_BOX)
-    _check_seed(cfg, "seed")
+    data._check_seed(cfg["seed"], "seed")
     if not isinstance(cfg["output_dir"], str):
-        raise ConfigError(f"output_dir must be a string, got {cfg['output_dir']!r}")
+        raise ValueError(f"output_dir must be a string, got {cfg['output_dir']!r}")
     if cfg["threat_model"] not in (WHITE_BOX, GREY_BOX):
-        raise ConfigError(f"unknown threat_model {cfg['threat_model']!r}")
+        raise ValueError(f"unknown threat_model {cfg['threat_model']!r}")
     ds = cfg.get("dataset", {})
     _check_keys(ds, _DATASET_KEYS, "dataset")
     split = _check_list(ds, "split", "dataset.split")
     data._check_config_types({}, {f"dataset.split[{i}]": f for i, f in enumerate(split)})
     if "synthetic" in ds:
         _check_keys(ds["synthetic"], _SYNTH_KEYS, "dataset.synthetic")
-        _check_seed(ds["synthetic"], "dataset.synthetic.seed")
+        data._check_seed(ds["synthetic"].get("seed", 0), "dataset.synthetic.seed")
     if "paths" in ds:
         _check_keys(ds["paths"], _PATH_KEYS, "dataset.paths")
         for key, value in ds["paths"].items():
             if not isinstance(value, str):
-                raise ConfigError(f"dataset.paths.{key} must be a string, got {value!r}")
+                raise ValueError(f"dataset.paths.{key} must be a string, got {value!r}")
     if "model" in cfg:
         _check_keys(cfg["model"], _MODEL_KEYS, "model")
     for i, entry in enumerate(_check_list(cfg, "defenses", "defenses")):
         _check_keys(entry, _DEFENSE_KEYS, f"defenses[{i}]")
         if "label" not in entry:
-            raise ConfigError(f"defenses[{i}] needs a label")
+            raise ValueError(f"defenses[{i}] needs a label")
         _check_label(entry["label"], f"defenses[{i}]")
         _check_keys(entry.get("flags", {}), _FLAG_KEYS, f"defenses[{i}].flags")
         _check_keys(entry.get("config", {}), _DEFENSE_CFG_KEYS, f"defenses[{i}].config")
     labels = [e["label"] for e in cfg.get("defenses", [])]
     if len(set(labels)) != len(labels):
-        raise ConfigError("duplicate defense labels")
+        raise ValueError("duplicate defense labels")
     for i, entry in enumerate(_check_list(cfg, "attacks", "attacks")):
         _check_keys(entry, _ATTACK_KEYS, f"attacks[{i}]")
-        _check_seed(entry, f"attacks[{i}].seed")
+        data._check_seed(entry.get("seed", 0), f"attacks[{i}].seed")
         if "name" not in entry:
-            raise ConfigError(f"attacks[{i}] needs a name")
+            raise ValueError(f"attacks[{i}] needs a name")
     if "surrogate" in cfg:
         _check_keys(cfg["surrogate"], _MODEL_KEYS, "surrogate")
     if "evaluation" in cfg:
@@ -126,7 +114,7 @@ def load_config(path, overrides=None) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}")
+        raise ValueError(f"config is not valid JSON: {exc}")
     if isinstance(cfg, dict):  # the flags' values are checked with the rest
         cfg.update({key: value for key, value in (overrides or {}).items() if value is not None})
     return validate_config(cfg)
@@ -152,21 +140,20 @@ def make_run_dir(cfg: dict, command: str, out_dir=None) -> str:
     return path
 
 
-def _load_dataset_files(cfg):
+def _load_dataset_files(cfg, *splits):
+    """The named splits, then the policy, checked against the first split."""
     paths = cfg.get("dataset", {}).get("paths")
     if not paths:
-        raise ConfigError("dataset.paths required for this command")
-    for key in ("train", "test", "policy"):
+        raise ValueError("dataset.paths required for this command")
+    for key in (*splits, "policy"):
         if key not in paths:
-            raise ConfigError(f"dataset.paths.{key} missing")
+            raise ValueError(f"dataset.paths.{key} missing")
         if not os.path.exists(paths[key]):
-            raise ConfigError(f"dataset file not found: {paths[key]}")
-    train = data.read_sparse(paths["train"])
-    test = data.read_sparse(paths["test"])
-    val = data.read_sparse(paths["val"]) if paths.get("val") else None
+            raise ValueError(f"dataset file not found: {paths[key]}")
+    datasets = [data.read_sparse(paths[key]) for key in splits]
     policy = data.read_policy(paths["policy"])
-    data._check_policy(policy, train.X)
-    return train, val, test, policy
+    data._check_policy(policy, datasets[0].X)
+    return (*datasets, policy)
 
 
 def _defense_specs(cfg):
@@ -195,7 +182,7 @@ def _attack_configs(cfg):
 def cmd_gen(cfg: dict, out_dir=None) -> str:
     synth = cfg.get("dataset", {}).get("synthetic")
     if not synth:
-        raise ConfigError("dataset.synthetic required for gen")
+        raise ValueError("dataset.synthetic required for gen")
     dataset, policy = data.generate_synthetic(
         dim=synth.get("dim", 200), classes=synth.get("classes", 2),
         per_class=synth.get("per_class", 500),
@@ -235,12 +222,12 @@ def _load_checkpoint(models_dir, spec):
     module, _, load = _CHECKPOINTS[spec.kind]
     path = os.path.join(models_dir, f"{spec.label}.json")
     if not os.path.exists(path):
-        raise ConfigError(f"missing checkpoint of {spec.label!r}: {path}")
+        raise ValueError(f"missing checkpoint of {spec.label!r}: {path}")
     return getattr(module, load)(path)
 
 
 def cmd_train(cfg: dict, out_dir=None) -> str:
-    train, _, _, policy = _load_dataset_files(cfg)
+    train, policy = _load_dataset_files(cfg, "train")
     specs = _defense_specs(cfg)
     evaluation._surrogate_spec(cfg.get("surrogate"))  # checked before anything is written
     run_dir = make_run_dir(cfg, "train", out_dir)
@@ -267,11 +254,11 @@ def _load_trained(cfg, models_dir):
 
 
 def cmd_attack(cfg: dict, models_dir, out_dir=None) -> str:
-    train, _, test, policy = _load_dataset_files(cfg)
+    train, test, policy = _load_dataset_files(cfg, "train", "test")
     models, surrogate = _load_trained(cfg, models_dir)
     configs = _attack_configs(cfg)
     if not configs:
-        raise ConfigError("no attacks configured")
+        raise ValueError("no attacks configured")
     Xp, yp, benign_pool = evaluation.attack_inputs(train, test, cfg["seed"],
                                                    **cfg.get("evaluation", {}))
     run_dir = make_run_dir(cfg, "attack", out_dir)
@@ -293,7 +280,7 @@ def cmd_attack(cfg: dict, models_dir, out_dir=None) -> str:
 
 
 def cmd_evaluate(cfg: dict, models_dir, out_dir=None) -> str:
-    train, _, test, policy = _load_dataset_files(cfg)
+    train, test, policy = _load_dataset_files(cfg, "train", "test")
     models, surrogate = _load_trained(cfg, models_dir)
     report = evaluation.evaluate_models(
         models, train, test, policy, _attack_configs(cfg),
@@ -373,7 +360,7 @@ def main(argv=None) -> int:
         elif args.command == "evaluate":
             cmd_evaluate(cfg, args.models, out_dir=args.out)
         return 0
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

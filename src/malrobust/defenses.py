@@ -2,7 +2,8 @@
 
 The training loop follows the min-max recipe: oversample, optionally pick
 a random feature subspace, binarize, then per batch (i) search the worst
-admissible perturbation with a multi-start Adam ascent, (ii) update a
+admissible perturbation with a multi-start Adam ascent, each trial run
+through the attacks' projected-step loop and rounded once, (ii) update a
 denoising autoencoder on reconstruction losses, and (iii) update the
 classifier head on the sum of clean and adversarial cross-entropy.  The
 autoencoder and classifier are updated in alternation (block coordinate
@@ -18,9 +19,11 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
+from .attacks import _box_steps
 from .data import (Dataset, ManipulationPolicy, _check_binary, _check_config_types,
                    _check_labels, _check_policy, _check_seed, _flippable, _round_flips,
                    binarize, oversample)
@@ -237,11 +240,11 @@ def inner_maximize(model, X, y, policy, config: DefenseConfig, rng=None):
     Runs restarts+1 trials: one from delta = 0 and the rest from
     salt-and-pepper starting points whose noise ratio is drawn uniformly
     in [0, noise_ratio_max].  Every trial takes inner_steps Adam steps in
-    maximization mode, clipping x+delta into the unit box after each step.
-    Trial endpoints are rounded through the policy (one that allows every
-    flip when policy is None, the box-only mode used by adversarial
-    regularization); the trial with the largest rounded-point
-    cross-entropy wins, per example.
+    maximization mode through attacks._box_steps, which clips x+delta into
+    the unit box after each step, and rounds its endpoint once, through
+    the policy (one that allows every flip when policy is None, the
+    box-only mode used by adversarial regularization); the trial with the
+    largest rounded-point cross-entropy wins, per example.
 
     Returns (rounded binary batch, continuous delta batch); shapes follow
     the input (a single vector yields single vectors).
@@ -258,20 +261,15 @@ def inner_maximize(model, X, y, policy, config: DefenseConfig, rng=None):
     best_loss = np.full(len(X2), -np.inf)
     best_x = X2.copy()
     best_delta = np.zeros_like(X2)
-    x_cur = np.empty_like(X2)  # X2 + delta, the point each gradient is taken at
+
+    def ascend(point, delta):  # the trial's adam; bench/workloads.py cuts at defenses.adam_step
+        return adam_step(adam, delta, model.input_gradients(point, y2), MAXIMIZE)
     for trial in range(config.restarts + 1):
-        if trial == 0:
-            delta = np.zeros_like(X2)
-        else:
-            ratio = rng.uniform(0.0, config.noise_ratio_max)
-            delta = _salt_pepper_batch(X2, ratio, rng) - X2
+        delta = np.zeros_like(X2) if trial == 0 else \
+            _salt_pepper_batch(X2, rng.uniform(0.0, config.noise_ratio_max), rng) - X2
         adam = AdamState.zeros(X2.shape, learning_rate=config.inner_lr)
-        for _ in range(config.inner_steps):
-            g = model.input_gradients(np.add(X2, delta, out=x_cur), y2)
-            delta = adam_step(adam, delta, g, MAXIMIZE)  # a new array, so clip in place
-            np.add(X2, delta, out=delta)
-            np.clip(delta, 0.0, 1.0, out=delta)
-            delta -= X2
+        for delta in islice(_box_steps(ascend, X2, delta), config.inner_steps):
+            pass  # the trial's last delta is rounded once
         rounded = _round_flips(flippable, X2, X2 + delta)
         losses = np.atleast_1d(model.loss(rounded, y2))
         better = losses > best_loss

@@ -455,6 +455,54 @@ class TestBadValues:
         assert err.startswith("error: ") and key in err
         assert not (tmp_path / "out").exists()
 
+class TestDatasetFiles:
+    """train reads the train split and the policy; attack and evaluate read
+    the test split too.  No command reads the val split."""
+
+    def test_train_reads_neither_val_nor_test(self, pipeline):
+        tmp_path, cfg_path, _ = pipeline
+        assert run("train", "-c", str(cfg_path), "--out", str(tmp_path / "m1")) == 0
+        for name in ("val.txt", "test.txt"):
+            (tmp_path / "data" / name).unlink()
+        assert run("train", "-c", str(cfg_path), "--out", str(tmp_path / "m2")) == 0
+        assert (tmp_path / "m1" / "basic.json").read_bytes() == \
+            (tmp_path / "m2" / "basic.json").read_bytes()
+
+    @pytest.mark.parametrize("command, output", [("attack", "attacks_basic.csv"),
+                                                 ("evaluate", "report.json")])
+    def test_attack_and_evaluate_read_no_val(self, pipeline, command, output):
+        tmp_path, cfg_path, _ = pipeline
+        models = str(tmp_path / "m")
+        assert run("train", "-c", str(cfg_path), "--out", models) == 0
+        assert run(command, "-c", str(cfg_path), "--models", models,
+                   "--out", str(tmp_path / "a")) == 0
+        (tmp_path / "data" / "val.txt").unlink()
+        assert run(command, "-c", str(cfg_path), "--models", models,
+                   "--out", str(tmp_path / "b")) == 0
+        assert (tmp_path / "a" / output).read_bytes() == (tmp_path / "b" / output).read_bytes()
+
+    @pytest.mark.parametrize("command, name", [
+        ("train", "train.txt"), ("train", "policy.txt"), ("attack", "train.txt"),
+        ("attack", "test.txt"), ("attack", "policy.txt"), ("evaluate", "test.txt")])
+    @pytest.mark.parametrize("removed", [True, False])
+    def test_damaged_file_in_use_reported(self, pipeline, capsys, command, name, removed):
+        tmp_path, cfg_path, _ = pipeline
+        assert run("train", "-c", str(cfg_path), "--out", str(tmp_path / "m")) == 0
+        path = tmp_path / "data" / name
+        if removed:
+            path.unlink()
+            message = f"dataset file not found: {path}"
+        else:  # a flag of 2 in a policy, a cell with no number in a split
+            path.write_text(path.read_text() + ("1 2 0\n" if name == "policy.txt" else "1 0:x\n"))
+            message = "flags must be 0/1" if name == "policy.txt" else "malformed cell '0:x'"
+        capsys.readouterr()
+        extra = [] if command == "train" else ["--models", str(tmp_path / "m")]
+        assert run(command, "-c", str(cfg_path), *extra, "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "out").exists()
+
+
 THREE_KINDS = [
     {"label": "basic", "kind": "plain"},
     {"label": "at", "kind": "hardened", "config": {"inner_steps": 2, "epochs": 2}},

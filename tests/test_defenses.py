@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from malrobust import defenses, nn
+from malrobust import attacks, defenses, nn
+from malrobust.attacks import AttackConfig, run_single
 from malrobust.data import Dataset, ManipulationPolicy, generate_synthetic
 from malrobust.defenses import (DefenseConfig, DenoisingAutoencoder,
                                 EnsembleClassifier, HardenedClassifier,
@@ -187,6 +188,44 @@ class TestInnerMaximize:
         with pytest.raises(ValueError, match="X is not binary"):
             inner_maximize(MlpClassifier.init([6, 4, 2], seed=0), 0.5 * X, [0, 1, 0],
                            policy, cfg)
+
+
+class TestOneStepLoop:
+    """The inner maximizer and pgd_adam step through attacks._box_steps, and
+    each names adam_step in its own module: bench/workloads.py cuts the
+    harden workload at defenses.adam_step."""
+
+    @staticmethod
+    def count(monkeypatch):
+        calls = {attacks: 0, defenses: 0}
+
+        def counted(module):
+            def step(*args):
+                calls[module] += 1
+                return nn.adam_step(*args)
+            return step
+        for module in calls:
+            monkeypatch.setattr(module, "adam_step", counted(module))
+        return calls
+
+    @pytest.mark.parametrize("inner_steps, restarts", [(0, 2), (1, 0), (7, 0), (5, 3)])
+    def test_inner_steps_go_through_defenses(self, monkeypatch, inner_steps, restarts):
+        ds, policy = small_task()
+        model = MlpClassifier.init([24, 8, 2], seed=1)
+        calls = self.count(monkeypatch)
+        inner_maximize(model, ds.X[:5], ds.y[:5], policy,
+                       DefenseConfig(inner_steps=inner_steps, restarts=restarts, seed=2))
+        assert calls == {attacks: 0, defenses: (restarts + 1) * inner_steps}
+
+    @pytest.mark.parametrize("k", [1, 9])
+    def test_pgd_adam_steps_go_through_attacks(self, monkeypatch, k):
+        rng = np.random.default_rng(3)
+        model = MlpClassifier([rng.normal(0.0, 0.1, (12, 2))], [np.array([0.0, 50.0])])
+        calls = self.count(monkeypatch)
+        out = run_single(model, np.zeros(12), 1, ManipulationPolicy.additions_only(12),
+                         AttackConfig.for_attack("pgd_adam", max_steps=k))
+        assert out.steps_used == k and not out.success
+        assert calls == {attacks: k, defenses: 0}
 
 
 class TestTrainHardened:

@@ -1,24 +1,30 @@
 """Property tests: projection onto the manipulation domain, the outcome
-of every attack, the sparse-dataset and policy file round trips, the
-checkpoint parameter payload, and the checkpoint round trips of models,
-hardened models and ensembles."""
+of every attack, the projected-step loop over a batch and over its rows,
+the sparse-dataset and policy file round trips, the checkpoint parameter
+payload, and the checkpoint round trips of models, hardened models and
+ensembles; and that a failing property reports its example under the
+repo's pytest settings."""
 
 import json
 import os
+import subprocess
+import sys
 import tempfile
+from itertools import islice
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from malrobust.attacks import ATTACK_NAMES, AttackConfig, run_single
+from malrobust.attacks import ATTACK_NAMES, AttackConfig, _box_steps, run_single
 from malrobust.data import (Dataset, ManipulationPolicy, admissible, project_to_m,
                             read_policy, read_sparse, write_policy, write_sparse)
 from malrobust.defenses import (DenoisingAutoencoder, EnsembleClassifier,
                                 HardenedClassifier, load_ensemble, load_hardened,
                                 save_ensemble, save_hardened)
-from malrobust.nn import MlpClassifier, _decode_array, _encode_array, load_model, save_model
+from malrobust.nn import (MAXIMIZE, AdamState, MlpClassifier, _decode_array, _encode_array,
+                          adam_step, load_model, save_model)
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -237,3 +243,66 @@ def test_ensemble_checkpoint_round_trip(ens):
         same_hardened(a, b)
     X = binary_inputs(ens.members[0].input_dim)
     assert np.array_equal(back.predict_proba(X), ens.predict_proba(X))
+
+
+@st.composite
+def box_step_cases(draw):
+    """(X, D, rate, k): an (n, dim) binary batch, a start delta, the rate
+    of an elementwise gradient and a step count."""
+    n, dim = draw(st.integers(1, 6)), draw(dims)
+    X = draw(arrays(bool, (n, dim))).astype(float)
+    D = draw(arrays(float, (n, dim), elements=st.floats(-1.5, 1.5)))
+    return X, D, draw(st.floats(-4.0, 4.0)), draw(st.integers(0, 12))
+
+
+def adam_box_steps(x, delta, rate, k):
+    """The first k deltas of the box loop on x, each an Adam step in
+    maximization mode on an elementwise gradient of the point and delta."""
+    adam = AdamState.zeros(x.shape, learning_rate=0.3)
+
+    def step(point, delta):
+        assert np.array_equal(point, x + delta)
+        return adam_step(adam, delta, rate * (1.0 - 2.0 * point) + delta * delta, MAXIMIZE)
+    return [d.copy() for d in islice(_box_steps(step, x, delta.copy()), k)]
+
+
+@SETTINGS
+@given(box_step_cases())
+def test_box_steps_on_a_batch_equal_its_rows(case):
+    """A batch run of the projected-step loop yields, row for row, the
+    bits of one-example runs, and every point stays in the unit box."""
+    X, D, rate, k = case
+    batch = adam_box_steps(X, D, rate, k)
+    assert len(batch) == k
+    for delta in batch:
+        assert ((X + delta >= 0.0) & (X + delta <= 1.0)).all()
+    for i in range(len(X)):
+        rows = adam_box_steps(X[i], D[i], rate, k)
+        assert [d.tobytes() for d in rows] == [d[i].tobytes() for d in batch]
+
+
+PYPROJECT = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "pyproject.toml")
+FAILING_PROPERTY = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers(0, 10))
+def test_below_five(n):
+    assert n < 5
+"""
+
+
+def test_failing_property_reports_its_example(tmp_path):
+    """Under the repo's warning filters a failing property prints its
+    falsifying example: a DeprecationWarning raised as an error by an
+    import inside hypothesis's report must not end the run in INTERNALERROR."""
+    (tmp_path / "test_failing.py").write_text(FAILING_PROPERTY)
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", PYPROJECT, "--rootdir", str(tmp_path),
+         "-q", "-p", "no:cacheprovider", "test_failing.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    out = result.stdout + result.stderr
+    assert "INTERNALERROR" not in out
+    assert "Falsifying example: test_below_five(" in out
+    assert result.returncode == 1
