@@ -27,7 +27,7 @@ against a surrogate model and then judges success on the real victim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from itertools import islice
 from typing import Optional
@@ -56,7 +56,7 @@ _DEFAULT_STEP = {
 class AttackConfig:
     name: str
     max_steps: int = 100
-    step_size: float = 0.01
+    step_size: Optional[float] = None  # None = the attack's entry in _DEFAULT_STEP, else 0.01
     epsilon_ball: Optional[float] = None  # None = unconstrained
     ead_beta: float = 0.1
     ead_kappa: float = 64.0
@@ -68,6 +68,8 @@ class AttackConfig:
     def __post_init__(self):
         if self.name not in ATTACK_NAMES:
             raise ValueError(f"unknown attack {self.name!r}")
+        if self.step_size is None:
+            self.step_size = _DEFAULT_STEP.get(self.name, 0.01)
         reals = ["step_size", "ead_beta", "ead_kappa", "ead_c"]
         if self.epsilon_ball is not None:
             reals.append("epsilon_ball")
@@ -88,11 +90,8 @@ class AttackConfig:
 
     @classmethod
     def for_attack(cls, name: str, **overrides) -> "AttackConfig":
-        """Config with the per-attack default step size filled in."""
-        cfg = cls(name=name, **overrides)
-        if "step_size" not in overrides and name in _DEFAULT_STEP:
-            cfg = replace(cfg, step_size=_DEFAULT_STEP[name])
-        return cfg
+        """The plain constructor, which fills in the per-attack step size."""
+        return cls(name=name, **overrides)
 
 
 @dataclass

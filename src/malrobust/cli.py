@@ -150,10 +150,15 @@ def _load_dataset_files(cfg, *splits):
             raise ValueError(f"dataset.paths.{key} missing")
         if not os.path.exists(paths[key]):
             raise ValueError(f"dataset file not found: {paths[key]}")
-    datasets = [data.read_sparse(paths[key]) for key in splits]
-    policy = data.read_policy(paths["policy"])
-    data._check_policy(policy, datasets[0].X)
-    return (*datasets, policy)
+    loaded = []
+    for key in (*splits, "policy"):
+        read = data.read_policy if key == "policy" else data.read_sparse
+        try:
+            loaded.append(read(paths[key]))
+        except ValueError as exc:
+            raise ValueError(f"{paths[key]}: {exc}") from None
+    data._check_policy(loaded[-1], loaded[0].X)
+    return tuple(loaded)
 
 
 def _defense_specs(cfg):
@@ -360,7 +365,7 @@ def main(argv=None) -> int:
         elif args.command == "evaluate":
             cmd_evaluate(cfg, args.models, out_dir=args.out)
         return 0
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

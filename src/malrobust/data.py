@@ -14,13 +14,15 @@ Datasets are stored as sparse text, `label idx:val ...` lines under a
 readers take any whitespace between fields, `\n`, `\r\n` or `\r` line ends,
 `#` comment and blank lines anywhere, labels, indices and flags as int()
 reads them and values as float() reads them.  Each reads the whole file and
-converts a file in the strict form (ASCII digits, `.eE+-` in values, spaces
-and tabs) with array operations; any other file, valid or not, is read
-again line by line, and that loop raises at the first fault in file order,
-naming its line.  A label, cell or header value that does not parse, a
-non-finite value, a negative, repeated or out-of-range index, a label out
-of range, a policy line without three integer fields and a flag other than
-0 or 1 are faults; a policy that skips a feature names the first it skips.
+converts a file in the form the writers emit (an optional `#` header first,
+then ASCII-digit fields, sparse cells in ascending index order, spaces and
+tabs) with array operations; any other file, valid or not, is read again
+line by line, exactly but slower, and that loop raises at the first fault
+in file order, naming its line.  A label, cell or header value that does
+not parse, a non-finite value, a negative, repeated or out-of-range index,
+a label out of range, a policy line without three integer fields and a
+flag other than 0 or 1 are faults; a policy that skips a feature names the
+first it skips.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ import contextlib
 import math
 import numbers
 import os
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -362,18 +363,17 @@ def write_policy(path, policy: ManipulationPolicy) -> None:
 
 
 # The readers take a whole file at once: a bulk pass converts a file in the
-# strict form (ASCII digits, `idx:value` cells, spaces and tabs) with array
+# form the writers emit (an optional `#` header as the first line, then ASCII
+# digits, `idx:digits` cells in ascending order, spaces and tabs) with array
 # operations and raises _Irregular at anything else, valid or not.  The line
 # loop then reads the file again, one line at a time: it accepts every file
-# the bulk pass does, with the same result, and more (a label `+1`, digits of
-# other scripts, `1_0`, other whitespace), and names the first fault in file
-# order.  So every file the writers produce is read without the line loop.
+# the bulk pass does, with the same result, and more (comments, unsorted
+# cells, float values, a label `+1`, digits of other scripts, `1_0`, other
+# whitespace), and names the first fault in file order.  So every file the
+# writers produce is read without the line loop.
 
 class _Irregular(Exception):
     """A file the bulk pass leaves to the line loop."""
-
-
-_FLOAT_MARKS = b".eE+-"
 
 
 def _read_text(path) -> str:
@@ -382,29 +382,15 @@ def _read_text(path) -> str:
         return fh.read()
 
 
-def _blank_comments(text: str) -> tuple[str, list]:
-    """text with each comment line (`#` first after whitespace) emptied, and
-    the (file line, text after the `#`) of each comment line in order."""
-    lines, comments = text.split("\n"), []
-    for i, line in enumerate(lines):
-        line = line.strip()
-        if line.startswith("#"):
-            comments.append((i + 1, line[1:]))
-            lines[i] = ""
-    return "\n".join(lines), comments
-
-
 def _tokens(text: str):
     """The bytes of text framed by newlines; the start and end (exclusive)
-    of each token, a run of bytes other than space, tab and newline; which
-    tokens are the first on their line; and whether any byte is a float
-    mark (one of `.eE+-`).  Any byte but these, digits and colons is
-    irregular."""
+    of each token, a run of bytes other than space, tab and newline; and
+    which tokens are the first on their line.  Any byte but these, digits
+    and colons is irregular."""
     if not text.isascii():
         raise _Irregular
     data = f"\n{text}\n".encode("ascii")
-    marks = data.translate(None, b"0123456789: \t\n")
-    if marks.translate(None, _FLOAT_MARKS):
+    if data.translate(None, b"0123456789: \t\n"):
         raise _Irregular
     raw = np.frombuffer(data, dtype=np.uint8)
     word = raw > ord(" ")  # the blanks left are the only bytes at or below a space
@@ -413,7 +399,7 @@ def _tokens(text: str):
     # the token after a newline is the first on its line (the last newline has none)
     first = np.zeros(len(starts) + 1, dtype=bool)
     first[np.searchsorted(starts, np.flatnonzero(raw == ord("\n")))] = True
-    return raw, starts, ends, first[:-1], bool(marks)
+    return raw, starts, ends, first[:-1]
 
 
 def _uints(raw, starts, ends) -> np.ndarray:
@@ -429,51 +415,19 @@ def _uints(raw, starts, ends) -> np.ndarray:
     return out
 
 
-def _floats(raw, starts, ends) -> np.ndarray:
-    """The numbers float() reads from the runs raw[starts:ends]; over digits
-    and `.eE+-` numpy's parser takes exactly float()'s syntax and rounds alike."""
-    data = raw.tobytes()
-    data = b" ".join([data[s:e] for s, e in zip(starts.tolist(), ends.tolist())])
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # numpy 1.x warns at a run it cannot read
-            out = np.fromstring(data, sep=" ")
-    except (ValueError, DeprecationWarning):
-        raise _Irregular from None
-    if len(out) != len(starts):
-        raise _Irregular
-    return out
-
-
 def _sparse_bulk(text: str, dim, class_count):
-    """(X, labels, class_count) of a valid sparse file in the strict form."""
-    if "#" in text:
-        text, comments = _blank_comments(text)
-        try:
-            for lineno, comment in comments:
-                dim, class_count = _apply_header(comment, lineno, dim, class_count)
-        except ValueError:  # the line loop tells whether an earlier line fails first
-            raise _Irregular from None
-    raw, starts, ends, first, has_marks = _tokens(text)
+    """(X, labels, class_count) of a valid sparse file in the writers' form."""
+    if text.startswith("#"):  # a faulty header is line 1's fault, as the line loop says
+        header, _, text = text.partition("\n")
+        dim, class_count = _apply_header(header[1:], 1, dim, class_count)
+    raw, starts, ends, first = _tokens(text)
     colon = np.flatnonzero(raw == ord(":"))
     c0, c1 = starts[~first], ends[~first]
     # the k-th colon splits the k-th cell in two non-empty parts, so no label has one
     if len(colon) != len(c0) or np.any((colon <= c0) | (colon >= c1 - 1)):
         raise _Irregular
-    plain = c1 - colon <= 16  # values of at most 15 digits, read as integers
-    if has_marks:  # a float mark may sit only in a value, which float() then reads
-        mark = np.flatnonzero(np.isin(raw, list(_FLOAT_MARKS)))
-        cell = np.searchsorted(colon, mark) - 1  # the cell of the last colon before it
-        if np.any(cell < 0) or np.any(mark >= c1[cell]):
-            raise _Irregular
-        plain[cell] = False
     labels, idx = _uints(raw, starts[first], ends[first]), _uints(raw, c0, colon)
-    values = np.empty(len(c0))
-    values[plain] = _uints(raw, colon[plain] + 1, c1[plain])
-    if not plain.all():
-        values[~plain] = _floats(raw, colon[~plain] + 1, c1[~plain])
-        if not np.isfinite(values).all():
-            raise _Irregular
+    values = _uints(raw, colon + 1, c1)  # int64 to float64 rounds as float() does
     if class_count is None:
         class_count = int(labels.max()) + 1 if len(labels) else 1
     elif len(labels) and labels.max() >= class_count:
@@ -486,8 +440,7 @@ def _sparse_bulk(text: str, dim, class_count):
     label_at = np.flatnonzero(first)
     rows = np.repeat(np.arange(len(labels)), np.diff(label_at, append=len(first)) - 1)
     flat = rows * dim + idx
-    # flat increases unless a row repeats or reorders indices
-    if np.any(flat[1:] <= flat[:-1]) and len(np.unique(flat)) < len(flat):
+    if np.any(flat[1:] <= flat[:-1]):  # a row repeats or reorders indices
         raise _Irregular
     X.reshape(-1)[flat] = values
     return X, labels, class_count
@@ -583,20 +536,17 @@ def read_sparse(path, dim: int | None = None, class_count: int | None = None) ->
 
 
 def _policy_bulk(text: str):
-    """The (index, add, remove) columns of a valid policy file in the strict
-    form, sorted by index."""
-    if "#" in text:
-        text = _blank_comments(text)[0]
-    raw, starts, ends, first, has_marks = _tokens(text)
+    """The (index, add, remove) columns of a valid policy file in the
+    writers' form, one line a feature in ascending order."""
+    raw, starts, ends, first = _tokens(text)
     # three digit tokens a line
-    if has_marks or np.any(raw == ord(":")) or len(first) % 3 \
+    if np.any(raw == ord(":")) or len(first) % 3 \
             or not np.array_equal(first, np.arange(len(first)) % 3 == 0):
         raise _Irregular
     idx, add, remove = _uints(raw, starts, ends).reshape(-1, 3).T
-    order = np.argsort(idx, kind="stable")
-    if np.any(add > 1) or np.any(remove > 1) or np.any(np.diff(idx[order]) == 0):
+    if np.any(add > 1) or np.any(remove > 1) or np.any(np.diff(idx) <= 0):
         raise _Irregular
-    return idx[order], add[order], remove[order]
+    return idx, add, remove
 
 
 def _policy_by_line(text: str):

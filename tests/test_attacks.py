@@ -458,6 +458,13 @@ class TestBadValues:
         for selection in ("nearest", "random"):
             assert AttackConfig("mimicry", mimicry_selection=selection).mimicry_selection == selection
 
+    @pytest.mark.parametrize("name", attacks.ATTACK_NAMES)
+    def test_plain_constructor_fills_in_the_attack_step_size(self, name):
+        assert AttackConfig(name) == AttackConfig.for_attack(name)
+        assert AttackConfig(name).step_size == attacks._DEFAULT_STEP.get(name, 0.01)
+        assert AttackConfig(name, step_size=0.3).step_size == 0.3
+        assert AttackConfig.for_attack(name, step_size=0.3) == AttackConfig(name, step_size=0.3)
+
     @pytest.mark.parametrize("name", ["fgsm", "bca", "pgd_l2", "random"])
     @pytest.mark.parametrize("label", [2, 5, -1])
     def test_label_outside_the_model_rejected(self, name, label):

@@ -502,6 +502,39 @@ class TestDatasetFiles:
         assert err.startswith("error: ") and message in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command, name, line, message", [
+        ("attack", "test.txt", "1 0:x\n", "malformed cell '0:x'"),
+        ("train", "train.txt", "1 0:1 0:1\n", "duplicate index 0"),
+        ("train", "policy.txt", "1 2 0\n", "flags must be 0/1")])
+    def test_parse_error_names_its_file(self, pipeline, capsys, command, name, line, message):
+        tmp_path, cfg_path, _ = pipeline
+        assert run("train", "-c", str(cfg_path), "--out", str(tmp_path / "m")) == 0
+        path = tmp_path / "data" / name
+        text = path.read_text()
+        path.write_text(text + line)
+        lineno = text.count("\n") + 1
+        capsys.readouterr()
+        extra = [] if command == "train" else ["--models", str(tmp_path / "m")]
+        assert run(command, "-c", str(cfg_path), *extra, "--out", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err == f"error: {path}: line {lineno}: {message}\n"
+
+    def test_dataset_path_that_is_a_directory_reported(self, pipeline, capsys):
+        tmp_path, cfg_path, _ = pipeline
+        path = tmp_path / "data" / "train.txt"
+        path.unlink()
+        path.mkdir()
+        capsys.readouterr()
+        assert run("train", "-c", str(cfg_path), "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+        assert not (tmp_path / "out").exists()
+
+
+def test_config_path_that_is_a_directory_reported(tmp_path, capsys):
+    assert run("train", "-c", str(tmp_path), "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path) in err
+
 
 THREE_KINDS = [
     {"label": "basic", "kind": "plain"},
@@ -559,6 +592,17 @@ class TestCheckpointFiles:
                    "--out", str(tmp_path / "ev")) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+
+    def test_checkpoint_that_is_a_directory_reported(self, trained_three_kinds, capsys):
+        tmp_path, cfg_path = trained_three_kinds
+        path = tmp_path / "m" / "at.json"
+        path.unlink()
+        path.mkdir()
+        capsys.readouterr()
+        assert run("evaluate", "-c", str(cfg_path), "--models", str(tmp_path / "m"),
+                   "--out", str(tmp_path / "ev")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
 
 
 def test_failed_report_write_keeps_previous_report(pipeline, monkeypatch):

@@ -7,6 +7,7 @@ package's function to its oracle: the bytes written, the arrays read back
 bit for bit, and the exact message of each error, over valid files in many
 spellings (comments, blank lines, tabs, CRLF, late headers, signs, leading
 zeros, other whitespace and other digits) and over files with one fault.
+Integral files as the writers emit them are read by the bulk pass alone.
 """
 
 import math
@@ -393,13 +394,13 @@ def test_each_policy_fault_raises_the_oracles_message(flags, fault, draw_from):
     assert new[0] == "error" and new == old
 
 
-# ---------------------------------------------------------------- the line loop
+# ---------------------------------------------------------------- the bulk pass
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n"])
 @pytest.mark.parametrize("space", [" ", "\t", " \t "])
-def test_a_valid_file_never_runs_the_line_loop(newline, space):
+def test_other_spellings_read_as_the_oracle_reads(newline, space):
     """Comments, blank lines, tabs, CRLF, unsorted cells and float values
-    of every spelling float() reads all stay on the bulk pass."""
+    of every spelling float() reads, which the line loop reads."""
     sparse = (f"# a remark{newline}0 3:1 1:0.25 2:-1e-3{newline}{newline}"
               f"  1 0:+.5 4:007 5:1.{newline}\t2{newline}# dim=7 classes=3{newline}")
     sparse = sparse.replace(" ", space)
@@ -409,7 +410,37 @@ def test_a_valid_file_never_runs_the_line_loop(newline, space):
     assert new == old and new[0] == "ok"
     new_policy, old_policy = both(policy_outcome, policy)
     assert new_policy == old_policy and new_policy[0] == "ok"
+
+
+INTEGRAL = st.one_of(st.sampled_from([1.0, 2.0 ** 53, 1e17, 1e18 - 128]),
+                     st.integers(1, 10 ** 18 - 128).map(float))  # at most 18 digits
+
+
+@st.composite
+def integral_datasets(draw):
+    """Datasets of what the benchmarked files hold: zero rows, empty rows,
+    wide dims and integral values of up to 18 digits."""
+    n = draw(st.integers(0, 6))
+    dim = draw(st.one_of(st.integers(1, 12), st.just(2000)))
+    classes = draw(st.integers(1, 4))
+    X = np.zeros((n, dim))
+    cells = st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, dim - 1))
+    for i, j in draw(st.sets(cells, max_size=40 if n else 0)):
+        X[i, j] = draw(INTEGRAL)
+    y = draw(arrays(np.int64, n, elements=st.integers(0, classes - 1)))
+    return Dataset(X, y, classes)
+
+
+@SETTINGS
+@given(integral_datasets(),
+       st.one_of(st.integers(0, 40), st.just(2000)).flatmap(
+           lambda d: st.tuples(arrays(bool, d), arrays(bool, d))))
+def test_writer_output_never_runs_the_line_loop(ds, flags):
+    sparse = written(data.write_sparse, ds)
+    policy = written(data.write_policy, ManipulationPolicy(*flags))
     with mock.patch.object(data, "_sparse_by_line", side_effect=AssertionError), \
             mock.patch.object(data, "_policy_by_line", side_effect=AssertionError):
-        assert both(sparse_outcome, sparse)[0] == new
-        assert both(policy_outcome, policy)[0] == new_policy
+        new, old = both(sparse_outcome, sparse)
+        new_policy, old_policy = both(policy_outcome, policy)
+    assert new == old and new[0] == "ok"
+    assert new_policy == old_policy and new_policy[0] == "ok"
