@@ -381,6 +381,8 @@ def run_attack_suite(victim, X, y, policy, configs, threat_model=WHITE_BOX,
         raise ValueError(f"unknown threat model {threat_model!r}")
     if threat_model == GREY_BOX and surrogate is None:
         raise ValueError("grey-box attacks need a surrogate model")
+    if len({config.name for config in configs}) != len(configs):  # results are keyed by name
+        raise ValueError("duplicate attack names in one suite")
     attack_model = victim if threat_model == WHITE_BOX else surrogate
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = _check_labels(y, len(X), victim.class_count)

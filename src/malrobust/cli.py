@@ -102,6 +102,8 @@ def validate_config(cfg: dict) -> dict:
         data._check_seed(entry.get("seed", 0), f"attacks[{i}].seed")
         if "name" not in entry:
             raise ValueError(f"attacks[{i}] needs a name")
+        if any(e["name"] == entry["name"] for e in cfg["attacks"][:i]):
+            raise ValueError(f"attacks[{i}]: duplicate attack name {entry['name']!r}")
     if "surrogate" in cfg:
         _check_keys(cfg["surrogate"], _MODEL_KEYS, "surrogate")
     if "evaluation" in cfg:
@@ -234,10 +236,10 @@ def _load_checkpoint(models_dir, spec):
 def cmd_train(cfg: dict, out_dir=None) -> str:
     train, policy = _load_dataset_files(cfg, "train")
     specs = _defense_specs(cfg)
-    evaluation._surrogate_spec(cfg.get("surrogate"))  # checked before anything is written
-    run_dir = make_run_dir(cfg, "train", out_dir)
+    evaluation._surrogate_spec(cfg.get("surrogate"))  # checked before any training
     models, traces, surrogate = evaluation.train_models(
         specs, train, policy, cfg["seed"], cfg["threat_model"], cfg.get("surrogate"))
+    run_dir = make_run_dir(cfg, "train", out_dir)  # only once training has succeeded
     for spec in specs:
         _save_checkpoint(run_dir, spec, models[spec.label])
         print(f"trained {spec.label} ({spec.kind})")
@@ -266,12 +268,11 @@ def cmd_attack(cfg: dict, models_dir, out_dir=None) -> str:
         raise ValueError("no attacks configured")
     Xp, yp, benign_pool = evaluation.attack_inputs(train, test, cfg["seed"],
                                                    **cfg.get("evaluation", {}))
-    run_dir = make_run_dir(cfg, "attack", out_dir)
-    for label, clf in models.items():
-        results = run_attack_suite(clf, Xp, yp, policy, configs,
-                                   threat_model=cfg["threat_model"],
-                                   surrogate=surrogate, benign_pool=benign_pool)
-        rows = outcomes_to_rows(results)
+    tables = {label: outcomes_to_rows(run_attack_suite(
+        clf, Xp, yp, policy, configs, threat_model=cfg["threat_model"], surrogate=surrogate,
+        benign_pool=benign_pool)) for label, clf in models.items()}
+    run_dir = make_run_dir(cfg, "attack", out_dir)  # only once every suite has run
+    for label, rows in tables.items():
         path = os.path.join(run_dir, f"attacks_{label}.csv")
         with data.atomic_write(path, newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=["attack", "example_id",
@@ -306,8 +307,11 @@ def cmd_evaluate(cfg: dict, models_dir, out_dir=None) -> str:
 
 def cmd_report(report_path, csv_path=None) -> None:
     with open(report_path, "r", encoding="utf-8") as fh:
-        report = json.load(fh)
-    table = evaluation.report_table(report)
+        try:
+            report = json.load(fh)
+            table = evaluation.report_table(report)
+        except ValueError as exc:
+            raise ValueError(f"{os.fspath(report_path)}: {exc}") from None
     print(table)
     if csv_path:
         labels, rows = evaluation.report_rows(report)

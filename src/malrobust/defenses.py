@@ -8,6 +8,7 @@ denoising autoencoder on reconstruction losses, and (iii) update the
 classifier head on the sum of clean and adversarial cross-entropy.  The
 autoencoder and classifier are updated in alternation (block coordinate
 descent); the classifier consumes the encoder output when the DAE is on.
+The batch schedule is the plain trainer's, ``nn._epochs``.
 
 Random-subspace ensembles train several hardened members on seeded
 feature / example subsets and vote by mean probability; the log of the
@@ -29,8 +30,8 @@ from .data import (Dataset, ManipulationPolicy, _check_binary, _check_config_typ
                    binarize, oversample)
 from .data import project_to_m  # noqa: F401  (bench/spans.py traces it by module)
 from .nn import (MAXIMIZE, PROB_FLOOR, AdamState, DenseStack, MlpClassifier, _ACTIVATIONS,
-                 _adam_states, _adam_update, _batch_param_gradients, _check_input, _field,
-                 _like_input, _model_from_record, _model_record, _read_checkpoint,
+                 _adam_states, _adam_update, _batch_param_gradients, _check_input, _epochs,
+                 _field, _like_input, _model_from_record, _model_record, _read_checkpoint,
                  _write_checkpoint, adam_step, child_seed, softmax)
 
 
@@ -79,8 +80,8 @@ class DefenseConfig:
         for i, h in enumerate(self.hidden):
             if h < 1:
                 raise ValueError(f"hidden[{i}] must be >= 1, got {h}")
-        if self.latent_dim < 1:
-            raise ValueError(f"latent_dim must be >= 1, got {self.latent_dim}")
+        if min(self.latent_dim, self.ensemble_size) < 1:
+            raise ValueError("latent_dim and ensemble_size must be >= 1")
 
     @classmethod
     def adversarial_training_profile(cls, **overrides) -> "DefenseConfig":
@@ -330,33 +331,27 @@ def train_hardened(dataset: Dataset, policy, config: DefenseConfig, *,
         enc_states = _adam_states(dae.encoder, config.lr)
         dec_states = _adam_states(dae.decoder, config.lr)
 
-    trace = []
-    for _ in range(config.epochs):
-        perm = rng.permutation(len(X))
-        batch_losses = []
-        for start in range(0, len(X), config.batch_size):
-            sel = perm[start:start + config.batch_size]
-            Xb, yb = X[sel], y[sel]
-            X_adv, _ = inner_maximize(view_model, Xb, yb, pol_view, config, rng=rng)
+    def step(sel):
+        Xb, yb = X[sel], y[sel]
+        X_adv, _ = inner_maximize(view_model, Xb, yb, pol_view, config, rng=rng)
 
-            if use_dae:
-                ratio = rng.uniform(0.0, config.noise_ratio_max)
-                X_noisy = _salt_pepper_batch(Xb, ratio, rng)
-                ewg, ebg, dwg, dbg, _ = _dae_param_grads(dae, Xb, (X_noisy, X_adv))
-                _adam_update(dae.encoder, enc_states, ewg, ebg)
-                _adam_update(dae.decoder, dec_states, dwg, dbg)
+        if use_dae:
+            ratio = rng.uniform(0.0, config.noise_ratio_max)
+            X_noisy = _salt_pepper_batch(Xb, ratio, rng)
+            ewg, ebg, dwg, dbg, _ = _dae_param_grads(dae, Xb, (X_noisy, X_adv))
+            _adam_update(dae.encoder, enc_states, ewg, ebg)
+            _adam_update(dae.decoder, dec_states, dwg, dbg)
 
-            # classifier step through the (frozen) encoder
-            Hb = dae.encoder.forward(Xb) if use_dae else Xb
-            Ha = dae.encoder.forward(X_adv) if use_dae else X_adv
-            wg1, bg1, l1 = _batch_param_gradients(head, Hb, yb)
-            wg2, bg2, l2 = _batch_param_gradients(head, Ha, yb)
-            # generators: one layer's summed gradients are alive at a time
-            _adam_update(head, head_states, (a + b for a, b in zip(wg1, wg2)),
-                         (a + b for a, b in zip(bg1, bg2)))
-            batch_losses.append(l1 + l2)
-        trace.append(float(np.mean(batch_losses)))
-    return clf, trace
+        # classifier step through the (frozen) encoder
+        Hb = dae.encoder.forward(Xb) if use_dae else Xb
+        Ha = dae.encoder.forward(X_adv) if use_dae else X_adv
+        wg1, bg1, l1 = _batch_param_gradients(head, Hb, yb)
+        wg2, bg2, l2 = _batch_param_gradients(head, Ha, yb)
+        # generators: one layer's summed gradients are alive at a time
+        _adam_update(head, head_states, (a + b for a, b in zip(wg1, wg2)),
+                     (a + b for a, b in zip(bg1, bg2)))
+        return l1 + l2
+    return clf, _epochs(rng, len(X), config.batch_size, config.epochs, step)
 
 
 @dataclass
@@ -433,8 +428,6 @@ def train_ensemble(dataset: Dataset, policy, config: DefenseConfig, *,
                    use_dae: bool = False, use_binarization: bool = False):
     """Train config.ensemble_size hardened members on seeded random
     feature subspaces and example subsets, with disjoint seed streams."""
-    if config.ensemble_size < 1:
-        raise ValueError("ensemble_size must be >= 1")
     members = []
     traces = []
     for i in range(config.ensemble_size):

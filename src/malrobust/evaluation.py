@@ -17,7 +17,7 @@ import numpy as np
 from .attacks import GREY_BOX, WHITE_BOX, run_attack_suite
 from .data import Dataset, _check_config_types, _check_labels
 from .defenses import DefenseConfig, train_ensemble, train_hardened
-from .nn import MlpClassifier, child_seed, train_supervised
+from .nn import MlpClassifier, _field, _of_type, child_seed, train_supervised
 
 # surrogate used by the grey-box threat model
 SURROGATE_PROFILE = {"hidden": (200, 200), "activation": "relu",
@@ -204,9 +204,6 @@ def evaluate_models(models: dict, train_set: Dataset, test_set: Dataset, policy,
     """
     if threat_model == GREY_BOX and surrogate is None:
         raise ValueError("grey-box evaluation needs a surrogate model")
-    names = [c.name for c in attack_configs]
-    if len(set(names)) != len(names):
-        raise ValueError("duplicate attack names in one suite")
     Xp, yp, benign_pool = attack_inputs(train_set, test_set, seed, attack_pool,
                                         positive_class)
     o = test_set.class_count
@@ -220,8 +217,7 @@ def evaluate_models(models: dict, train_set: Dataset, test_set: Dataset, policy,
                                    threat_model=threat_model, surrogate=surrogate,
                                    benign_pool=benign_pool)
         attack_blocks = {}
-        for name in names:
-            outs = results[name]
+        for name, outs in results.items():
             X_adv = np.stack([out.x_adv for out in outs])
             y_pred = np.atleast_1d(clf.predict(X_adv))
             block = _metric_block(yp, y_pred, o, positive_class)
@@ -289,11 +285,25 @@ def _jsonable(obj):
     return obj
 
 
+def _check_report(report) -> None:
+    """Reads each part of a report that :func:`report_rows` reads through
+    ``_field``, so that a missing or malformed one raises a ValueError naming it."""
+    def accuracy(block):
+        return _field(block, "accuracy", _of_type(float))
+
+    def defense(block):
+        for key in ("clean_test", "no_attack"):
+            _field(block, key, accuracy)
+        _field(block, "attacks", lambda attacks: [_field(attacks, n, accuracy) for n in attacks])
+    _field(report, "defenses", lambda blocks: [_field(blocks, lab, defense) for lab in blocks])
+
+
 def report_rows(report: dict) -> tuple[list, list]:
     """(defense labels, rows) of the accuracy table: one row per clean
     block and per attack, each (name, [accuracy or None per defense]).
     Labels and attack names are sorted, so a report in memory and the same
     report read back from sorted JSON give the same table."""
+    _check_report(report)
     defenses = report["defenses"]
     labels = sorted(defenses)
     attacks = sorted({name for block in defenses.values() for name in block["attacks"]})

@@ -1,7 +1,9 @@
 """Dense feed-forward classifier with exact backpropagation, plus Adam.
 
-Everything is plain numpy.  The classifier applies its activation between
-layers and a softmax on the last layer's output.  One backward recursion
+Everything is plain numpy.  The classifier and the autoencoder halves
+share one dense base, ``_Dense``: its layers, their check and their
+init.  The classifier applies its activation between layers and a
+softmax on the last layer's output.  One backward recursion
 walks a cotangent from the output down to the input and keeps each
 layer's pre-activation cotangent; input gradients (all the attacks and
 the inner maximizer need) stop there, and one dense-stack gradient
@@ -17,7 +19,9 @@ public prediction and input-gradient methods are written once, in
 ensemble bind them.  Each public method checks its input and labels once,
 so the entries check nothing.  The label rule is the one of
 :mod:`malrobust.data`, which also applies it to every ``Dataset``;
-training checks its dataset's features once per call.
+training checks its dataset's features once per call.  Both trainers, the
+plain one here and the min-max one of :mod:`malrobust.defenses`, run one
+mini-batch schedule, ``_epochs``.
 
 Checkpoints (``format_version`` 2) are one JSON record per model: sizes
 and settings as plain JSON, and each weight and bias as ``{"shape",
@@ -179,43 +183,42 @@ def _stack_pullback(model, X2, activate_last=False):
                                             activate_last)[0] @ model.weights[0].T
 
 
-def _init_params(layer_sizes, rng):
-    # symmetric fan-based init, biases zero
-    weights, biases = [], []
-    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
-        bound = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return weights, biases
-
-
 @dataclass
-class DenseStack:
-    """Plain dense stack (used for autoencoder halves)."""
+class _Dense:
+    """Dense layers: weights[i] has shape (layer_sizes[i], layer_sizes[i+1])."""
 
     weights: list
     biases: list
     activation: str = "relu"
-    activate_last: bool = False
 
     def __post_init__(self):
         _check_layers(self.weights, self.biases, self.activation)
 
     @classmethod
-    def init(cls, layer_sizes, activation="relu", seed=0, activate_last=False):
+    def init(cls, layer_sizes, activation="relu", seed=0, **settings):
+        """Symmetric fan-based uniform weights, zero biases."""
         rng = np.random.default_rng(seed)
-        w, b = _init_params(list(layer_sizes), rng)
-        return cls(w, b, activation, activate_last)
+        sizes = list(layer_sizes)
+        weights, biases = [], []
+        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+            bound = np.sqrt(6.0 / (fan_in + fan_out))
+            weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
+            biases.append(np.zeros(fan_out))
+        return cls(weights, biases, activation, **settings)
 
     @property
     def layer_sizes(self):
         return [self.weights[0].shape[0]] + [W.shape[1] for W in self.weights]
 
+
+@dataclass
+class DenseStack(_Dense):
+    """Plain dense stack (used for autoencoder halves)."""
+
+    activate_last: bool = False
+
     def forward(self, X):
-        X2 = np.atleast_2d(np.asarray(X, dtype=float))
-        out, _ = _stack_forward(self.weights, self.biases, self.activation,
-                                X2, self.activate_last)
-        return _like_input(X, out)
+        return _like_input(X, self.forward_cached(np.atleast_2d(np.asarray(X, dtype=float)))[0])
 
     def forward_cached(self, X2):
         return _stack_forward(self.weights, self.biases, self.activation,
@@ -231,31 +234,14 @@ class DenseStack:
 
 
 @dataclass
-class MlpClassifier:
-    """Feed-forward softmax classifier.
-
-    weights[i] has shape (layer_sizes[i], layer_sizes[i+1]); the last
-    layer produces logits and the activation is applied between layers.
-    """
-
-    weights: list
-    biases: list
-    activation: str = "relu"
+class MlpClassifier(_Dense):
+    """Feed-forward softmax classifier: the last layer produces logits and
+    the activation is applied between layers."""
 
     def __post_init__(self):
-        _check_layers(self.weights, self.biases, self.activation)
+        super().__post_init__()
         if self.class_count < 2:
             raise ValueError("output dimension must be >= 2")
-
-    @classmethod
-    def init(cls, layer_sizes, activation="relu", seed=0):
-        rng = np.random.default_rng(seed)
-        w, b = _init_params(list(layer_sizes), rng)
-        return cls(w, b, activation)
-
-    @property
-    def layer_sizes(self):
-        return [self.weights[0].shape[0]] + [W.shape[1] for W in self.weights]
 
     @property
     def input_dim(self) -> int:
@@ -449,31 +435,35 @@ def _adam_update(model, states, weight_grads, bias_grads) -> None:
         model.biases[i] = adam_step(b_state, model.biases[i], bg)
 
 
+def _epochs(rng, n, batch_size, epochs, step):
+    """Per-epoch mean loss of ``step`` over the ``batch_size`` slices of a fresh
+    permutation of range(n), the last short one kept; each epoch draws its
+    permutation from ``rng`` just before its steps, which may draw from it too."""
+    trace = []
+    for _ in range(epochs):
+        perm = rng.permutation(n)
+        trace.append(float(np.mean([step(perm[start:start + batch_size])
+                                    for start in range(0, n, batch_size)])))
+    return trace
+
+
 def train_supervised(model: MlpClassifier, dataset, epochs: int,
                      batch_size: int = 128, lr: float = 0.001, seed=0):
-    """Mini-batch Adam training on the cross-entropy loss.
-
-    Deterministic given the seed: the batch order is reshuffled each epoch
-    from the seed stream and the last short batch is kept.  Returns
-    (model, per-epoch mean loss trace); the model is updated in place.
-    """
+    """Mini-batch Adam training on the cross-entropy loss, over the
+    :func:`_epochs` schedule drawn from the seed.  Returns (model, per-epoch
+    mean loss trace); the model is updated in place."""
     X = _check_input(dataset.X, model.input_dim)
     y = _check_labels(dataset.y, len(X), model.class_count)
     if len(X) == 0:
         raise ValueError("empty dataset")
     rng = np.random.default_rng(seed)
     states = _adam_states(model, lr)
-    trace = []
-    for _ in range(epochs):
-        perm = rng.permutation(len(X))
-        losses = []
-        for start in range(0, len(X), batch_size):
-            sel = perm[start:start + batch_size]
-            wg, bg, loss = _batch_param_gradients(model, X[sel], y[sel])
-            _adam_update(model, states, wg, bg)
-            losses.append(loss)
-        trace.append(float(np.mean(losses)))
-    return model, trace
+
+    def step(sel):
+        wg, bg, loss = _batch_param_gradients(model, X[sel], y[sel])
+        _adam_update(model, states, wg, bg)
+        return loss
+    return model, _epochs(rng, len(X), batch_size, epochs, step)
 
 
 def _encode_array(a: np.ndarray) -> dict:

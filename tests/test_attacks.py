@@ -366,6 +366,12 @@ class TestSuite:
         victim, _, X, y, pol, _ = self.small_setup(rng)
         assert run_attack_suite(victim, X, y, pol, []) == {}
 
+    def test_duplicate_attack_names_rejected(self, rng):
+        victim, _, X, y, pol, _ = self.small_setup(rng)
+        configs = [AttackConfig("bca", max_steps=5), AttackConfig("bca", max_steps=1)]
+        with pytest.raises(ValueError, match="duplicate attack names in one suite"):
+            run_attack_suite(victim, X, y, pol, configs)
+
     def test_grey_box_needs_surrogate(self, rng):
         victim, _, X, y, pol, _ = self.small_setup(rng)
         with pytest.raises(ValueError, match="surrogate"):

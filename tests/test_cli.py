@@ -166,6 +166,23 @@ class TestEvaluate:
             rows = list(csv.reader(fh))
         assert rows[0] == ["attack", "basic"]
 
+    @pytest.mark.parametrize("record, message", [
+        ({"foo": 1}, "missing key 'defenses'"),
+        ([1, 2], "expected a JSON object, got list"),
+        ({"defenses": {"a": {"clean_test": {"accuracy": 1.0}, "attacks": {}}}},
+         "malformed key 'defenses': malformed key 'a': missing key 'no_attack'"),
+        ({"defenses": {"a": {"clean_test": {"accuracy": 1.0}, "no_attack": {"accuracy": 1.0},
+                             "attacks": {"bca": {"accuracy": "0.5"}}}}},
+         "malformed key 'defenses': malformed key 'a': malformed key 'attacks': "
+         "malformed key 'bca': malformed key 'accuracy': expected float, got str"),
+    ])
+    def test_json_that_is_no_report_reported(self, tmp_path, capsys, record, message):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(record))
+        assert run("report", str(path), "--csv", str(tmp_path / "table.csv")) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert not (tmp_path / "table.csv").exists()
+
     def test_report_table_file_equals_report_command(self, pipeline, capsys):
         tmp_path, cfg_path, cfg = pipeline
         cfg["defenses"] = [{"label": "zeta", "kind": "plain"},
@@ -251,6 +268,22 @@ class TestConfigValidation:
         cfg["defenses"] = [{"label": "a"}, {"label": "a"}]
         cfg_path.write_text(json.dumps(cfg))
         assert run("gen", "-c", str(cfg_path), "--out", str(tmp_path / "d")) != 0
+
+    def test_duplicate_attack_names_rejected(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg = write_config(cfg_path)
+        cfg["attacks"] = [{"name": "bca", "max_steps": 5}, {"name": "fgsm"},
+                          {"name": "bca", "max_steps": 1}]
+        cfg_path.write_text(json.dumps(cfg))
+        assert run("gen", "-c", str(cfg_path), "--out", str(tmp_path / "d")) == 2
+        assert capsys.readouterr().err == "error: attacks[2]: duplicate attack name 'bca'\n"
+        assert not (tmp_path / "d").exists()
+
+    def test_duplicate_unhashable_attack_names_rejected(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json")
+        cfg["attacks"] = [{"name": ["bca"]}, {"name": ["bca"]}]
+        with pytest.raises(ValueError, match=r"attacks\[1\]: duplicate attack name \['bca'\]"):
+            cli.validate_config(cfg)
 
     def test_bad_threat_model(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -343,6 +376,7 @@ class TestBadValues:
                                             ("epochs", 1.5), ("batch_size", "8"),
                                             ("hidden", [4.5]), ("hidden", 5), ("lr", None),
                                             ("hidden", [0]), ("latent_dim", 0),
+                                            ("ensemble_size", 0),
                                             ("activation", "tanh"), ("lr", float("inf")),
                                             ("oversample_ratio", 2.0),
                                             ("oversample_ratio", -0.5)])
@@ -354,6 +388,19 @@ class TestBadValues:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err
         assert not (tmp_path / "m").exists()
+
+    def test_failed_training_leaves_no_run_directory(self, pipeline, capsys):
+        tmp_path, cfg_path, cfg = pipeline
+        # the first defense trains; the second finds its subset empty only then
+        cfg["defenses"] = [{"label": "p", "kind": "plain"},
+                           {"label": "at", "kind": "hardened",
+                            "config": {"subspace_ratio": 0.01, "epochs": 1}}]
+        cfg_path.write_text(json.dumps(cfg))
+        assert run("train", "-c", str(cfg_path), "--out", str(tmp_path / "m")) == 2
+        assert "empty feature subset" in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
+        assert run("train", "-c", str(cfg_path)) == 2
+        assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize("key, value", [("use_dae", "false"), ("use_binarization", 1),
                                             ("known_manipulation_set", "no")])

@@ -9,9 +9,12 @@ own subset-and-binarize view, the former ``_dae_param_grads`` with its
 zero-filled accumulators, and the former ``_train_mlp`` that trained plain
 defenses and the grey-box surrogate beside ``train_defense``; every case
 compares the trained parameters and loss traces to it with exact equality.
+Those oracles build their models with the library's own ``init``, so the
+former ``_init_params`` and the two ``init`` class methods it served are
+kept here as well and compared draw for draw.
 """
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 import pytest
@@ -27,6 +30,28 @@ from malrobust.nn import (MAXIMIZE, MINIMIZE, MlpClassifier, _batch_param_gradie
 
 
 # ---------------------------------------------------------------- oracle
+
+def _init_params(layer_sizes, rng):
+    # symmetric fan-based init, biases zero
+    weights, biases = [], []
+    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
+        bound = np.sqrt(6.0 / (fan_in + fan_out))
+        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
+        biases.append(np.zeros(fan_out))
+    return weights, biases
+
+
+def dense_stack_init(layer_sizes, activation="relu", seed=0, activate_last=False):
+    rng = np.random.default_rng(seed)
+    w, b = _init_params(list(layer_sizes), rng)
+    return nn.DenseStack(w, b, activation, activate_last)
+
+
+def mlp_init(layer_sizes, activation="relu", seed=0):
+    rng = np.random.default_rng(seed)
+    w, b = _init_params(list(layer_sizes), rng)
+    return MlpClassifier(w, b, activation)
+
 
 @dataclass
 class AdamState:
@@ -283,6 +308,35 @@ def assert_same_stack(a, b):
     assert len(a.weights) == len(b.weights)
     for P, Q in zip(a.weights + a.biases, b.weights + b.biases):
         assert np.array_equal(P, Q)
+
+
+# one layer, deeper stacks, a tuple, and the widest head the benchmark trains
+@pytest.mark.parametrize("sizes", [[5, 2], [24, 10, 8, 2], (7, 3, 4), [2000, 32, 32, 2]])
+@pytest.mark.parametrize("activation", ["relu", "elu"])
+@pytest.mark.parametrize("seed", [0, 17, [3, 1004], "generator"])
+def test_init_matches_oracle(sizes, activation, seed):
+    def fresh():  # an equal seed for each side; a generator seed is drawn from
+        return np.random.default_rng([9, 1]) if seed == "generator" else seed
+    cases = [(MlpClassifier.init, mlp_init, {})] + [
+        (nn.DenseStack.init, dense_stack_init, {"activate_last": last}) for last in (False, True)]
+    for new_init, old_init, settings in cases:
+        s, t = fresh(), fresh()
+        a = new_init(sizes, activation, seed=s, **settings)
+        b = old_init(sizes, activation, seed=t, **settings)
+        assert type(a) is type(b) and a.activation == b.activation
+        assert getattr(a, "activate_last", None) == getattr(b, "activate_last", None)
+        assert_same_stack(a, b)
+        if seed == "generator":  # a shared generator is left where the oracle leaves it
+            assert s.random() == t.random()
+
+
+def test_dense_fields_pinned():
+    """Checkpoints write and read these fields by name, type and default."""
+    def spec(cls):
+        return [(f.name, f.default) for f in fields(cls)]
+    assert spec(MlpClassifier) == [("weights", MISSING), ("biases", MISSING),
+                                   ("activation", "relu")]
+    assert spec(nn.DenseStack) == spec(MlpClassifier) + [("activate_last", False)]
 
 
 @pytest.mark.parametrize("direction", [MINIMIZE, MAXIMIZE])
