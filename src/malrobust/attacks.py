@@ -16,9 +16,18 @@ bga set to 1 the features a selection rule picks, from the gradient over
 the forward that judged the current point; the four PGD variants and ead
 round each step of _box_steps, the one projected-step loop (the inner
 maximizer's too, which rounds once per trial), through the example's flip
-mask, built once per run.  Every attack starts from a binary example
-(run_single rejects any other).  run_single dispatches on the attack name
+mask, built once per run.  run_single dispatches on the attack name
 through a table.
+
+Checks sit at the edges: run_single checks its example once (one binary
+vector as wide as the model and the policy) and its label; the suite
+checks its pool's width against the attacking model and the victim, and
+its labels, before any run.  Every point a step then judges is binary and
+admissible by construction, and every gradient is taken at a point in
+the unit box, so the judge (_misclassified) and the directions call the
+model's private entries on one-row views, with the label as an array
+built once per run, and check nothing.  An overflowing model still
+raises, from the logits check of its forward.
 
 An attack succeeds when the model it runs against no longer predicts the
 true label.  Under the grey-box threat model the suite runs each attack
@@ -36,7 +45,7 @@ import numpy as np
 
 from .data import (_check_binary, _check_config_types, _check_labels, _check_policy,
                    _check_seed, _flippable, _round_flips, project_to_m)
-from .nn import MAXIMIZE, AdamState, _check_input, adam_step
+from .nn import MAXIMIZE, AdamState, _check_width, adam_step
 
 WHITE_BOX = "white_box"
 GREY_BOX = "grey_box"
@@ -118,12 +127,19 @@ def _outcome(x, x_adv, success, steps) -> AttackOutcome:
     )
 
 
-def _misclassified(model, x, y):
+def _misclassified(model, x, y2):
     """The one judge of an attack point: whether the model no longer
-    predicts y at x, and a thunk for the loss input gradient at x over the
-    same forward."""
-    p, grad = model._loss_pullback(_check_input(x, model.input_dim))
-    return int(np.argmax(p[0])) != int(y), lambda: grad(np.array([y]))[0]
+    predicts the run's label (y2, an array of one) at the point x, and a
+    thunk for the loss input gradient at x over the same forward.  x is a
+    binary admissible point of a checked run, so it is not checked again."""
+    p, grad = model._loss_pullback(x[None])
+    return p.argmax() != y2[0], lambda: grad(y2)[0]
+
+
+def _loss_gradient(model, point, y2):
+    """The loss input gradient at a point in the unit box an attack step
+    built, unchecked like the judge's points."""
+    return model._loss_pullback(point[None])[1](y2)[0]
 
 
 def _check_pool(benign_pool, dim: int) -> np.ndarray:
@@ -161,12 +177,12 @@ def mimicry_attack(model, x, y, policy, config, benign_pool, rng) -> AttackOutco
     else:
         dists = np.abs(pool - x).sum(axis=1)
         guide_idx = np.argsort(dists, kind="stable")[:k]
-    flip_ok = _flippable(x, policy)
+    flip_ok, y2 = _flippable(x, policy), np.array([y])
     best = None  # (success_rank, l1, order, candidate)
     for order, gi in enumerate(guide_idx):
         cand = np.where(flip_ok, pool[gi], x)
         l1 = float(np.abs(cand - x).sum())
-        succ, _ = _misclassified(model, cand, y)
+        succ, _ = _misclassified(model, cand, y2)
         key = (0 if succ else 1, l1, order)
         if best is None or key < best[0]:
             best = (key, cand, succ)
@@ -176,10 +192,11 @@ def mimicry_attack(model, x, y, policy, config, benign_pool, rng) -> AttackOutco
 
 def fgsm(model, x, y, policy, config, benign_pool, rng) -> AttackOutcome:
     """Single signed-gradient step of size step_size, then projection."""
-    g = model.input_gradients(x, y)
+    y2 = np.array([y])
+    g = _loss_gradient(model, x, y2)
     x_cont = np.clip(x + config.step_size * np.sign(g), 0.0, 1.0)
     x_adv = project_to_m(x, x_cont, policy)
-    return _outcome(x, x_adv, _misclassified(model, x_adv, y)[0], 1)
+    return _outcome(x, x_adv, _misclassified(model, x_adv, y2)[0], 1)
 
 
 def _search(propose, model, x, y, policy, config, benign_pool, rng) -> AttackOutcome:
@@ -190,14 +207,14 @@ def _search(propose, model, x, y, policy, config, benign_pool, rng) -> AttackOut
     not misclassified.  ``grad()`` is the loss input gradient at the last
     judged point, from its judge's forward.  A start point that is already
     misclassified succeeds after 0 steps."""
-    x_adv, steps = x.copy(), 0
-    judged, (success, grad) = x, _misclassified(model, x, y)
+    x_adv, steps, y2 = x.copy(), 0, np.array([y])
+    judged, (success, grad) = x, _misclassified(model, x, y2)
     if not success:
         # the lambda looks grad up when called, so it follows each judge
         for steps, x_adv in enumerate(islice(propose(model, x, y, policy, config, rng,
                                                      lambda: grad()), config.max_steps), 1):
             if not (x_adv == judged).all():
-                judged, (success, grad) = x_adv, _misclassified(model, x_adv, y)
+                judged, (success, grad) = x_adv, _misclassified(model, x_adv, y2)
                 if success:
                     break
     return _outcome(x, x_adv, success, steps)
@@ -236,7 +253,7 @@ def _top_gradient(g, candidates):
     """grosse and bca: the candidate with the largest gradient (lowest
     index on ties).  For two classes the softmax saliency of Grosse et al.
     is a positive multiple of that gradient, so one rule serves both."""
-    return [int(np.argmax(np.where(candidates, g, -np.inf)))] if candidates.any() else []
+    return [int(np.where(candidates, g, -np.inf).argmax())] if candidates.any() else []
 
 
 def _gradient_threshold(g, candidates):
@@ -265,40 +282,42 @@ def _box_steps(step, x, delta):
     while True:
         delta = step(np.add(x, delta, out=point), delta)
         np.add(x, delta, out=delta)
-        np.clip(delta, 0.0, 1.0, out=delta)
+        delta.clip(0.0, 1.0, out=delta)
         delta -= x
         yield delta
 
 
 def _projected_steps(direction, model, x, y, policy, config, rng, grad):
     """The pgd variants and ead: `direction` takes each box step of a
-    delta that starts at 0, and each proposal rounds x + delta through x's
-    flip mask, built once (run_single checked x binary)."""
+    delta that starts at 0, with the label as an array of one, and each
+    proposal rounds x + delta through x's flip mask, built once (run_single
+    checked x binary)."""
     adam = AdamState.zeros(x.shape, learning_rate=config.step_size)
-    flippable = _flippable(x, policy)
-    for delta in _box_steps(lambda point, delta: direction(model, point, y, delta, config, adam),
+    flippable, y2 = _flippable(x, policy), np.array([y])
+    for delta in _box_steps(lambda point, delta: direction(model, point, y2, delta, config, adam),
                             x, np.zeros_like(x)):
         yield _round_flips(flippable, x, x + delta)
 
 
-# Directions of the projected steps, each taken at point = x + delta.  A
-# finite epsilon_ball projects the l1 / l2 / linf steps into their norm
-# ball; `adam` is the example's Adam state, used by pgd_adam only.
+# Directions of the projected steps, each taken at point = x + delta with
+# y2 the label as an array of one.  A finite epsilon_ball projects the l1 /
+# l2 / linf steps into their norm ball; `adam` is the example's Adam state,
+# used by pgd_adam only.
 
-def _l1_direction(model, point, y, delta, config, adam):
+def _l1_direction(model, point, y2, delta, config, adam):
     """Move the steepest coordinate whose move is not clipped away."""
-    g = model.input_gradients(point, y)
+    g = _loss_gradient(model, point, y2)
     feasible = ((g > 0.0) & (point < 1.0)) | ((g < 0.0) & (point > 0.0))
     if feasible.any():
-        j = int(np.argmax(np.where(feasible, np.abs(g), -np.inf)))
+        j = int(np.where(feasible, np.abs(g), -np.inf).argmax())
         delta = delta.copy()  # a -0.0 kept here is made +0.0 by the box clip
         delta[j] += config.step_size * np.sign(g[j])
     return delta if config.epsilon_ball is None else _project_l1_ball(delta, config.epsilon_ball)
 
 
-def _l2_direction(model, point, y, delta, config, adam):
+def _l2_direction(model, point, y2, delta, config, adam):
     """Step along the normalized gradient."""
-    g = model.input_gradients(point, y)
+    g = _loss_gradient(model, point, y2)
     n = float(np.linalg.norm(g))
     if n > 0.0:
         delta = delta + config.step_size * g / n
@@ -309,23 +328,23 @@ def _l2_direction(model, point, y, delta, config, adam):
     return delta if n <= radius else delta * (radius / n)
 
 
-def _linf_direction(model, point, y, delta, config, adam):
+def _linf_direction(model, point, y2, delta, config, adam):
     """Step along the gradient sign."""
-    delta = delta + config.step_size * np.sign(model.input_gradients(point, y))
+    delta = delta + config.step_size * np.sign(_loss_gradient(model, point, y2))
     radius = config.epsilon_ball
-    return delta if radius is None else np.clip(delta, -radius, radius)
+    return delta if radius is None else delta.clip(-radius, radius)
 
 
-def _adam_direction(model, point, y, delta, config, adam):
+def _adam_direction(model, point, y2, delta, config, adam):
     """Adam update in maximization mode, with no normalization."""
-    return adam_step(adam, delta, model.input_gradients(point, y), MAXIMIZE)
+    return adam_step(adam, delta, _loss_gradient(model, point, y2), MAXIMIZE)
 
 
 def _ead_margin_cotangent(z, y, kappa):
     """Gradient seed for g = max(Z_y - max_{j != y} Z_j, -kappa) at logits z."""
     z_other = z.copy()
     z_other[y] = -np.inf
-    j_star = int(np.argmax(z_other))
+    j_star = int(z_other.argmax())
     cot = np.zeros_like(z)
     if float(z[y] - z[j_star]) > -kappa:
         cot[y] = 1.0
@@ -333,11 +352,11 @@ def _ead_margin_cotangent(z, y, kappa):
     return cot
 
 
-def _ead_direction(model, point, y, delta, config, adam):
+def _ead_direction(model, point, y2, delta, config, adam):
     """Elastic net: gradient step on c*g + ||delta||_2^2, then an l1 proximal
     shrink of beta * step_size; g and its gradient come from one _pullback."""
-    logits, pull = model._pullback(_check_input(point, model.input_dim))
-    cot = _ead_margin_cotangent(logits[0], y, config.ead_kappa)
+    logits, pull = model._pullback(point[None])
+    cot = _ead_margin_cotangent(logits[0], y2[0], config.ead_kappa)
     g = config.ead_c * pull(cot[None])[0] + 2.0 * delta
     z = delta - config.step_size * g
     return np.sign(z) * np.maximum(np.abs(z) - config.ead_beta * config.step_size, 0.0)
@@ -361,11 +380,19 @@ ATTACK_NAMES = tuple(_ATTACKS)
 
 def run_single(model, x, y, policy, config: AttackConfig,
                benign_pool=None, rng=None) -> AttackOutcome:
-    """Run one attack against one binary example with a label of the model."""
+    """Run one attack against one binary example with a label of the model.
+
+    The run's checks are made here, once: x is one binary example as wide
+    as the model and the policy, and y one label of the model.  Every point
+    the attack then builds is binary and admissible, or in the unit box, so
+    no step checks it again."""
     x = np.asarray(x, dtype=float)
     _check_binary(x)
     _check_policy(policy, x)
     (y,) = _check_labels(y, 1, model.class_count)
+    if x.ndim != 1:
+        raise ValueError(f"run_single takes one example, got an input of shape {x.shape}")
+    _check_width(len(x), model.input_dim)
     return _ATTACKS[config.name](model, x, y, policy, config, benign_pool, rng)
 
 
@@ -388,6 +415,8 @@ def run_attack_suite(victim, X, y, policy, configs, threat_model=WHITE_BOX,
     y = _check_labels(y, len(X), victim.class_count)
     if benign_pool is not None:
         benign_pool = _check_pool(benign_pool, X.shape[1])
+    _check_width(X.shape[-1], attack_model.input_dim)
+    _check_width(X.shape[-1], victim.input_dim)  # the grey-box judge's model
 
     def one(config, i):
         rng = np.random.default_rng([config.seed, i])
@@ -395,7 +424,7 @@ def run_attack_suite(victim, X, y, policy, configs, threat_model=WHITE_BOX,
                          benign_pool=benign_pool, rng=rng)
         if attack_model is not victim:
             out = _outcome(X[i], out.x_adv,
-                           _misclassified(victim, out.x_adv, y[i])[0], out.steps_used)
+                           _misclassified(victim, out.x_adv, y[i:i + 1])[0], out.steps_used)
         return out
 
     return {config.name: [one(config, i) for i in range(len(X))] for config in configs}

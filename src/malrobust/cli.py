@@ -108,6 +108,11 @@ def validate_config(cfg: dict) -> dict:
         _check_keys(cfg["surrogate"], _MODEL_KEYS, "surrogate")
     if "evaluation" in cfg:
         _check_keys(cfg["evaluation"], _EVAL_KEYS, "evaluation")
+    # build what the commands build, so a bad value stops every command
+    # before it writes anything
+    _defense_specs(cfg)
+    _attack_configs(cfg)
+    evaluation._surrogate_spec(cfg.get("surrogate"))
     return cfg
 
 
@@ -166,23 +171,29 @@ def _load_dataset_files(cfg, *splits):
 def _defense_specs(cfg):
     entries = cfg.get("defenses") or [{"label": "basic", "kind": "plain"}]
     specs = []
-    for entry in entries:
+    for i, entry in enumerate(entries):
         # the "model" section holds defaults for each defense's config
         raw = {**cfg.get("model", {}), **entry.get("config", {})}
         if isinstance(raw.get("hidden"), list):
             raw["hidden"] = tuple(raw["hidden"])
-        dc = defenses.DefenseConfig(seed=cfg["seed"], **raw)
-        specs.append(evaluation.DefenseSpec(entry["label"], entry.get("kind", "plain"),
-                                            dc, **entry.get("flags", {})))
+        try:
+            dc = defenses.DefenseConfig(seed=cfg["seed"], **raw)
+            specs.append(evaluation.DefenseSpec(entry["label"], entry.get("kind", "plain"),
+                                                dc, **entry.get("flags", {})))
+        except ValueError as exc:
+            raise ValueError(f"defenses[{i}]: {exc}") from None
     return specs
 
 
 def _attack_configs(cfg):
     configs = []
-    for entry in cfg.get("attacks", []):
+    for i, entry in enumerate(cfg.get("attacks", [])):
         kwargs = {k: v for k, v in entry.items() if k != "name"}
         kwargs.setdefault("seed", cfg["seed"])
-        configs.append(AttackConfig.for_attack(entry["name"], **kwargs))
+        try:
+            configs.append(AttackConfig.for_attack(entry["name"], **kwargs))
+        except ValueError as exc:
+            raise ValueError(f"attacks[{i}]: {exc}") from None
     return configs
 
 
@@ -236,7 +247,6 @@ def _load_checkpoint(models_dir, spec):
 def cmd_train(cfg: dict, out_dir=None) -> str:
     train, policy = _load_dataset_files(cfg, "train")
     specs = _defense_specs(cfg)
-    evaluation._surrogate_spec(cfg.get("surrogate"))  # checked before any training
     models, traces, surrogate = evaluation.train_models(
         specs, train, policy, cfg["seed"], cfg["threat_model"], cfg.get("surrogate"))
     run_dir = make_run_dir(cfg, "train", out_dir)  # only once training has succeeded

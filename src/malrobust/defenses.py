@@ -210,18 +210,22 @@ class HardenedClassifier:
         """Head logits of the checked batch X2, and the map from a logit
         cotangent to the full-width input gradient over this forward."""
         V = self._view(X2)
-        H, encoder_pull = (V, lambda g: g) if self.dae is None \
-            else self.dae.encoder._pullback(V)
-        z, head_pull = self.mlp._pullback(H)
+        if self.dae is None:
+            z, pull = self.mlp._pullback(V)  # a plain head's map, no closure around it
+        else:
+            H, encoder_pull = self.dae.encoder._pullback(V)
+            z, head_pull = self.mlp._pullback(H)
 
-        def pull(cot):
-            g = encoder_pull(head_pull(cot))
-            if self.subset is None:
-                return g
-            out = np.zeros((len(g), self.input_dim))
-            out[:, self.subset] = g
+            def pull(cot):
+                return encoder_pull(head_pull(cot))
+        if self.subset is None:
+            return z, pull
+
+        def full_width(cot):
+            out = np.zeros((len(cot), self.input_dim))
+            out[:, self.subset] = pull(cot)
             return out
-        return z, pull
+        return z, full_width
 
     # the plain MLP's methods over this model's _pullback; each class holds
     # its own entries, so each can be wrapped on its own
@@ -263,8 +267,9 @@ def inner_maximize(model, X, y, policy, config: DefenseConfig, rng=None):
     best_x = X2.copy()
     best_delta = np.zeros_like(X2)
 
+    # each step's point lies in the unit box, so its gradient comes unchecked
     def ascend(point, delta):  # the trial's adam; bench/workloads.py cuts at defenses.adam_step
-        return adam_step(adam, delta, model.input_gradients(point, y2), MAXIMIZE)
+        return adam_step(adam, delta, model._loss_pullback(point)[1](y2), MAXIMIZE)
     for trial in range(config.restarts + 1):
         delta = np.zeros_like(X2) if trial == 0 else \
             _salt_pepper_batch(X2, rng.uniform(0.0, config.noise_ratio_max), rng) - X2

@@ -16,10 +16,17 @@ map from checked labels to the loss input gradient, so an attack that
 judges a point can take its gradient without a second forward.  The six
 public prediction and input-gradient methods are written once, in
 :class:`MlpClassifier`, over these two entries; the hardened model and the
-ensemble bind them.  Each public method checks its input and labels once,
-so the entries check nothing.  The label rule is the one of
-:mod:`malrobust.data`, which also applies it to every ``Dataset``;
-training checks its dataset's features once per call.  Both trainers, the
+ensemble bind them.  Each public method checks its input (one example or
+a 2-d batch, as wide as the model, finite) and labels once, so the entries
+check nothing; so does each attack run and attack suite
+(:mod:`malrobust.attacks`) and each inner-maximizer call
+(:mod:`malrobust.defenses`), whose steps call the entries directly on the
+points they build.  The forward of every model call, the classifier's
+``_pullback``, checks its own logits: non-finite ones, which finite
+weights make from a checked input only by overflow, raise a ValueError.
+The label rule is the one of :mod:`malrobust.data`, which also applies
+it to every ``Dataset``; training checks its dataset's features once per
+call.  Both trainers, the
 plain one here and the min-max one of :mod:`malrobust.defenses`, run one
 mini-batch schedule, ``_epochs``.
 
@@ -65,8 +72,10 @@ def _act(name: str, z: np.ndarray) -> np.ndarray:
 
 
 def _act_grad(name: str, z: np.ndarray) -> np.ndarray:
+    """The activation's derivative at z; relu's as a bool mask, which a
+    float cotangent multiplies exactly as by 1.0 and 0.0."""
     if name == "relu":
-        return (z > 0.0).astype(float)
+        return z > 0.0
     if name == "elu":
         return np.where(z > 0.0, 1.0, np.exp(z))
     raise ValueError(f"unknown activation {name!r}")
@@ -150,15 +159,30 @@ def _check_layers(weights, biases, activation) -> None:
             raise ValueError("non-finite parameters")
 
 
+def _check_width(width: int, dim: int) -> None:
+    if width != dim:
+        raise ValueError(f"input dimension {width} != model dimension {dim}")
+
+
 def _check_input(X, dim: int) -> np.ndarray:
-    """X as a float batch, checked to be ``dim`` wide and finite."""
+    """X as a float batch, checked to be one example or a 2-d batch,
+    ``dim`` wide and finite."""
     X2 = np.asarray(X, dtype=float)
-    X2 = X2 if X2.ndim > 1 else X2.reshape(1, -1)  # np.atleast_2d without its dispatch
-    if X2.shape[1] != dim:
-        raise ValueError(f"input dimension {X2.shape[1]} != model dimension {dim}")
+    if X2.ndim > 2:
+        raise ValueError(f"input of shape {X2.shape} is neither one example nor a 2-d batch")
+    X2 = X2 if X2.ndim == 2 else X2.reshape(1, -1)  # np.atleast_2d without its dispatch
+    _check_width(X2.shape[1], dim)
     if not np.isfinite(X2).all():
         raise ValueError("non-finite input")
     return X2
+
+
+def _check_output(z: np.ndarray) -> None:
+    """Reject non-finite logits z.  Every input that reaches a forward was
+    checked finite or built in the unit box, so with finite weights only an
+    overflow makes them."""
+    if not np.logical_and.reduce(np.isfinite(z), axis=None):  # what .all calls
+        raise ValueError("non-finite model output: the logits overflow")
 
 
 def _check_cotangent(cot, rows: int, class_count: int) -> np.ndarray:
@@ -251,7 +275,13 @@ class MlpClassifier(_Dense):
     def class_count(self) -> int:
         return self.weights[-1].shape[1]
 
-    _pullback = _stack_pullback  # logits stay linear
+    def _pullback(self, X2):
+        """Logits of the checked batch X2, and the map from a logit cotangent
+        to the input gradient over this forward.  Every model call runs its
+        head through here, so non-finite logits (an overflowing model) raise."""
+        z, pull = _stack_pullback(self, X2)  # logits stay linear
+        _check_output(z)
+        return z, pull
 
     def _loss_pullback(self, X2):
         """Class probabilities of the checked batch X2, and the map from
@@ -290,6 +320,13 @@ class MlpClassifier(_Dense):
 def _ce_logit_cotangent(p: np.ndarray, y: np.ndarray) -> np.ndarray:
     # dL/dlogits for L = -log(max(p_y, floor)); zero where the floor is active
     delta = p.copy()
+    if len(y) == 1:  # one attack step: plain indexing
+        j = y[0]
+        p_y = p[0, j]
+        delta[0, j] = p_y - 1.0
+        if p_y <= PROB_FLOOR:
+            delta[0] = 0.0
+        return delta
     rows = np.arange(len(y))
     p_y = p[rows, y]
     delta[rows, y] = p_y - 1.0
@@ -336,6 +373,7 @@ def backward(model: MlpClassifier, x, y: int) -> GradientBundle:
         raise ValueError("backward takes a single example")
     y2 = _check_labels(y, 1, model.class_count)
     z, zs = _stack_forward(model.weights, model.biases, model.activation, X2, False)
+    _check_output(z)
     wg, bg, g = _stack_grads(model, X2, zs, _ce_logit_cotangent(softmax(z), y2))
     return GradientBundle(wg, bg, g[0])
 

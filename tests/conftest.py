@@ -14,6 +14,15 @@ def linear_binary_model(direction, bias=(0.0, 0.0)):
     return MlpClassifier([W], [b])
 
 
+def overflows_off_zero():
+    """Predicts class 0 at [1, 0, 0, 0] with a positive, finite class-0 loss
+    gradient on feature 2; any positive value of feature 2 sends a hidden
+    unit with a 1e308 weight into the logits, which overflow."""
+    W1 = np.array([[1.0, 0.0], [0.0, 0.0], [1.0, 1e308], [0.0, 0.0]])
+    W2 = np.array([[-1.0, 1.0], [-1e3, 1e3]])
+    return MlpClassifier([W1, W2], [np.zeros(2), np.array([5.0, 0.0])])
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

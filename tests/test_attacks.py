@@ -3,7 +3,7 @@ from itertools import islice
 import numpy as np
 import pytest
 
-from conftest import linear_binary_model
+from conftest import linear_binary_model, overflows_off_zero
 from malrobust import attacks
 from malrobust.attacks import (AttackConfig, run_attack_suite, run_single,
                                _project_l1_ball)
@@ -496,6 +496,56 @@ class TestBadValues:
         with pytest.raises(ValueError, match="not binary"):
             run_single(always_predicts(1, 3), np.array([0.0, 0.5, 1.0]), 1,
                        allow_all(3), cfg)
+
+
+class TestRunChecks:
+    """A run checks its example and label once, at its entry; a suite
+    checks its pool's width against every model it calls; no step
+    re-checks the points the attack builds."""
+
+    @pytest.mark.parametrize("name", ["bca", "pgd_linf", "ead", "mimicry", "fgsm"])
+    def test_example_wider_than_the_model_rejected_before_any_judge(self, monkeypatch, name):
+        judged = []
+        monkeypatch.setattr(attacks, "_misclassified", lambda *args: judged.append(args))
+        cfg = AttackConfig.for_attack(name, max_steps=3)
+        with pytest.raises(ValueError, match="input dimension 4 != model dimension 3"):
+            run_single(always_predicts(1, 3), np.zeros(4), 1, allow_all(4), cfg,
+                       benign_pool=np.zeros((2, 4)))
+        assert judged == []
+
+    def test_batch_given_as_the_example_rejected(self):
+        cfg = AttackConfig.for_attack("bca", max_steps=3)
+        with pytest.raises(ValueError, match=r"one example, got an input of shape \(1, 3\)"):
+            run_single(always_predicts(1, 3), np.zeros((1, 3)), 1, allow_all(3), cfg)
+
+    @pytest.mark.parametrize("pool_dim, victim_dim, surrogate_dim",
+                             [(5, 4, 5), (4, 4, 5)])
+    def test_grey_box_width_mismatch_fails_before_any_step(self, monkeypatch, pool_dim,
+                                                           victim_dim, surrogate_dim):
+        """A pool as wide as the surrogate but not the victim would run
+        every attack on the surrogate before the victim's judge saw it."""
+        steps = []
+        monkeypatch.setattr(attacks, "run_single", lambda *args, **kw: steps.append(args))
+        monkeypatch.setattr(attacks, "_misclassified", lambda *args: steps.append(args))
+        wrong = victim_dim if pool_dim != victim_dim else surrogate_dim
+        with pytest.raises(ValueError,
+                           match=f"input dimension {pool_dim} != model dimension {wrong}"):
+            run_attack_suite(always_predicts(1, victim_dim), np.zeros((2, pool_dim)), [1, 1],
+                             allow_all(pool_dim), [AttackConfig.for_attack("bca")],
+                             threat_model="grey_box",
+                             surrogate=always_predicts(1, surrogate_dim))
+        assert steps == []
+
+    @pytest.mark.parametrize("name", ["pgd_l1", "pgd_l2", "pgd_linf", "pgd_adam", "ead"])
+    def test_model_that_overflows_inside_a_projected_attack_raises(self, name):
+        """The model is finite at the start point, which it classifies
+        correctly, and overflows at the first step's point."""
+        model, x = overflows_off_zero(), np.array([1.0, 0.0, 0.0, 0.0])
+        assert int(model.predict(x)) == 0
+        cfg = AttackConfig.for_attack(name, max_steps=5)
+        with np.errstate(all="ignore"), pytest.raises(ValueError,
+                                                      match="non-finite model output"):
+            run_single(model, x, 0, ManipulationPolicy.additions_only(4), cfg)
 
 
 def never_evaded(kind, dim=12):

@@ -285,6 +285,24 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=r"attacks\[1\]: duplicate attack name \['bca'\]"):
             cli.validate_config(cfg)
 
+    @pytest.mark.parametrize("command", ["gen", "train"])
+    @pytest.mark.parametrize("entry, message", [
+        ({"name": "bcaa"}, "attacks[1]: unknown attack 'bcaa'"),
+        ({"name": "fgsm", "max_steps": "3"}, "attacks[1]: max_steps must be an integer"),
+    ])
+    def test_bad_attack_entry_stops_every_command(self, tmp_path, capsys, command, entry,
+                                                  message):
+        """The config's attacks, defenses and surrogate are built when it
+        loads, so a command that runs no attack still rejects a bad one."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg = write_config(cfg_path)
+        cfg["attacks"] = [{"name": "bca"}, entry]
+        cfg_path.write_text(json.dumps(cfg))
+        assert run(command, "-c", str(cfg_path), "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert not (tmp_path / "out").exists()
+
     def test_bad_threat_model(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         write_config(cfg_path, threat_model="black_box")

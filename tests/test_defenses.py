@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import overflows_off_zero
 from malrobust import attacks, defenses, nn
 from malrobust.attacks import AttackConfig, run_single
 from malrobust.data import Dataset, ManipulationPolicy, generate_synthetic
@@ -852,6 +853,8 @@ def three_kinds():
 
 
 PUBLIC_CALLS = {
+    "logits": lambda model, X: model.logits(X),
+    "predict_proba": lambda model, X: model.predict_proba(X),
     "predict": lambda model, X: model.predict(X),
     "loss": lambda model, X: model.loss(X, [0, 1, 1]),
     "input_gradients": lambda model, X: model.input_gradients(X, [0, 1, 1]),
@@ -879,6 +882,72 @@ class TestOneCheckPerCall:
         monkeypatch.setattr(defenses, "_check_input", counted)
         PUBLIC_CALLS[call](model, X)
         assert len(calls) == 1
+
+
+class TestInputShape:
+    @pytest.mark.parametrize("kind", ["mlp", "hardened", "ensemble"])
+    @pytest.mark.parametrize("call", sorted(PUBLIC_CALLS))
+    def test_batch_of_three_dims_rejected(self, kind, call):
+        """An input of 3 dims is neither one example nor a batch, even when
+        its last axis is as wide as the model."""
+        X = np.zeros((3, 12, 12))
+        with pytest.raises(ValueError, match=r"input of shape \(3, 12, 12\) is neither "
+                                             r"one example nor a 2-d batch"):
+            PUBLIC_CALLS[call](three_kinds()[kind], X)
+
+
+def overflowing_mlp():
+    """Finite weights whose forward overflows at [1, 1, 0, 0]: logits [inf, -inf]."""
+    return MlpClassifier([np.full((4, 3), 1e308), np.array([[1.0, -1.0]] * 3)],
+                         [np.zeros(3), np.zeros(2)])
+
+
+def overflowing_kinds():
+    return {"mlp": overflowing_mlp(), "hardened": HardenedClassifier(overflowing_mlp()),
+            "ensemble": EnsembleClassifier([HardenedClassifier(overflowing_mlp())])}
+
+
+class TestNonFiniteOutput:
+    """A model whose forward overflows raises, naming its output, rather
+    than predicting class 0 from NaN probabilities.  The overflow warnings
+    are silenced so that the error, not the warning filter, is what the
+    test sees."""
+
+    X = np.array([1.0, 1.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("kind", ["mlp", "hardened", "ensemble"])
+    @pytest.mark.parametrize("call", sorted(PUBLIC_CALLS))
+    def test_public_call_raises(self, kind, call):
+        with np.errstate(all="ignore"), pytest.raises(ValueError,
+                                                      match="non-finite model output"):
+            PUBLIC_CALLS[call](overflowing_kinds()[kind], np.stack([self.X] * 3))
+
+    @pytest.mark.parametrize("call", [lambda m, x: nn.forward(m, x),
+                                      lambda m, x: nn.logits(m, x),
+                                      lambda m, x: nn.backward(m, x, 1)])
+    def test_module_functions_raise(self, call):
+        with np.errstate(all="ignore"), pytest.raises(ValueError,
+                                                      match="non-finite model output"):
+            call(overflowing_mlp(), self.X)
+
+    @pytest.mark.parametrize("kind", ["mlp", "hardened", "ensemble"])
+    @pytest.mark.parametrize("name", ["bca", "pgd_linf"])
+    def test_attack_run_raises(self, kind, name):
+        with np.errstate(all="ignore"), pytest.raises(ValueError,
+                                                      match="non-finite model output"):
+            run_single(overflowing_kinds()[kind], self.X, 1,
+                       ManipulationPolicy.additions_only(4), AttackConfig(name))
+
+    def test_inner_maximizer_trial_raises(self):
+        """The model is finite at the batch and overflows once the first
+        Adam step has moved feature 2 off 0."""
+        model = overflows_off_zero()
+        X = np.array([[1.0, 0.0, 0.0, 0.0]])
+        assert np.isfinite(model.logits(X)).all()
+        with np.errstate(all="ignore"), pytest.raises(ValueError,
+                                                      match="non-finite model output"):
+            inner_maximize(model, X, [0], ManipulationPolicy.additions_only(4),
+                           DefenseConfig(inner_steps=3, restarts=0))
 
 
 class TestBadLabels:

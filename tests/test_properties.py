@@ -1,9 +1,10 @@
 """Property tests: projection onto the manipulation domain, the outcome
-of every attack, the projected-step loop over a batch and over its rows,
-the sparse-dataset and policy file round trips, the checkpoint parameter
-payload, and the checkpoint round trips of models, hardened models and
-ensembles; and that a failing property reports its example under the
-repo's pytest settings."""
+of every attack, the points every attack hands its judge, the
+projected-step loop over a batch and over its rows, the sparse-dataset
+and policy file round trips, the checkpoint parameter payload, and the
+checkpoint round trips of models, hardened models and ensembles; and
+that a failing property reports its example under the repo's pytest
+settings."""
 
 import json
 import os
@@ -11,13 +12,16 @@ import subprocess
 import sys
 import tempfile
 from itertools import islice
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from malrobust.attacks import ATTACK_NAMES, AttackConfig, _box_steps, run_single
+from malrobust import attacks
+from malrobust.attacks import (ATTACK_NAMES, GREY_BOX, WHITE_BOX, AttackConfig, _box_steps,
+                               run_attack_suite, run_single)
 from malrobust.data import (Dataset, ManipulationPolicy, admissible, project_to_m,
                             read_policy, read_sparse, write_policy, write_sparse)
 from malrobust.defenses import (DenoisingAutoencoder, EnsembleClassifier,
@@ -96,6 +100,40 @@ def test_attack_outcome_describes_its_point(case, name, max_steps, step, seed):
         assert out.steps_used <= max_steps
         if int(model.predict(x)) != y:
             assert out.success and out.steps_used == 0
+
+
+@st.composite
+def suite_cases(draw):
+    """An attack case and a grey-box surrogate as wide as its model."""
+    model, x, y, policy, pool = draw(attack_cases())
+    hidden = draw(st.lists(st.integers(1, 6), max_size=2))
+    surrogate = MlpClassifier.init([model.input_dim] + hidden + [model.class_count],
+                                   seed=draw(st.integers(0, 2**32 - 1)))
+    surrogate.weights = [3.0 * W for W in surrogate.weights]
+    return model, surrogate, x, y, policy, pool
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(suite_cases(), st.sampled_from([WHITE_BOX, GREY_BOX]), st.integers(0, 8),
+       st.sampled_from([{}, {"step_size": 0.5}]))
+def test_every_judged_point_is_binary_and_admissible(case, threat_model, max_steps, step):
+    """attacks._misclassified checks nothing, so every point it receives,
+    from each of the eleven attacks and from the grey-box judge on the
+    victim, must be binary, as wide as the example and admissible from it."""
+    victim, surrogate, x, y, policy, pool = case
+    judge, judged = attacks._misclassified, []
+
+    def recording_judge(model, point, y2):
+        judged.append(np.array(point))
+        return judge(model, point, y2)
+    configs = [AttackConfig.for_attack(name, max_steps=max_steps, seed=1,
+                                       mimicry_candidates=3, **step) for name in ATTACK_NAMES]
+    with mock.patch.object(attacks, "_misclassified", recording_judge):
+        run_attack_suite(victim, x[None], [y], policy, configs, threat_model, surrogate, pool)
+    assert len(judged) >= len(ATTACK_NAMES)
+    for point in judged:
+        assert point.shape == x.shape and np.isin(point, (0.0, 1.0)).all()
+        assert admissible(x, point, policy)
 
 
 @SETTINGS
