@@ -7,7 +7,8 @@ net with iterative shrinkage).  Gradient-based attacks maximize the
 victim's cross-entropy loss (ead minimizes a logit-margin objective);
 every attack emits a binary vector admissible under the policy.
 
-fgsm and mimicry are one-shot.  The nine iterative attacks share one
+fgsm and mimicry are one-shot: fgsm is the first step of pgd_linf with
+no epsilon ball, judged once.  The nine iterative attacks share one
 search loop: it judges each point an attack proposes, except a repeat of
 the point judged just before, and stops at the first success, at the step
 budget, or when nothing is left to propose.  Each family only proposes
@@ -16,8 +17,8 @@ bga set to 1 the features a selection rule picks, from the gradient over
 the forward that judged the current point; the four PGD variants and ead
 round each step of _box_steps, the one projected-step loop (the inner
 maximizer's too, which rounds once per trial), through the example's flip
-mask, built once per run.  run_single dispatches on the attack name
-through a table.
+mask, built once per run, as fgsm rounds its step and mimicry its guides.
+run_single dispatches on the attack name through a table.
 
 Checks sit at the edges: run_single checks its example once (one binary
 vector as wide as the model and the policy) and its label; the suite
@@ -44,11 +45,13 @@ from typing import Optional
 import numpy as np
 
 from .data import (_check_binary, _check_config_types, _check_labels, _check_policy,
-                   _check_seed, _flippable, _round_flips, project_to_m)
+                   _check_seed, _flippable, _round_flips)
+from .data import project_to_m  # noqa: F401  (bench/spans.py traces it by module)
 from .nn import MAXIMIZE, AdamState, _check_width, adam_step
 
 WHITE_BOX = "white_box"
 GREY_BOX = "grey_box"
+OUTCOME_COLUMNS = ("attack", "example_id", "success", "flips", "l1", "l2", "linf", "steps_used")
 
 # step sizes from the evaluation protocol; max_steps defaults to 100 everywhere
 _DEFAULT_STEP = {
@@ -178,9 +181,9 @@ def mimicry_attack(model, x, y, policy, config, benign_pool, rng) -> AttackOutco
         dists = np.abs(pool - x).sum(axis=1)
         guide_idx = np.argsort(dists, kind="stable")[:k]
     flip_ok, y2 = _flippable(x, policy), np.array([y])
-    best = None  # (success_rank, l1, order, candidate)
+    best = None  # ((success_rank, l1, order), candidate, success)
     for order, gi in enumerate(guide_idx):
-        cand = np.where(flip_ok, pool[gi], x)
+        cand = _round_flips(flip_ok, x, pool[gi])
         l1 = float(np.abs(cand - x).sum())
         succ, _ = _misclassified(model, cand, y2)
         key = (0 if succ else 1, l1, order)
@@ -191,11 +194,11 @@ def mimicry_attack(model, x, y, policy, config, benign_pool, rng) -> AttackOutco
 
 
 def fgsm(model, x, y, policy, config, benign_pool, rng) -> AttackOutcome:
-    """Single signed-gradient step of size step_size, then projection."""
+    """The first step of pgd_linf with no epsilon ball, judged once."""
     y2 = np.array([y])
-    g = _loss_gradient(model, x, y2)
-    x_cont = np.clip(x + config.step_size * np.sign(g), 0.0, 1.0)
-    x_adv = project_to_m(x, x_cont, policy)
+    delta = next(_box_steps(lambda point, delta: _sign_step(model, point, y2, delta, config),
+                            x, np.zeros_like(x)))
+    x_adv = _round_flips(_flippable(x, policy), x, x + delta)
     return _outcome(x, x_adv, _misclassified(model, x_adv, y2)[0], 1)
 
 
@@ -328,10 +331,14 @@ def _l2_direction(model, point, y2, delta, config, adam):
     return delta if n <= radius else delta * (radius / n)
 
 
+def _sign_step(model, point, y2, delta, config):
+    """Step along the gradient sign: fgsm's one step, and pgd_linf's."""
+    return delta + config.step_size * np.sign(_loss_gradient(model, point, y2))
+
+
 def _linf_direction(model, point, y2, delta, config, adam):
-    """Step along the gradient sign."""
-    delta = delta + config.step_size * np.sign(_loss_gradient(model, point, y2))
-    radius = config.epsilon_ball
+    """_sign_step, then into a finite epsilon_ball."""
+    delta, radius = _sign_step(model, point, y2, delta, config), config.epsilon_ball
     return delta if radius is None else delta.clip(-radius, radius)
 
 
@@ -431,18 +438,8 @@ def run_attack_suite(victim, X, y, policy, configs, threat_model=WHITE_BOX,
 
 
 def outcomes_to_rows(results) -> list[dict]:
-    """Flatten suite results into one row per example x attack."""
-    rows = []
-    for name in results:
-        for i, out in enumerate(results[name]):
-            rows.append({
-                "attack": name,
-                "example_id": i,
-                "success": int(out.success),
-                "flips": out.flips,
-                "l1": out.l1,
-                "l2": out.l2,
-                "linf": out.linf,
-                "steps_used": out.steps_used,
-            })
-    return rows
+    """Flatten suite results into one row per example x attack, keyed by
+    OUTCOME_COLUMNS."""
+    return [dict(zip(OUTCOME_COLUMNS, (name, i, int(out.success), out.flips, out.l1, out.l2,
+                                       out.linf, out.steps_used)))
+            for name, outs in results.items() for i, out in enumerate(outs)]

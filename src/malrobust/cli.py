@@ -20,7 +20,8 @@ from dataclasses import fields
 import numpy as np
 
 from . import data, defenses, evaluation, nn
-from .attacks import GREY_BOX, WHITE_BOX, AttackConfig, outcomes_to_rows, run_attack_suite
+from .attacks import (GREY_BOX, OUTCOME_COLUMNS, WHITE_BOX, AttackConfig, outcomes_to_rows,
+                      run_attack_suite)
 
 
 _TOP_KEYS = {"seed", "output_dir", "dataset", "model", "defenses", "attacks",
@@ -285,9 +286,7 @@ def cmd_attack(cfg: dict, models_dir, out_dir=None) -> str:
     for label, rows in tables.items():
         path = os.path.join(run_dir, f"attacks_{label}.csv")
         with data.atomic_write(path, newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=["attack", "example_id",
-                                                    "success", "flips", "l1",
-                                                    "l2", "linf", "steps_used"])
+            writer = csv.DictWriter(fh, fieldnames=OUTCOME_COLUMNS)
             writer.writeheader()
             writer.writerows(rows)
         print(f"wrote {path} ({len(rows)} rows)")

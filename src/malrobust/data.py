@@ -71,9 +71,7 @@ def _check_labels(y, rows: int, class_count: int) -> np.ndarray:
         return y2.astype(int)  # an empty list reads as float
     if y2.dtype.kind not in "iu":  # signed or unsigned ints only, no bools
         raise ValueError(f"labels must be integers, got {y2.dtype}")
-    # one label (each attack step) is cheaper in Python, a batch in numpy
-    lo, hi = (y2.item(),) * 2 if rows == 1 else (y2.min(), y2.max())
-    if lo < 0 or hi >= class_count:
+    if y2.min() < 0 or y2.max() >= class_count:
         raise ValueError(f"label out of range [0, {class_count})")
     return y2.astype(int, copy=False)
 

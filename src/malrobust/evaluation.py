@@ -4,7 +4,9 @@ The evaluation report is a plain dict tree: per-defense blocks holding
 clean-test metrics, no-attack metrics on the attacked example pool, and
 one block per attack with metrics plus the harmonic mean pairing the
 clean macro F1 with the under-attack macro F1.  Everything is derived
-from the experiment seed, so a report replays exactly.
+from the experiment seed (checked first, written as plain ints), so a
+report replays exactly; report_rows reads each of its parts through
+``_field``, naming any part that is missing or malformed.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from .attacks import GREY_BOX, WHITE_BOX, run_attack_suite
-from .data import Dataset, _check_config_types, _check_labels
+from .data import Dataset, _check_config_types, _check_labels, _check_seed
 from .defenses import DefenseConfig, train_ensemble, train_hardened
-from .nn import MlpClassifier, _field, _of_type, child_seed, train_supervised
+from .nn import MlpClassifier, _field, _object, _of_type, child_seed, train_supervised
 
 # surrogate used by the grey-box threat model
 SURROGATE_PROFILE = {"hidden": (200, 200), "activation": "relu",
@@ -202,6 +204,7 @@ def evaluate_models(models: dict, train_set: Dataset, test_set: Dataset, policy,
     block covers the full test set and supplies the clean macro F1 that
     each attack's harmonic mean pairs with.
     """
+    _check_seed(seed)
     if threat_model == GREY_BOX and surrogate is None:
         raise ValueError("grey-box evaluation needs a surrogate model")
     Xp, yp, benign_pool = attack_inputs(train_set, test_set, seed, attack_pool,
@@ -235,7 +238,7 @@ def evaluate_models(models: dict, train_set: Dataset, test_set: Dataset, policy,
 
     report = {
         "metadata": {
-            "seed": seed if isinstance(seed, int) else list(seed),
+            "seed": _jsonable(seed),
             "threat_model": threat_model,
             "positive_class": int(positive_class),
             "pool_size": int(len(yp)),
@@ -255,6 +258,7 @@ def run_experiment(train_set: Dataset, test_set: Dataset, policy,
                    positive_class=1) -> dict:
     """Train the requested defenses (and the surrogate under grey-box),
     then evaluate them; fully determined by the seed."""
+    _check_seed(seed)
     models, _, surrogate = train_models(defense_specs, train_set, policy, seed,
                                         threat_model, surrogate_profile)
     report = evaluate_models(models, train_set, test_set, policy,
@@ -285,32 +289,28 @@ def _jsonable(obj):
     return obj
 
 
-def _check_report(report) -> None:
-    """Reads each part of a report that :func:`report_rows` reads through
-    ``_field``, so that a missing or malformed one raises a ValueError naming it."""
-    def accuracy(block):
-        return _field(block, "accuracy", _of_type(float))
-
-    def defense(block):
-        for key in ("clean_test", "no_attack"):
-            _field(block, key, accuracy)
-        _field(block, "attacks", lambda attacks: [_field(attacks, n, accuracy) for n in attacks])
-    _field(report, "defenses", lambda blocks: [_field(blocks, lab, defense) for lab in blocks])
-
-
 def report_rows(report: dict) -> tuple[list, list]:
     """(defense labels, rows) of the accuracy table: one row per clean
     block and per attack, each (name, [accuracy or None per defense]).
     Labels and attack names are sorted, so a report in memory and the same
     report read back from sorted JSON give the same table."""
-    _check_report(report)
-    defenses = report["defenses"]
+    clean = ("clean_test", "no_attack")
+
+    def accuracy(block):
+        return _field(block, "accuracy", _of_type(float))
+
+    def each(read):  # a JSON object's entries, each read through _field
+        return lambda record: {key: _field(record, key, read) for key in _object(record)}
+
+    def defense(block):
+        return {**{key: _field(block, key, accuracy) for key in clean},
+                "attacks": _field(block, "attacks", each(accuracy))}
+
+    defenses = _field(report, "defenses", each(defense))
     labels = sorted(defenses)
     attacks = sorted({name for block in defenses.values() for name in block["attacks"]})
-    rows = [(name, [defenses[lab][name]["accuracy"] for lab in labels])
-            for name in ("clean_test", "no_attack")]
-    rows += [(name, [defenses[lab]["attacks"].get(name, {}).get("accuracy")
-                     for lab in labels]) for name in attacks]
+    rows = [(name, [defenses[lab][name] for lab in labels]) for name in clean]
+    rows += [(name, [defenses[lab]["attacks"].get(name) for lab in labels]) for name in attacks]
     return labels, rows
 
 

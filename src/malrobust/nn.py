@@ -540,13 +540,18 @@ def _model_record(model) -> dict:
             "biases": [_encode_array(b) for b in model.biases]}
 
 
+def _object(record) -> dict:
+    """record, checked to be a JSON object: anything else raises a ValueError."""
+    if not isinstance(record, dict):
+        raise ValueError(f"expected a JSON object, got {type(record).__name__}")
+    return record
+
+
 def _field(record, key, convert=None):
     """``convert(record[key])`` (or the bare value); a record that is no
     JSON object, a missing key, or a value ``convert`` rejects raises a
     ValueError naming the key."""
-    if not isinstance(record, dict):
-        raise ValueError(f"expected a JSON object, got {type(record).__name__}")
-    if key not in record:
+    if key not in _object(record):
         raise ValueError(f"missing key {key!r}")
     try:
         return record[key] if convert is None else convert(record[key])

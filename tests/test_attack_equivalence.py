@@ -10,7 +10,9 @@ against a plain MLP, a hardened model with a feature subset, a DAE and
 thresholds, and an ensemble of such models.  The oracle's ``project_to_m``
 is the earlier revert formula verbatim, which the rounding through each
 example's flip mask replaced; a property checks the two agree on every
-binary origin.
+binary origin.  fgsm's oracle is its earlier body verbatim, which clipped
+its one signed step and rounded it through the library's ``project_to_m``;
+a property compares it bit for bit to fgsm's first box step of pgd_linf.
 """
 
 import numpy as np
@@ -238,12 +240,25 @@ def ead(model, x, y, policy: ManipulationPolicy, config: AttackConfig):
     return _outcome(x, x_adv, _misclassified(model, x_adv, y), steps)
 
 
+def fgsm_oracle(model, x, y, policy, config, benign_pool, rng) -> AttackOutcome:
+    """Single signed-gradient step of size step_size, then projection."""
+    y2 = np.array([y])
+    g = attacks._loss_gradient(model, x, y2)
+    x_cont = np.clip(x + config.step_size * np.sign(g), 0.0, 1.0)
+    x_adv = data.project_to_m(x, x_cont, policy)
+    return _outcome(x, x_adv, attacks._misclassified(model, x_adv, y2)[0], 1)
+
+
+def fgsm(model, x, y, policy: ManipulationPolicy, config: AttackConfig):
+    return fgsm_oracle(model, np.asarray(x, dtype=float), y, policy, config, None, None)
+
+
 # larger steps than the defaults so that 20 steps cross the rounding threshold
 OVERRIDES = {"pgd_linf": {"step_size": 0.1}, "pgd_adam": {"step_size": 0.1},
              "ead": {"step_size": 0.1, "ead_c": 20.0}}
 
-ORACLE = {"random": random, "grosse": grosse, "bga": bga, "bca": bca, "pgd_l1": pgd,
-          "pgd_l2": pgd, "pgd_linf": pgd, "pgd_adam": pgd, "ead": ead}
+ORACLE = {"random": random, "fgsm": fgsm, "grosse": grosse, "bga": bga, "bca": bca,
+          "pgd_l1": pgd, "pgd_l2": pgd, "pgd_linf": pgd, "pgd_adam": pgd, "ead": ead}
 
 
 # ---------------------------------------------------------------- cases
@@ -305,6 +320,27 @@ def test_matches_oracle(kind, name, classes, max_steps):
             cfg = AttackConfig.for_attack(name, max_steps=max_steps, epsilon_ball=radius,
                                           **OVERRIDES.get(name, {}))
             assert_same(run_single(model, x, y, policy, cfg), ORACLE[name](model, x, y, policy, cfg))
+
+
+# step sizes at the rounding threshold: from x = 1, a step down of
+# 0.5000000000000001 lands below 0.5, one of 0.49999999999999994 lands on
+# 0.5 itself (1 - 0.49999999999999994 rounds to even), which rounds up
+HALF = (0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.integers(0, 2**16), st.sampled_from(KINDS), st.sampled_from([2, 3]),
+       st.one_of(st.sampled_from(HALF + (1.0,)), st.floats(1e-3, 2.0)),
+       st.one_of(st.none(), st.floats(1e-3, 2.0)))
+def test_fgsm_matches_its_clipped_projection(seed, kind, classes, step_size, epsilon_ball):
+    """fgsm, the first box step of pgd_linf with no ball, rounded through
+    the flip mask, equals the earlier clip and project_to_m bit for bit; an
+    epsilon_ball changes neither."""
+    model, x, y, policy = random_case(seed, classes, kind)
+    cfg = AttackConfig.for_attack("fgsm", step_size=step_size, epsilon_ball=epsilon_ball)
+    out, ref = run_single(model, x, y, policy, cfg), fgsm(model, x, y, policy, cfg)
+    assert_same(out, ref)
+    assert (out.l1, out.l2, out.linf) == (ref.l1, ref.l2, ref.linf) and out.steps_used == 1
 
 
 @pytest.mark.parametrize("kind", KINDS)

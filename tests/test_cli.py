@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from malrobust import cli, data
-from malrobust.attacks import AttackConfig
+from malrobust.attacks import OUTCOME_COLUMNS, AttackConfig
 from malrobust.cli import main
 from malrobust.defenses import DefenseConfig, load_ensemble
 from malrobust.evaluation import DefenseSpec, _jsonable, run_experiment
@@ -119,6 +119,20 @@ class TestAttackCmd:
         assert len(rows) == 8 * 2  # pool of 8, two attacks
         assert set(r["attack"] for r in rows) == {"fgsm", "bca"}
 
+    def test_header_is_the_outcome_columns(self, pipeline):
+        tmp_path, cfg_path, cfg = pipeline
+        cfg["defenses"] = [{"label": "basic", "kind": "plain"},
+                           {"label": "at", "kind": "hardened", "config": {"inner_steps": 2}}]
+        cfg_path.write_text(json.dumps(cfg))
+        run("train", "-c", str(cfg_path), "--out", str(tmp_path / "m"))
+        assert run("attack", "-c", str(cfg_path), "--models", str(tmp_path / "m"),
+                   "--out", str(tmp_path / "atk")) == 0
+        tables = sorted((tmp_path / "atk").glob("attacks_*.csv"))
+        assert [t.name for t in tables] == ["attacks_at.csv", "attacks_basic.csv"]
+        for table in tables:
+            with open(table) as fh:
+                assert tuple(next(csv.reader(fh))) == OUTCOME_COLUMNS
+
 
 class TestEvaluate:
     def test_no_attacks_clean_only(self, pipeline):
@@ -175,6 +189,17 @@ class TestEvaluate:
                              "attacks": {"bca": {"accuracy": "0.5"}}}}},
          "malformed key 'defenses': malformed key 'a': malformed key 'attacks': "
          "malformed key 'bca': malformed key 'accuracy': expected float, got str"),
+        ({"defenses": []}, "malformed key 'defenses': expected a JSON object, got list"),
+        ({"defenses": {"a": {"clean_test": {"accuracy": 1.0}, "no_attack": {"accuracy": 1.0},
+                             "attacks": []}}},
+         "malformed key 'defenses': malformed key 'a': malformed key 'attacks': "
+         "expected a JSON object, got list"),
+        ({"defenses": {"a": {"clean_test": {"accuracy": 1.0}, "no_attack": {"accuracy": 1.0},
+                             "attacks": []},
+                       "b": {"clean_test": {"accuracy": 1.0}, "no_attack": {"accuracy": 1.0},
+                             "attacks": {"bca": {"accuracy": 0.5}}}}},
+         "malformed key 'defenses': malformed key 'a': malformed key 'attacks': "
+         "expected a JSON object, got list"),
     ])
     def test_json_that_is_no_report_reported(self, tmp_path, capsys, record, message):
         path = tmp_path / "report.json"

@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -228,6 +229,36 @@ class TestRunExperiment:
         expected = harmonic_mean(block["clean_test"]["macro_f1"],
                                  block["attacks"]["fgsm"]["macro_f1"])
         assert block["attacks"]["fgsm"]["harmonic_mean"] == expected
+
+    def test_numpy_integer_seeds_run_as_ints(self, small_experiment):
+        """A numpy-integer seed gives the report its int gives, with the
+        seed written as plain ints."""
+        train, test, policy, specs = small_experiment
+        configs = [AttackConfig.for_attack("fgsm")]
+        models = train_models(specs, train, policy, 3)[0]
+        entries = (lambda seed: run_experiment(train, test, policy, specs, configs, seed=seed,
+                                               attack_pool=5),
+                   lambda seed: evaluate_models(models, train, test, policy, configs, seed=seed,
+                                                attack_pool=5))
+        for seed, ints in ((np.int64(3), 3), ([np.int64(3), np.uint8(4)], [3, 4])):
+            for entry in entries:
+                got, want = entry(seed), entry(ints)
+                assert got == want
+                # json refuses a numpy integer
+                assert json.dumps(got["metadata"]["seed"]) == json.dumps(ints)
+
+    @pytest.mark.parametrize("seed", [-1, [2, -1], 1.0, True])
+    def test_bad_seed_rejected_before_any_work(self, small_experiment, monkeypatch, seed):
+        train, test, policy, specs = small_experiment
+        for name in ("train_models", "attack_inputs", "run_attack_suite"):
+            monkeypatch.setattr(evaluation, name,
+                                lambda *args, name=name, **kwargs: pytest.fail(f"{name} ran"))
+        configs = [AttackConfig.for_attack("fgsm")]
+        message = "seed must be a non-negative integer or a list of them"
+        with pytest.raises(ValueError, match=message):
+            run_experiment(train, test, policy, specs, configs, seed=seed)
+        with pytest.raises(ValueError, match=message):
+            evaluate_models({"basic": object()}, train, test, policy, configs, seed=seed)
 
     def test_duplicate_attack_names_rejected(self, small_experiment):
         train, test, policy, specs = small_experiment
