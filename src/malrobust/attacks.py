@@ -18,7 +18,12 @@ the forward that judged the current point; the four PGD variants and ead
 round each step of _box_steps, the one projected-step loop (the inner
 maximizer's too, which rounds once per trial), through the example's flip
 mask, built once per run, as fgsm rounds its step and mimicry its guides.
-run_single dispatches on the attack name through a table.
+run_single dispatches on the attack name through a table, in which
+grosse and bca are one entry: for two classes the softmax saliency of
+Grosse et al. is a positive multiple of the loss gradient, so both run
+the top-gradient greedy search.  A suite runs each distinct attack (run
+function and settings other than the name) once per example and hands a
+later name that repeats one copies of its outcomes.
 
 Checks sit at the edges: run_single checks its example once (one binary
 vector as wide as the model and the policy) and its label; the suite
@@ -37,7 +42,7 @@ against a surrogate model and then judges success on the real victim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from itertools import islice
 from typing import Optional
@@ -369,13 +374,14 @@ def _ead_direction(model, point, y2, delta, config, adam):
     return np.sign(z) * np.maximum(np.abs(z) - config.ead_beta * config.step_size, 0.0)
 
 
-_ATTACKS = {
+_top_gradient_search = partial(_search, partial(_greedy_flips, _top_gradient))
+_ATTACKS = {  # grosse and bca: one object, so that a suite runs it once
     "random": partial(_search, _random_flips),
     "mimicry": mimicry_attack,
     "fgsm": fgsm,
-    "grosse": partial(_search, partial(_greedy_flips, _top_gradient)),
+    "grosse": _top_gradient_search,
     "bga": partial(_search, partial(_greedy_flips, _gradient_threshold)),
-    "bca": partial(_search, partial(_greedy_flips, _top_gradient)),
+    "bca": _top_gradient_search,
     "pgd_l1": partial(_search, partial(_projected_steps, _l1_direction)),
     "pgd_l2": partial(_search, partial(_projected_steps, _l2_direction)),
     "pgd_linf": partial(_search, partial(_projected_steps, _linf_direction)),
@@ -410,6 +416,12 @@ def run_attack_suite(victim, X, y, policy, configs, threat_model=WHITE_BOX,
     White-box attacks search on the victim itself; grey-box attacks search
     on the surrogate and success is then judged on the victim.  Returns
     {attack name: [AttackOutcome per example]} in example order.
+
+    Each distinct attack runs once per example: a config whose run
+    function (grosse and bca share one) and settings other than the name
+    equal an earlier config's gets copies of that config's outcomes, since
+    a run is a function of these, the models, the example, its label, the
+    policy, the pool and its [seed, i] stream.
     """
     if threat_model not in (WHITE_BOX, GREY_BOX):
         raise ValueError(f"unknown threat model {threat_model!r}")
@@ -434,7 +446,18 @@ def run_attack_suite(victim, X, y, policy, configs, threat_model=WHITE_BOX,
                            _misclassified(victim, out.x_adv, y[i:i + 1])[0], out.steps_used)
         return out
 
-    return {config.name: [one(config, i) for i in range(len(X))] for config in configs}
+    results, runs = {}, []  # runs: (key, outcomes) of each distinct attack
+    for config in configs:
+        # the run function and every setting but the name, compared by ==,
+        # not hashed, since a seed may be a list
+        key = (_ATTACKS[config.name], {**vars(config), "name": None})
+        earlier = next((outs for k, outs in runs if k == key), None)
+        if earlier is None:
+            results[config.name] = [one(config, i) for i in range(len(X))]
+            runs.append((key, results[config.name]))
+        else:
+            results[config.name] = [replace(o, x_adv=o.x_adv.copy()) for o in earlier]
+    return results
 
 
 def outcomes_to_rows(results) -> list[dict]:

@@ -317,13 +317,11 @@ def cmd_evaluate(cfg: dict, models_dir, out_dir=None) -> str:
 def cmd_report(report_path, csv_path=None) -> None:
     with open(report_path, "r", encoding="utf-8") as fh:
         try:
-            report = json.load(fh)
-            table = evaluation.report_table(report)
+            labels, rows = evaluation.report_rows(json.load(fh))
         except ValueError as exc:
             raise ValueError(f"{os.fspath(report_path)}: {exc}") from None
-    print(table)
+    print(evaluation._table_text(labels, rows))
     if csv_path:
-        labels, rows = evaluation.report_rows(report)
         with data.atomic_write(csv_path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["attack"] + labels)

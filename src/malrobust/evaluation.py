@@ -317,7 +317,11 @@ def report_rows(report: dict) -> tuple[list, list]:
 def report_table(report: dict) -> str:
     """Flat accuracy table: rows are attacks, columns are defenses; each
     column is as wide as its label, at least 13 characters."""
-    labels, rows = report_rows(report)
+    return _table_text(*report_rows(report))
+
+
+def _table_text(labels, rows) -> str:
+    """report_table's text of the (labels, rows) of report_rows."""
     width = max([len(name) for name, _ in rows] + [10])
     cols = [max(13, len(lab)) for lab in labels]
     lines = [" ".join(["attack".ljust(width)] + [lab.rjust(w) for lab, w in zip(labels, cols)])]

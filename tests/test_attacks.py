@@ -405,6 +405,46 @@ class TestSuite:
             run_attack_suite(victim, X, y, pol, configs, benign_pool=pool)
         assert runs == []
 
+    @staticmethod
+    def count_runs(monkeypatch):
+        """The attack name of each run_single call the suite makes."""
+        runs, run = [], attacks.run_single
+
+        def counted(*args, **kwargs):
+            runs.append(args[4].name)
+            return run(*args, **kwargs)
+        monkeypatch.setattr(attacks, "run_single", counted)
+        return runs
+
+    @pytest.mark.parametrize("threat_model", ["white_box", "grey_box"])
+    def test_grosse_and_bca_run_once_per_example(self, rng, monkeypatch, threat_model):
+        victim, surrogate, X, y, pol, _ = self.small_setup(rng)
+        runs = self.count_runs(monkeypatch)
+        configs = [AttackConfig("grosse", max_steps=5), AttackConfig("bca", max_steps=5)]
+        res = run_attack_suite(victim, X, y, pol, configs, threat_model, surrogate)
+        assert runs == ["grosse"] * len(X)
+        assert list(res) == ["grosse", "bca"]
+
+    @pytest.mark.parametrize("overrides", [{"max_steps": 4}, {"seed": 1}, {"seed": [0, 1]},
+                                           {"step_size": 0.5}])
+    def test_grosse_and_bca_with_other_settings_run_apart(self, rng, monkeypatch, overrides):
+        victim, _, X, y, pol, _ = self.small_setup(rng)
+        runs = self.count_runs(monkeypatch)
+        configs = [AttackConfig("grosse", max_steps=5),
+                   AttackConfig("bca", **{"max_steps": 5, **overrides})]
+        run_attack_suite(victim, X, y, pol, configs)
+        assert runs == ["grosse"] * len(X) + ["bca"] * len(X)
+
+    @pytest.mark.parametrize("written, other", [("grosse", "bca"), ("bca", "grosse")])
+    def test_shared_outcomes_are_copies(self, rng, written, other):
+        victim, _, X, y, pol, _ = self.small_setup(rng)
+        configs = [AttackConfig("grosse", max_steps=5), AttackConfig("bca", max_steps=5)]
+        res = run_attack_suite(victim, X, y, pol, configs)
+        kept = [out.x_adv.copy() for out in res[other]]
+        for out in res[written]:
+            out.x_adv[:] = 0.5
+        assert all(np.array_equal(out.x_adv, k) for out, k in zip(res[other], kept))
+
     def test_seeded_determinism(self, rng):
         victim, _, X, y, pol, pool = self.small_setup(rng)
         configs = [AttackConfig.for_attack(n, max_steps=10, seed=42)

@@ -1,16 +1,17 @@
 """Property tests: projection onto the manipulation domain, the outcome
-of every attack, the points every attack hands its judge, the
-projected-step loop over a batch and over its rows, the sparse-dataset
-and policy file round trips, the checkpoint parameter payload, and the
-checkpoint round trips of models, hardened models and ensembles; and
-that a failing property reports its example under the repo's pytest
-settings."""
+of every attack, the points every attack hands its judge, a suite's
+outcomes against per-config runs, the projected-step loop over a batch
+and over its rows, the sparse-dataset and policy file round trips, the
+checkpoint parameter payload, and the checkpoint round trips of models,
+hardened models and ensembles; and that a failing property reports its
+example under the repo's pytest settings."""
 
 import json
 import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from itertools import islice
 from unittest import mock
 
@@ -130,7 +131,8 @@ def test_every_judged_point_is_binary_and_admissible(case, threat_model, max_ste
                                        mimicry_candidates=3, **step) for name in ATTACK_NAMES]
     with mock.patch.object(attacks, "_misclassified", recording_judge):
         run_attack_suite(victim, x[None], [y], policy, configs, threat_model, surrogate, pool)
-    assert len(judged) >= len(ATTACK_NAMES)
+    # the suite runs each distinct attack once (grosse and bca share one run)
+    assert len(judged) >= len(set(attacks._ATTACKS.values()))
     for point in judged:
         assert point.shape == x.shape and np.isin(point, (0.0, 1.0)).all()
         assert admissible(x, point, policy)
@@ -281,6 +283,65 @@ def test_ensemble_checkpoint_round_trip(ens):
         same_hardened(a, b)
     X = binary_inputs(ens.members[0].input_dim)
     assert np.array_equal(back.predict_proba(X), ens.predict_proba(X))
+
+
+@st.composite
+def shared_suite_cases(draw):
+    """(victim, surrogate, X, y, policy, pool, names): a small MLP, a
+    hardened model or an ensemble as the victim, an MLP surrogate as wide,
+    a few examples, and the names of a suite holding grosse, bca and up to
+    three other attacks in a random order."""
+    dim, classes = draw(st.integers(1, 10)), draw(st.integers(2, 3))
+
+    def scaled_mlp():
+        hidden = draw(st.lists(st.integers(1, 6), max_size=2))
+        mlp = MlpClassifier.init([dim] + hidden + [classes], seed=draw(st.integers(0, 2**32 - 1)))
+        mlp.weights = [3.0 * W for W in mlp.weights]
+        return mlp
+    kind = draw(st.sampled_from(["mlp", "hardened", "ensemble"]))
+    if kind == "mlp":
+        victim = scaled_mlp()
+    elif kind == "hardened":
+        victim = draw(hardened_models(dim, classes))
+    else:
+        victim = EnsembleClassifier(draw(st.lists(hardened_models(dim, classes),
+                                                  min_size=1, max_size=3)))
+    n = draw(st.integers(1, 3))
+    X = draw(arrays(bool, (n, dim))).astype(float)
+    y = draw(arrays(int, n, elements=st.integers(0, classes - 1)))
+    bits = arrays(bool, dim)
+    policy = ManipulationPolicy(draw(bits), draw(bits))
+    pool = draw(arrays(bool, (draw(st.integers(1, 4)), dim))).astype(float)
+    rest = [name for name in ATTACK_NAMES if name not in ("grosse", "bca")]
+    others = draw(st.lists(st.sampled_from(rest), unique=True, max_size=3))
+    names = draw(st.permutations(["grosse", "bca"] + others))
+    return victim, scaled_mlp(), X, y, policy, pool, names
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(shared_suite_cases(), st.sampled_from([WHITE_BOX, GREY_BOX]), st.integers(0, 8),
+       st.one_of(st.integers(0, 2**32 - 1), st.lists(st.integers(0, 2**16), min_size=1,
+                                                      max_size=3)))
+def test_suite_outcomes_equal_per_config_runs(case, threat_model, max_steps, seed):
+    """A suite runs grosse and bca once and copies the outcomes to the
+    later name; each name's outcomes still equal its own run_single call
+    on the example's [seed, i] stream, judged on the victim in grey-box."""
+    victim, surrogate, X, y, policy, pool, names = case
+    configs = [AttackConfig.for_attack(name, max_steps=max_steps, seed=seed,
+                                       mimicry_candidates=3) for name in names]
+    results = run_attack_suite(victim, X, y, policy, configs, threat_model, surrogate, pool)
+    attacker = victim if threat_model == WHITE_BOX else surrogate
+    assert list(results) == names
+    for config in configs:
+        for i, got in enumerate(results[config.name]):
+            want = run_single(attacker, X[i], y[i], policy, config, benign_pool=pool,
+                              rng=np.random.default_rng([seed, i]))
+            if threat_model == GREY_BOX:
+                want = replace(want, success=bool(
+                    attacks._misclassified(victim, want.x_adv, y[i:i + 1])[0]))
+            assert got.x_adv.dtype == want.x_adv.dtype
+            assert got.x_adv.tobytes() == want.x_adv.tobytes()
+            assert {**vars(got), "x_adv": None} == {**vars(want), "x_adv": None}
 
 
 @st.composite
